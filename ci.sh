@@ -108,4 +108,13 @@ echo "== concurrency: multi-session server scaling gate"
 SCALE=0.05 CONCURRENCY_BUDGET="${CONCURRENCY_BUDGET:-320}" \
     cargo run --release --offline -p taurus-bench --bin harness concurrency
 
+echo "== perf: the frozen benchmark still builds and answers correctly"
+# perf/ is a package of its own whose per-layer replica compiles against
+# product internals (Engine entry points, PlannedBranch, the wire codec).
+# Its unit tests and `smoke` (one short pass per workload, correctness
+# only, ~3 s) fail here if a product refactor breaks the replica's build
+# or changes an answer. Timings are not gated: see perf/README.md.
+cargo test --offline --manifest-path perf/Cargo.toml
+cargo run --release --offline --manifest-path perf/Cargo.toml -- smoke
+
 echo "CI OK"

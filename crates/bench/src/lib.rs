@@ -1,5 +1,4 @@
-//! Experiment runners shared by the Criterion benches and the `harness`
-//! binary.
+//! Experiment runners behind the `harness` binary.
 //!
 //! Every table and figure in the paper's evaluation (§6) has a runner here:
 //!
@@ -27,7 +26,6 @@ use taurus_workloads::{tpcds, tpch, Scale};
 
 pub mod concurrency;
 pub mod fuzz;
-pub mod micro;
 
 /// Which workload a runner operates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,10 +301,12 @@ pub fn ablations(scale: Scale, reps: usize) -> Vec<Ablation> {
                    WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk \
                      AND i_item_sk < 20 AND d_date_sk < 300";
         let with_hist = Workload::TpcDs.build_engine(scale);
-        let mut without_hist = Workload::TpcDs.build_engine(scale);
-        without_hist.catalog_mut().analyze_all(&taurus_catalog::AnalyzeOptions {
-            histograms_on_unique: false,
-            ..Default::default()
+        let without_hist = Workload::TpcDs.build_engine(scale);
+        without_hist.with_catalog_mut(|c| {
+            c.analyze_all(&taurus_catalog::AnalyzeOptions {
+                histograms_on_unique: false,
+                ..Default::default()
+            })
         });
         let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
         let (with_rule, with_work) = time_query(&with_hist, sql, &orca, reps);

@@ -7,13 +7,12 @@
 //!   blocks become Orca logical block descriptions, with predicate
 //!   segregation already performed and table descriptors carrying the
 //!   query-table indexes (the `TABLE_LIST`-pointer trick of §4.1).
-//! * [`provider`] (with [`oid`] and [`dxl`]) — **Metadata Provider**: the
+//! * [`provider`] (with [`oid`]) — **Metadata Provider**: the
 //!   OID-keyed plug-in serving MySQL data-dictionary objects to Orca —
 //!   type categories (§5.1), the arithmetic/comparison/aggregation
 //!   expression cubes with commutators and inverses (§5.2–5.3), mapped and
 //!   regular functions (§5.4), relations/statistics/histograms (§5.5) — all
-//!   laid out in the base-plus-enumeration OID space of §5.6, and
-//!   serializable to a DXL-style exchange format.
+//!   laid out in the base-plus-enumeration OID space of §5.6.
 //! * [`plan_converter`] — **Orca Plan Converter**: Orca physical plans
 //!   become MySQL *skeleton plans* through the two-pass translation of
 //!   §4.2 (query-block discovery, best-position arrays, estimate copying,
@@ -28,7 +27,6 @@
 //! module is the skeleton-consistency gate the router runs before
 //! accepting a converted plan.
 
-pub mod dxl;
 pub mod oid;
 pub mod plan_converter;
 pub mod provider;

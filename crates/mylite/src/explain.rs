@@ -14,31 +14,12 @@ use taurus_catalog::Catalog;
 use taurus_common::{ColRef, Expr};
 use taurus_executor::{q_error, AggStrategy, JoinKind, NodeObservation, ObserverIndex, Plan};
 
-/// Render an executable plan as an EXPLAIN tree. The skeleton supplies the
-/// provenance banner (Orca-assisted, plain MySQL, or fallback + reason).
-pub fn explain_plan(
-    plan: &Plan,
-    bound: &BoundStatement,
-    catalog: &Catalog,
-    skeleton: &Skeleton,
-) -> String {
-    explain_with(plan, bound, catalog, skeleton, None)
-}
-
-/// Render an EXPLAIN ANALYZE tree: the same shape as [`explain_plan`], with
-/// each operator line annotated with its observed actuals. `ann` must come
-/// from [`annotate`] over the same plan shape.
-pub fn explain_plan_analyzed(
-    plan: &Plan,
-    bound: &BoundStatement,
-    catalog: &Catalog,
-    skeleton: &Skeleton,
-    ann: &[NodeAnnotation],
-) -> String {
-    explain_with(plan, bound, catalog, skeleton, Some(ann))
-}
-
-fn explain_with(
+/// Render an executable plan as an EXPLAIN tree — or, with `ann` (from
+/// [`annotate`] over the same plan shape), an EXPLAIN ANALYZE tree: the same
+/// shape with each operator line annotated with its observed actuals. The
+/// skeleton supplies the provenance banner (Orca-assisted, plain MySQL, or
+/// fallback + reason).
+pub fn explain_with(
     plan: &Plan,
     bound: &BoundStatement,
     catalog: &Catalog,

@@ -23,11 +23,13 @@
 //! * [`engine`] — the session facade tying parsing, optimization, and
 //!   execution together, with a pluggable cost-based-optimizer backend (the
 //!   hook the bridge plugs Orca into).
+//! * [`knobs`] — the one table every per-statement setting is declared in.
 
 pub mod bound;
 pub mod engine;
 pub mod explain;
 pub mod feedback;
+pub mod knobs;
 pub mod optimizer;
 pub mod orders;
 pub mod plancache;
@@ -43,5 +45,6 @@ pub use engine::{
 };
 pub use explain::NodeAnnotation;
 pub use feedback::{FeedbackState, ObservationStore};
+pub use knobs::PlanShape;
 pub use plancache::{CacheEntry, CacheKey, CacheOutcome, Lookup, PlanCache, PlanCacheStats};
 pub use skeleton::{AccessChoice, JoinMethod, SearchTrace, SkelLeaf, SkelNode, Skeleton};

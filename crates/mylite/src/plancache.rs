@@ -2,7 +2,7 @@
 //! sessions.
 //!
 //! Keyed by statement fingerprint ([`taurus_sql::fingerprint`]) *plus* the
-//! plan-shaping knobs it was compiled under (dop, parallel threshold), each
+//! plan-shaping knobs it was compiled under ([`PlanShape`]), each
 //! entry stores the fully refined executable plan compiled under a specific
 //! catalog version, together with its optimizer provenance. A hit re-binds
 //! the cached [`PlannedQuery`]'s parameters *in place* to the new
@@ -29,8 +29,8 @@
 //!
 //! # Knobs in the key, version in the entry
 //!
-//! Plans depend on the dop and parallel-threshold knobs (exchange
-//! placement), so those are part of the cache *key*: sessions running with
+//! Plans depend on the plan-shaping knobs (exchange placement, surviving
+//! Sort enforcers), so those are part of the cache *key*: sessions running with
 //! different per-session knobs coexist, each hitting plans compiled for its
 //! own settings, instead of invalidating each other's entries on every
 //! serve. The catalog version is *not* part of the key — a version bump
@@ -44,6 +44,7 @@
 //! Eviction is LRU on a logical tick, per shard.
 
 use crate::engine::PlannedQuery;
+use crate::knobs::PlanShape;
 use crate::sync::{lock, rlock, wlock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,13 +65,8 @@ pub const NUM_SHARDS: usize = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     pub fingerprint: u64,
-    /// Effective degree of parallelism at compile time.
-    pub dop: usize,
-    /// Effective parallel threshold (min driver rows) at compile time.
-    pub parallel_threshold: usize,
-    /// Whether redundant-Sort elimination was on at compile time
-    /// (plan-shaping: the knob decides which Sort enforcers survive).
-    pub order_opt: bool,
+    /// Effective plan-shaping knobs at compile time.
+    pub shape: PlanShape,
 }
 
 /// Counters surfaced in RouterStats-style reports and the EXPLAIN banner.
@@ -382,11 +378,10 @@ mod tests {
     use super::*;
 
     /// Knobs the dummy entries are compiled under in these tests.
-    const DOP: usize = 1;
-    const THRESHOLD: usize = 1024;
+    const SHAPE: PlanShape = PlanShape { dop: 1, parallel_threshold: 1024, order_opt: true };
 
     fn key(fingerprint: u64) -> CacheKey {
-        CacheKey { fingerprint, dop: DOP, parallel_threshold: THRESHOLD, order_opt: true }
+        CacheKey { fingerprint, shape: SHAPE }
     }
 
     fn dummy_plan() -> PlannedQuery {
@@ -423,10 +418,9 @@ mod tests {
         // the fingerprint picks it — so give the shard room for both.)
         let c = PlanCache::new(2 * NUM_SHARDS);
         c.insert(&key(1), 0, "mysql", dummy_plan());
-        let dop4 =
-            CacheKey { fingerprint: 1, dop: 4, parallel_threshold: THRESHOLD, order_opt: true };
+        let dop4 = CacheKey { fingerprint: 1, shape: PlanShape { dop: 4, ..SHAPE } };
         assert!(matches!(c.lookup(&dop4, 0), Lookup::Miss), "dop changed");
-        let thr8 = CacheKey { fingerprint: 1, dop: DOP, parallel_threshold: 8, order_opt: true };
+        let thr8 = CacheKey { fingerprint: 1, shape: PlanShape { parallel_threshold: 8, ..SHAPE } };
         assert!(matches!(c.lookup(&thr8, 0), Lookup::Miss), "threshold changed");
         c.insert(&dop4, 0, "mysql", dummy_plan());
         assert!(hit(&c, &key(1), 0), "original knobs still serve");

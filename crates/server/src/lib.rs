@@ -28,4 +28,4 @@ pub mod session;
 pub use client::{Client, QueryReply};
 pub use protocol::{Reply, Request, ServeOutcome};
 pub use server::{Server, ServerHandle};
-pub use session::{layer_opts, Session};
+pub use session::Session;

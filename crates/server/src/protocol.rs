@@ -32,16 +32,6 @@ const OP_SET: u8 = 0x03;
 const OP_ANALYZE: u8 = 0x04;
 const OP_QUIT: u8 = 0x06;
 
-// Session/statement option keys.
-const KEY_DOP: u8 = 1;
-const KEY_MORSEL_ROWS: u8 = 2;
-const KEY_PARALLEL_THRESHOLD: u8 = 3;
-const KEY_DEADLINE_MS: u8 = 4;
-const KEY_MEMORY_BUDGET: u8 = 5;
-const KEY_REOPT_Q_THRESHOLD: u8 = 6;
-const KEY_VECTORIZED: u8 = 7;
-const KEY_ORDER_OPT: u8 = 8;
-
 // Reply status bytes.
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
@@ -228,37 +218,17 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 
 // ---------------------------------------------------------------- options
 
+/// Options travel as a count byte and `(key, u64)` pairs. Which keys exist
+/// and what they carry is the engine's knob table's business
+/// (`mylite::knobs`); this codec only frames the pairs.
 fn encode_opts(out: &mut Vec<u8>, opts: &SessionOpts) {
-    let mut pairs: Vec<(u8, u64)> = Vec::new();
-    if let Some(v) = opts.dop {
-        pairs.push((KEY_DOP, v as u64));
-    }
-    if let Some(v) = opts.morsel_rows {
-        pairs.push((KEY_MORSEL_ROWS, v as u64));
-    }
-    if let Some(v) = opts.parallel_threshold {
-        pairs.push((KEY_PARALLEL_THRESHOLD, v as u64));
-    }
-    if let Some(v) = opts.deadline_ms {
-        pairs.push((KEY_DEADLINE_MS, v));
-    }
-    if let Some(v) = opts.memory_budget {
-        pairs.push((KEY_MEMORY_BUDGET, v));
-    }
-    if let Some(v) = opts.reopt_q_threshold {
-        pairs.push((KEY_REOPT_Q_THRESHOLD, v.to_bits()));
-    }
-    if let Some(v) = opts.vectorized {
-        pairs.push((KEY_VECTORIZED, v as u64));
-    }
-    if let Some(v) = opts.order_opt {
-        pairs.push((KEY_ORDER_OPT, v as u64));
-    }
-    out.push(pairs.len() as u8);
-    for (k, v) in pairs {
-        out.push(k);
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let count_at = out.len();
+    out.push(0);
+    opts.for_each_wire(|key, bits| {
+        out[count_at] += 1;
+        out.push(key);
+        out.extend_from_slice(&bits.to_le_bytes());
+    });
 }
 
 fn decode_opts(c: &mut Cursor) -> Result<SessionOpts> {
@@ -266,17 +236,9 @@ fn decode_opts(c: &mut Cursor) -> Result<SessionOpts> {
     let mut opts = SessionOpts::default();
     for _ in 0..n {
         let key = c.u8()?;
-        let val = c.u64()?;
-        match key {
-            KEY_DOP => opts.dop = Some(val as usize),
-            KEY_MORSEL_ROWS => opts.morsel_rows = Some(val as usize),
-            KEY_PARALLEL_THRESHOLD => opts.parallel_threshold = Some(val as usize),
-            KEY_DEADLINE_MS => opts.deadline_ms = Some(val),
-            KEY_MEMORY_BUDGET => opts.memory_budget = Some(val),
-            KEY_REOPT_Q_THRESHOLD => opts.reopt_q_threshold = Some(f64::from_bits(val)),
-            KEY_VECTORIZED => opts.vectorized = Some(val != 0),
-            KEY_ORDER_OPT => opts.order_opt = Some(val != 0),
-            other => return Err(protocol_err(&format!("unknown option key {other}"))),
+        let bits = c.u64()?;
+        if !opts.set_wire(key, bits) {
+            return Err(protocol_err(&format!("unknown option key {key}")));
         }
     }
     Ok(opts)
@@ -564,6 +526,67 @@ mod tests {
             let decoded = decode_request(&encode_request(&req)).unwrap();
             assert_eq!(decoded, req);
         }
+    }
+
+    fn wire_pairs(opts: &SessionOpts) -> Vec<(u8, u64)> {
+        let mut pairs = Vec::new();
+        opts.for_each_wire(|k, v| pairs.push((k, v)));
+        pairs
+    }
+
+    #[test]
+    fn every_knob_in_the_table_round_trips_at_its_default_and_its_edges() {
+        // Walks the engine's knob table, so a new row is covered as is.
+        let none = encode_request(&Request::Set { opts: SessionOpts::default() });
+        assert_eq!(none, [OP_SET, 0], "absent knobs cost one count byte");
+        for row in mylite::knobs::table() {
+            let edges =
+                [row.default_bits, 0, u64::MAX, f64::INFINITY.to_bits(), f64::NAN.to_bits()];
+            for bits in edges {
+                let mut opts = SessionOpts::default();
+                assert!(opts.set_wire(row.wire_key, bits), "{}", row.name);
+                let frame = encode_request(&Request::Query { opts, sql: "SELECT 1".into() });
+                assert_eq!(frame[..3], [OP_QUERY, 1, row.wire_key], "{}", row.name);
+                let Request::Query { opts: back, sql } = decode_request(&frame).unwrap() else {
+                    panic!("{}: decoded as another request", row.name);
+                };
+                // Compared as wire pairs: a NaN option is not `==` itself.
+                assert_eq!(wire_pairs(&back), wire_pairs(&opts), "{} at {bits:#x}", row.name);
+                assert_eq!(sql, "SELECT 1");
+            }
+        }
+    }
+
+    #[test]
+    fn option_frames_keep_their_bytes() {
+        // The frame a pre-table client sent for these options, byte for
+        // byte: count, then (key, u64 LE) pairs in ascending key order.
+        let opts = SessionOpts {
+            order_opt: Some(false),
+            dop: Some(4),
+            reopt_q_threshold: Some(2.5),
+            vectorized: Some(true),
+            deadline_ms: Some(0),
+            morsel_rows: Some(512),
+            memory_budget: Some(1 << 20),
+            parallel_threshold: Some(9),
+        };
+        let mut want = vec![OP_SET, 8];
+        for (key, bits) in [
+            (1u8, 4u64),
+            (2, 512),
+            (3, 9),
+            (4, 0),
+            (5, 1 << 20),
+            (6, 2.5f64.to_bits()),
+            (7, 1),
+            (8, 0),
+        ] {
+            want.push(key);
+            want.extend_from_slice(&bits.to_le_bytes());
+        }
+        assert_eq!(encode_request(&Request::Set { opts }), want);
+        assert_eq!(decode_request(&want).unwrap(), Request::Set { opts });
     }
 
     #[test]

@@ -12,20 +12,6 @@ use mylite::{CostBasedOptimizer, Engine, SessionOpts};
 use std::sync::Arc;
 use taurus_common::error::Result;
 
-/// Field-wise layering: `over`'s present fields win, `base` fills the rest.
-pub fn layer_opts(base: &SessionOpts, over: &SessionOpts) -> SessionOpts {
-    SessionOpts {
-        dop: over.dop.or(base.dop),
-        morsel_rows: over.morsel_rows.or(base.morsel_rows),
-        vectorized: over.vectorized.or(base.vectorized),
-        parallel_threshold: over.parallel_threshold.or(base.parallel_threshold),
-        order_opt: over.order_opt.or(base.order_opt),
-        deadline_ms: over.deadline_ms.or(base.deadline_ms),
-        memory_budget: over.memory_budget.or(base.memory_budget),
-        reopt_q_threshold: over.reopt_q_threshold.or(base.reopt_q_threshold),
-    }
-}
-
 /// One connection's session against the shared engine.
 pub struct Session {
     id: u64,
@@ -57,13 +43,13 @@ impl Session {
         let reply = match req {
             Request::Query { opts, sql } => self.run_statement(&opts, &sql),
             Request::Explain { opts, sql } => {
-                let effective = layer_opts(&self.opts, &opts);
+                let effective = self.opts.layer(&opts);
                 self.engine
                     .explain_cached_opts(&sql, self.optimizer.as_ref(), &effective)
                     .map(Reply::Text)
             }
             Request::Set { opts } => {
-                self.opts = layer_opts(&self.opts, &opts);
+                self.opts = self.opts.layer(&opts);
                 Ok(Reply::Unit)
             }
             Request::Analyze => {
@@ -76,7 +62,7 @@ impl Session {
     }
 
     fn run_statement(&self, opts: &SessionOpts, sql: &str) -> Result<Reply> {
-        let effective = layer_opts(&self.opts, opts);
+        let effective = self.opts.layer(opts);
         // INSERT bypasses the plan cache (it is DDL-adjacent: catalog write
         // lock, version bump); everything else is a cached SELECT serve.
         if sql.trim_start().get(..6).is_some_and(|p| p.eq_ignore_ascii_case("insert")) {
@@ -90,22 +76,5 @@ impl Session {
         let (out, outcome) =
             self.engine.query_cached_opts(sql, self.optimizer.as_ref(), &effective)?;
         Ok(Reply::Rows { outcome: outcome.into(), columns: out.columns, rows: out.rows })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn layering_prefers_the_override_field_wise() {
-        let base = SessionOpts { dop: Some(2), deadline_ms: Some(100), ..SessionOpts::default() };
-        let over =
-            SessionOpts { deadline_ms: Some(5), memory_budget: Some(64), ..SessionOpts::default() };
-        let merged = layer_opts(&base, &over);
-        assert_eq!(merged.dop, Some(2), "inherited from the session");
-        assert_eq!(merged.deadline_ms, Some(5), "statement override wins");
-        assert_eq!(merged.memory_budget, Some(64));
-        assert_eq!(merged.parallel_threshold, None, "absent everywhere stays engine-default");
     }
 }

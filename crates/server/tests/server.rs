@@ -169,6 +169,37 @@ fn malformed_frame_gets_an_error_but_keeps_the_session() {
 }
 
 #[test]
+fn unknown_option_key_is_a_typed_protocol_error_and_the_session_survives() {
+    let (_engine, handle) = start(10);
+    let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // A well-formed query frame, except its one option names a key one past
+    // the knob table's last.
+    let good =
+        Request::Query { opts: SessionOpts::default(), sql: "SELECT COUNT(*) FROM emp".into() };
+    let unknown_key = mylite::knobs::table().len() as u8 + 1;
+    let mut frame = encode_request(&good);
+    assert_eq!(frame[1], 0, "the option count byte");
+    frame[1] = 1;
+    frame.splice(2..2, std::iter::once(unknown_key).chain(7u64.to_le_bytes()));
+    write_frame(&mut raw, &frame).unwrap();
+    let reply = read_frame(&mut raw).unwrap().expect("an answer, not a hangup");
+    match decode_reply(&reply).unwrap() {
+        Reply::Err(Error::Internal(m)) => {
+            assert!(m.contains(&format!("unknown option key {unknown_key}")), "{m}")
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    // Same socket, same statement without the bad option: still served.
+    write_frame(&mut raw, &encode_request(&good)).unwrap();
+    let reply = read_frame(&mut raw).unwrap().unwrap();
+    match decode_reply(&reply).unwrap() {
+        Reply::Rows { rows, .. } => assert_eq!(rows, vec![vec![Value::Int(10)]]),
+        other => panic!("expected rows, got {other:?}"),
+    }
+    handle.stop();
+}
+
+#[test]
 fn many_concurrent_clients_agree_with_the_single_session_reference() {
     let (engine, handle) = start(500);
     let templates = [

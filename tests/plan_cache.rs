@@ -7,7 +7,7 @@
 
 use taurus_orca::bridge::OrcaOptimizer;
 use taurus_orca::common::Value;
-use taurus_orca::mylite::{CacheOutcome, Engine, MySqlOptimizer};
+use taurus_orca::mylite::{CacheOutcome, Engine, MySqlOptimizer, SessionOpts};
 use taurus_orca::orcalite::OrcaConfig;
 use taurus_orca::sql::fingerprint::{parameterize, token_digest};
 use taurus_orca::sql::{parse, Statement};
@@ -76,7 +76,7 @@ fn dop_change_recompiles_instead_of_serving_a_parallel_plan() {
 
     let (_, first) = engine.plan_cached(sql, &orca).unwrap();
     assert_eq!(first, CacheOutcome::Miss);
-    let parallel_text = engine.explain_cached(sql, &orca).unwrap();
+    let parallel_text = engine.explain_cached_opts(sql, &orca, &SessionOpts::default()).unwrap();
     assert!(parallel_text.contains("[plan cache: hit]"), "{parallel_text}");
     assert!(parallel_text.contains("Exchange ("), "dop=4 plan is parallel: {parallel_text}");
     let parallel_rows = canon(engine.query_cached(sql, &orca).unwrap().rows);
@@ -86,7 +86,7 @@ fn dop_change_recompiles_instead_of_serving_a_parallel_plan() {
     engine.set_dop(1);
     let (_, after) = engine.plan_cached(sql, &orca).unwrap();
     assert_eq!(after, CacheOutcome::Miss, "dop change dropped the parallel plan");
-    let serial_text = engine.explain_cached(sql, &orca).unwrap();
+    let serial_text = engine.explain_cached_opts(sql, &orca, &SessionOpts::default()).unwrap();
     assert!(serial_text.contains("[plan cache: hit]"), "{serial_text}");
     assert!(!serial_text.contains("Exchange ("), "recompiled serial: {serial_text}");
     assert_eq!(canon(engine.query_cached(sql, &orca).unwrap().rows), parallel_rows);
