@@ -1,424 +1,68 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper's evaluation section (§6) and prints them as markdown.
+//! paper's evaluation section (§6), and runs the CI gates, printing markdown.
 //!
 //! ```text
-//! harness fig10      # TPC-H per-query comparison (Fig 10)
-//! harness fig11      # TPC-DS per-query comparison (Fig 11)
-//! harness fig12      # ratio-vs-runtime scatter (Fig 12)
-//! harness table1     # compile-overhead totals (Table 1)
-//! harness q72        # Q72 plan shapes (Fig 4/5)
-//! harness q17        # Q17 plans + best-position behaviour (Fig 6/7, Listing 7)
-//! harness q41        # the OR-factorization case (§6.2)
-//! harness ablations  # §7 lesson on/off comparisons
-//! harness routing    # never-fail-detour routing + fallback-reason table
-//! harness plancache  # compile-once serve-many plan cache (exits 1 on gate failure)
-//! harness parallel   # morsel-driven parallel execution (exits 1 on gate failure)
-//! harness vectorized # columnar batch engine wall-clock gate (exits 1 on gate failure)
-//! harness observe    # EXPLAIN ANALYZE q-error harness (exits 1 on gate failure)
-//! harness orders     # interesting-order enforcer elimination (exits 1 on gate failure)
-//! harness feedback   # feedback-driven re-optimization loop (exits 1 on gate failure)
-//! harness fuzz [--seed-range a..b]
-//!                    # differential query fuzzer (exits 1 on any miscompare)
-//! harness governance # query-governor chaos report (exits 1 on gate failure)
-//! harness concurrency# multi-session closed-loop bench (exits 1 on gate failure)
-//! harness all        # everything, in order
+//! harness list             # the experiment registry: names, CI settings, sections
+//! harness <name>           # one experiment (exits 1 if it is a gate and fails)
+//! harness all              # every experiment, in registry order
+//! harness gates            # every CI gate at its registered CI scale and budget
+//!                          # (what ci.sh runs); exits 1 if any failed
+//! harness fuzz --seed-range a..b   # override the fuzzer's seeds (half-open)
 //! ```
 //!
-//! Environment knobs: `SCALE` (default 0.3), `REPS` (default 5),
-//! `VECTORIZED_BUDGET` (timed runs per cell for `vectorized`, default 9),
-//! `FUZZ_BUDGET` (queries per seed for `fuzz`, default 500),
-//! `GOVERNANCE_BUDGET` (disturbed executions for `governance`, default 200),
-//! `CONCURRENCY_BUDGET` (loaded-level statements for `concurrency`,
-//! default 320 — split across 8 clients).
+//! Environment: `SCALE` (default 0.3; `gates` ignores it and uses each
+//! gate's registered scale), `REPS` (timed repetitions, default 5),
+//! `BUDGET` (multiplies every gate's registered budget, default 1 — raise
+//! it for a deeper local sweep).
 
-use taurus_bench::*;
+use std::ops::Range;
+use taurus_bench::registry::{self, Experiment, DEFAULT_SCALE};
 use taurus_workloads::Scale;
 
-fn scale() -> Scale {
-    Scale(std::env::var("SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.3))
+fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
 }
 
-fn reps() -> usize {
-    std::env::var("REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(5)
+/// `--seed-range a..b` (half-open, non-empty), if given.
+fn seed_range() -> Option<Range<u64>> {
+    let arg = std::env::args().skip_while(|a| a != "--seed-range").nth(1)?;
+    let (a, b) = arg.split_once("..")?;
+    let (a, b) = (a.trim().parse::<u64>().ok()?, b.trim().parse::<u64>().ok()?);
+    (a < b).then_some(a..b)
 }
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let run_all = arg == "all";
-    let want = |name: &str| run_all || arg == name;
-
-    if want("fig10") {
-        fig10();
+    let rows: Vec<&Experiment> = match arg.as_str() {
+        "list" => return print!("{}", registry::list()),
+        "all" => registry::EXPERIMENTS.iter().collect(),
+        "gates" => registry::gates().collect(),
+        name => match registry::find(name) {
+            Some(row) => vec![row],
+            None => {
+                eprintln!("unknown experiment '{name}'; known: {}", registry::names().join(" "));
+                std::process::exit(2);
+            }
+        },
+    };
+    let scale = (arg != "gates").then(|| Scale(var("SCALE", DEFAULT_SCALE)));
+    let (reps, budget_mult, seeds) = (var("REPS", 5), var("BUDGET", 1), seed_range());
+    let mut failed = 0;
+    for row in rows {
+        let env = row.env(scale, reps, budget_mult, seeds.clone());
+        println!("\n## {}\n", row.heading(&env));
+        let outcome = (row.run)(&env);
+        print!("{}", outcome.body);
+        match outcome.verdict {
+            None => {}
+            Some(Ok(pass)) => println!("\n{} gate passed: {pass}", row.name),
+            Some(Err(violation)) => {
+                eprintln!("\n{} gate FAILED: {violation}", row.name);
+                failed += 1;
+            }
+        }
     }
-    if want("fig11") {
-        fig11();
-    }
-    if want("fig12") {
-        fig12();
-    }
-    if want("table1") {
-        table1();
-    }
-    if want("q72") {
-        q72();
-    }
-    if want("q17") {
-        q17();
-    }
-    if want("q41") {
-        q41();
-    }
-    if want("ablations") {
-        ablations_report();
-    }
-    if want("routing") {
-        routing_report();
-    }
-    if want("plancache") {
-        plancache_report();
-    }
-    if want("parallel") {
-        parallel_report();
-    }
-    if want("vectorized") {
-        vectorized_report();
-    }
-    if want("observe") {
-        observe_report();
-    }
-    if want("orders") {
-        orders_report();
-    }
-    if want("feedback") {
-        feedback_report();
-    }
-    if want("fuzz") {
-        fuzz_report();
-    }
-    if want("governance") {
-        governance_report();
-    }
-    if want("concurrency") {
-        concurrency_report();
-    }
-    if !run_all
-        && ![
-            "fig10",
-            "fig11",
-            "fig12",
-            "table1",
-            "q72",
-            "q17",
-            "q41",
-            "ablations",
-            "routing",
-            "plancache",
-            "parallel",
-            "vectorized",
-            "observe",
-            "orders",
-            "feedback",
-            "fuzz",
-            "governance",
-            "concurrency",
-        ]
-        .contains(&arg.as_str())
-    {
-        eprintln!("unknown experiment '{arg}'; see the module docs for the list");
-        std::process::exit(2);
-    }
-}
-
-fn fig10() {
-    println!("\n## Fig 10 — TPC-H execution time, MySQL vs Orca plans (scale {:?})\n", scale());
-    let results =
-        run_suite(Workload::TpcH, scale(), orcalite::JoinOrderStrategy::Exhaustive2, reps());
-    print!("{}", format_suite_table(&results));
-}
-
-fn fig11() {
-    println!("\n## Fig 11 — TPC-DS execution time, MySQL vs Orca plans (scale {:?})\n", scale());
-    let results =
-        run_suite(Workload::TpcDs, scale(), orcalite::JoinOrderStrategy::Exhaustive2, reps());
-    print!("{}", format_suite_table(&results));
-}
-
-fn fig12() {
-    println!("\n## Fig 12 — Orca is slower only on short queries (scale {:?})\n", scale());
-    let results =
-        run_suite(Workload::TpcDs, scale(), orcalite::JoinOrderStrategy::Exhaustive2, reps());
-    println!("| query | MySQL run time (X axis) | Orca/MySQL ratio (Y axis) |");
-    println!("|---|---|---|");
-    let mut points = fig12_points(&results);
-    points.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    for (name, x, y) in &points {
-        println!("| {name} | {:.4}s | {:.2} |", x, y);
-    }
-    // The paper's claim: ratios above 1 concentrate at small X.
-    let slow: Vec<&(String, f64, f64)> = points.iter().filter(|(_, _, y)| *y > 1.1).collect();
-    let median_x = points[points.len() / 2].1;
-    let short_slow = slow.iter().filter(|(_, x, _)| *x <= median_x).count();
-    println!(
-        "\nqueries where the Orca path is >10% slower: {}; of those, {} are in the \
-         shorter half of MySQL run times (paper: Orca loses only on short queries)",
-        slow.len(),
-        short_slow
-    );
-}
-
-fn table1() {
-    println!(
-        "\n## Table 1 — query compilation overhead (threshold 1: every query takes the \
-         Orca detour; scale {:?})\n",
-        scale()
-    );
-    println!("| Compiler | TPC-H total EXPLAIN | TPC-DS total EXPLAIN |");
-    println!("|---|---|---|");
-    let h = compile_totals(Workload::TpcH, scale());
-    let ds = compile_totals(Workload::TpcDs, scale());
-    for (hrow, dsrow) in h.iter().zip(&ds) {
-        println!("| {} | {:.3?} | {:.3?} |", hrow.compiler, hrow.total, dsrow.total);
-    }
-    // The paper attributes the EXHAUSTIVE2 overhead almost entirely to the
-    // CTE-heavy multi-join queries Q14/Q64 (§6.3 obs. 3).
-    let exh = &ds[1].per_query;
-    let exh2 = &ds[2].per_query;
-    let mut deltas: Vec<(String, f64)> = exh2
-        .iter()
-        .zip(exh)
-        .map(|((name, t2), (_, t1))| (name.clone(), t2.as_secs_f64() - t1.as_secs_f64()))
-        .collect();
-    deltas.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    println!("\nlargest EXHAUSTIVE2-over-EXHAUSTIVE compile deltas (TPC-DS):");
-    for (name, d) in deltas.iter().take(4) {
-        println!("  {name}: {:+.3}s", d);
-    }
-}
-
-fn q72() {
-    println!("\n## Fig 4/5 — TPC-DS Q72 plan shapes (scale {:?})\n", scale());
-    let cs = q72_case_study(scale(), reps());
-    print_case(&cs);
-    println!(
-        "join methods — MySQL: {} nested loops + {} hash (Fig 4: 10 NLJ + 1 HJ, left-deep); \
-         Orca: {} nested loops + {} hash (Fig 5: 4 NLJ + 6 HJ, bushy allowed)",
-        cs.mysql_joins.0, cs.mysql_joins.1, cs.orca_joins.0, cs.orca_joins.1
-    );
-    println!(
-        "tree shapes — MySQL left-deep: {}; Orca left-deep: {}",
-        cs.mysql_left_deep, cs.orca_left_deep
-    );
-}
-
-fn q17() {
-    println!("\n## Fig 6/7 + Listing 7 — TPC-H Q17 (scale {:?})\n", scale());
-    let cs = q17_case_study(scale(), reps());
-    print_case(&cs);
-}
-
-fn q41() {
-    println!("\n## §6.2 Q41 — OR factorization (scale {:?})\n", scale());
-    let cs = q41_case_study(scale(), reps());
-    print_case(&cs);
-    println!(
-        "speedup: {:.1}× wall clock, {:.1}× work (paper: 222× at SF 100)",
-        cs.mysql_time.as_secs_f64() / cs.orca_time.as_secs_f64().max(1e-9),
-        cs.mysql_work as f64 / cs.orca_work.max(1) as f64
-    );
-}
-
-fn ablations_report() {
-    println!("\n## §7 lesson ablations (scale {:?})\n", scale());
-    println!("| lesson | query | with rule | without rule | work with | work without |");
-    println!("|---|---|---|---|---|---|");
-    for a in ablations(scale(), reps()) {
-        println!(
-            "| {} | {} | {:.3?} | {:.3?} | {} | {} |",
-            a.name, a.query, a.with_rule, a.without_rule, a.with_work, a.without_work
-        );
-    }
-}
-
-fn routing_report() {
-    println!("\n## Never-fail detour — routing and fallback reasons (scale {:?})\n", scale());
-    for workload in [Workload::TpcH, Workload::TpcDs] {
-        let report = run_routing(
-            workload,
-            scale(),
-            orcalite::JoinOrderStrategy::Exhaustive2,
-            orcalite::OrcaConfig::default(),
-        );
-        print!("{}", format_routing_table(&report));
-        println!();
-    }
-}
-
-fn plancache_report() {
-    println!("\n## Plan cache — compile once, serve many (scale {:?})\n", scale());
-    // 25 literal variations per template: enough to amortize the
-    // compulsory misses past the 95% hit-rate gate.
-    let r = run_plan_cache(scale(), 25.max(reps()));
-    print!("{}", format_plan_cache_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\nplan-cache gate FAILED: {violation}");
+    if failed > 0 {
         std::process::exit(1);
     }
-    println!("\nplan-cache gate passed: hits skip memo search; DDL invalidates entries");
-}
-
-fn parallel_report() {
-    println!("\n## Parallel execution — morsel-driven workers (scale {:?}, dop 4)\n", scale());
-    let r = run_parallel(scale(), 4);
-    print!("{}", format_parallel_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\nparallel gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nparallel gate passed: identical rows, every template exchanged, \
-         ≥2x median critical-path speedup"
-    );
-}
-
-fn vectorized_report() {
-    let reps =
-        std::env::var("VECTORIZED_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(9usize);
-    println!(
-        "\n## Vectorized execution — serial row vs columnar batch engine \
-         (scale {:?}, dop 4, {reps} runs per cell)\n",
-        scale()
-    );
-    let r = run_vectorized(scale(), 4, reps);
-    print!("{}", format_vectorized_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\nvectorized gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nvectorized gate passed: batch rows byte-identical to serial row (dop 1 and 4), \
-         ≥2x median wall-clock speedup on the scan/filter/agg templates"
-    );
-}
-
-fn observe_report() {
-    println!(
-        "\n## EXPLAIN ANALYZE — per-operator q-errors, every template (scale {:?}, dop 4)\n",
-        scale()
-    );
-    let r = run_observe(scale(), 4);
-    print!("{}", format_observe_report(&r));
-    if let Err(violation) = r.gate(OBSERVE_Q_CEILING) {
-        eprintln!("\nobserve gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nobserve gate passed: instrumented runs byte-identical (serial and dop 4), \
-         max q-error under {OBSERVE_Q_CEILING:.0}"
-    );
-}
-
-fn orders_report() {
-    println!(
-        "\n## Interesting orders — Sort-enforcer elimination vs always-enforce \
-         (scale {:?})\n",
-        scale()
-    );
-    let r = run_orders(scale());
-    print!("{}", format_orders_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\norders gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    let (off, on) = r.total_sorts();
-    println!(
-        "\norders gate passed: {off} → {on} Sort nodes across TPC-H/TPC-DS, \
-         byte-identical at dop 1/4/8, plans_costed within 1.5× per template"
-    );
-}
-
-fn feedback_report() {
-    println!(
-        "\n## Feedback loop — observe, re-optimize, converge (scale {:?}, threshold 10)\n",
-        scale()
-    );
-    let r = run_feedback(scale());
-    print!("{}", format_feedback_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\nfeedback gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nfeedback gate passed: every template over q-error 10 re-optimized to ≤ \
-         {FEEDBACK_Q_CEILING:.0} on its second compile, identical rows, third serve a hit"
-    );
-}
-
-fn fuzz_report() {
-    // Seeds from `--seed-range a..b` (half-open), default 0..2; queries per
-    // seed from FUZZ_BUDGET (default 500 — the acceptance floor).
-    let seeds = std::env::args()
-        .skip_while(|a| a != "--seed-range")
-        .nth(1)
-        .and_then(|r| fuzz::parse_seed_range(&r))
-        .unwrap_or_else(|| vec![0, 1]);
-    let budget = std::env::var("FUZZ_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(500usize);
-    println!("\n## Differential fuzzer — nine oracles over random queries (scale {:?})\n", scale());
-    let r = fuzz::run_fuzz(&seeds, budget, scale());
-    print!("{}", fuzz::format_fuzz_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\nfuzz gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!("\nfuzz gate passed: {} queries × 9 oracles, zero miscompares", r.generated);
-}
-
-fn governance_report() {
-    let budget =
-        std::env::var("GOVERNANCE_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(200usize);
-    println!(
-        "\n## Query governor — chaos under cancel/deadline/memory disturbances \
-         (scale {:?}, {budget} injections)\n",
-        scale()
-    );
-    let r = run_governance(scale(), budget);
-    print!("{}", format_governance_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\ngovernance gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "\ngovernance gate passed: zero panics, peak memory within budget, \
-         engine serviceable after every governed failure"
-    );
-}
-
-fn concurrency_report() {
-    let budget =
-        std::env::var("CONCURRENCY_BUDGET").ok().and_then(|s| s.parse().ok()).unwrap_or(320usize);
-    println!(
-        "\n## Multi-session server — closed-loop concurrency, {} clients vs 1 \
-         (scale {:?}, budget {budget})\n",
-        concurrency::LOADED_CLIENTS,
-        scale()
-    );
-    let r = concurrency::run_concurrency(scale(), budget);
-    print!("{}", concurrency::format_concurrency_report(&r));
-    if let Err(violation) = r.gate() {
-        eprintln!("\nconcurrency gate FAILED: {violation}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nconcurrency gate passed: {:.2}× aggregate QPS at {} clients, \
-         zero divergence from single-session serves",
-        r.speedup, r.loaded.clients
-    );
-}
-
-fn print_case(cs: &CaseStudy) {
-    println!("### MySQL plan\n```\n{}```", cs.mysql_explain);
-    println!("### Orca plan\n```\n{}```", cs.orca_explain);
-    println!(
-        "\ntimes — MySQL {:.3?} ({} work units), Orca {:.3?} ({} work units)\n",
-        cs.mysql_time, cs.mysql_work, cs.orca_time, cs.orca_work
-    );
 }

@@ -59,6 +59,9 @@ use taurus_common::{Column, DataType, Row, Schema, Value};
 use taurus_workloads::gen::SmallRng;
 use taurus_workloads::{tpcds, tpch, Scale};
 
+use crate::plumbing::{canon_row, canon_rows, md_table};
+use crate::registry::{Env, Outcome};
+
 // ------------------------------------------------------------------ schema
 
 /// One table as the generator sees it: name plus typed columns.
@@ -793,35 +796,10 @@ impl Oracle {
     }
 }
 
-/// Canonical row rendering. `exact` keeps full double precision (legal
-/// only when both sides run the same plan or the same per-row arithmetic);
-/// cross-plan comparisons round to 4 decimals because floating-point
-/// aggregation order differs legitimately between plan shapes.
-fn canon_row(row: &Row, exact: bool) -> String {
-    let mut out = String::new();
-    for (i, v) in row.iter().enumerate() {
-        if i > 0 {
-            out.push('|');
-        }
-        match v {
-            Value::Double(d) => {
-                let d = if *d == 0.0 { 0.0 } else { *d };
-                if exact {
-                    out.push_str(&format!("D{d:?}"));
-                } else {
-                    out.push_str(&format!("D{d:.4}"));
-                }
-            }
-            other => out.push_str(&format!("{other:?}")),
-        }
-    }
-    out
-}
-
-fn multiset(rows: &[Row], exact: bool) -> Vec<String> {
-    let mut v: Vec<String> = rows.iter().map(|r| canon_row(r, exact)).collect();
-    v.sort();
-    v
+/// Exact canonical rows in the order returned — for comparisons where both
+/// sides run the same plan, so every byte and the row order must match.
+fn ordered(rows: &[Row]) -> Vec<String> {
+    rows.iter().map(|r| canon_row(r, true)).collect()
 }
 
 fn first_diff(a: &[String], b: &[String]) -> String {
@@ -893,7 +871,7 @@ fn compare_cross_plan(spec: &QuerySpec, a: &[Row], b: &[Row]) -> Option<String> 
         }
         return None;
     }
-    let (ma, mb) = (multiset(a, false), multiset(b, false));
+    let (ma, mb) = (canon_rows(a, false), canon_rows(b, false));
     if ma != mb {
         return Some(format!("result multisets differ: {}", first_diff(&ma, &mb)));
     }
@@ -906,6 +884,25 @@ fn compare_cross_plan(spec: &QuerySpec, a: &[Row], b: &[Row]) -> Option<String> 
         }
     }
     None
+}
+
+/// The verdict on two runs of one query by different plan shapes: both
+/// erroring is uninteresting, one erroring is a failure, two answers are
+/// compared by [`compare_cross_plan`].
+fn cross_plan_verdict(
+    spec: &QuerySpec,
+    (name_a, a): (&str, taurus_common::error::Result<mylite::QueryOutput>),
+    (name_b, b): (&str, taurus_common::error::Result<mylite::QueryOutput>),
+) -> Check {
+    match (a, b) {
+        (Err(_), Err(_)) => Check::Invalid,
+        (Ok(_), Err(e)) => Check::Fail(format!("{name_b} errored, {name_a} ran: {e}")),
+        (Err(e), Ok(_)) => Check::Fail(format!("{name_a} errored, {name_b} ran: {e}")),
+        (Ok(a), Ok(b)) => match compare_cross_plan(spec, &a.rows, &b.rows) {
+            Some(d) => Check::Fail(format!("{name_a} vs {name_b}: {d}")),
+            None => Check::Pass,
+        },
+    }
 }
 
 /// One generated case: the spec, a literal-mutated sibling with the same
@@ -963,44 +960,53 @@ impl FuzzCtx<'_> {
         let sql = case.spec.render();
         let native = self.engine.query(&sql);
         let orca = self.engine.query_with(&sql, self.orca);
-        match (native, orca) {
-            (Err(_), Err(_)) => Check::Invalid,
-            (Ok(_), Err(e)) => Check::Fail(format!("orca path errored, native ran: {e}")),
-            (Err(e), Ok(_)) => Check::Fail(format!("native errored, orca path ran: {e}")),
-            (Ok(a), Ok(b)) => match compare_cross_plan(&case.spec, &a.rows, &b.rows) {
-                Some(d) => Check::Fail(d),
-                None => Check::Pass,
-            },
-        }
+        cross_plan_verdict(&case.spec, ("native", native), ("orca path", orca))
     }
 
-    /// Oracle 2: serial vs dop ∈ {2, 4, 8}, byte-identical in order.
-    fn check_serial_vs_parallel(&self, case: &FuzzCase) -> Check {
-        let sql = case.spec.render();
-        self.engine.set_dop(1);
-        let serial = match self.engine.query(&sql) {
-            Ok(out) => out,
-            Err(_) => return Check::Invalid,
-        };
-        let want: Vec<String> = serial.rows.iter().map(|r| canon_row(r, true)).collect();
-        for dop in [2usize, 4, 8] {
+    /// Every run of `sql` at each of `dops`, under whatever knobs the caller
+    /// set, must return `want` exactly and in order. `what` names the path
+    /// being varied, `reference` the one that produced `want`.
+    fn same_bytes_at_dops(
+        &self,
+        sql: &str,
+        want: &[String],
+        dops: [usize; 3],
+        what: &str,
+        reference: &str,
+    ) -> Check {
+        for dop in dops {
             self.engine.set_dop(dop);
-            let got = self.engine.query(&sql);
+            let got = self.engine.query(sql);
             self.engine.set_dop(1);
             match got {
-                Err(e) => return Check::Fail(format!("dop={dop} errored, serial ran: {e}")),
+                Err(e) => {
+                    return Check::Fail(format!("{what} (dop={dop}) errored, {reference} ran: {e}"))
+                }
                 Ok(out) => {
-                    let got: Vec<String> = out.rows.iter().map(|r| canon_row(r, true)).collect();
+                    let got = ordered(&out.rows);
                     if got != want {
                         return Check::Fail(format!(
-                            "dop={dop} differs from serial (ordered): {}",
-                            first_diff(&want, &got)
+                            "{what} (dop={dop}) differs from {reference} (ordered, exact): {}",
+                            first_diff(want, &got)
                         ));
                     }
                 }
             }
         }
         Check::Pass
+    }
+
+    /// Oracle 2: serial vs dop ∈ {2, 4, 8}, byte-identical in order.
+    fn check_serial_vs_parallel(&self, case: &FuzzCase) -> Check {
+        let sql = case.spec.render();
+        self.engine.set_dop(1);
+        match self.engine.query(&sql) {
+            Ok(serial) => {
+                let want = ordered(&serial.rows);
+                self.same_bytes_at_dops(&sql, &want, [2, 4, 8], "parallel plan", "serial plan")
+            }
+            Err(_) => Check::Invalid,
+        }
     }
 
     /// Oracle 3: a plan-cache hit re-bound to the sibling's literals vs a
@@ -1017,15 +1023,7 @@ impl FuzzCtx<'_> {
         let cached = self.engine.query_cached(&sql_b, opt);
         let fresh = self.engine.query_with(&sql_b, opt);
         self.engine.clear_plan_cache();
-        match (cached, fresh) {
-            (Err(_), Err(_)) => Check::Invalid,
-            (Ok(_), Err(e)) => Check::Fail(format!("fresh compile errored, rebound ran: {e}")),
-            (Err(e), Ok(_)) => Check::Fail(format!("rebound serve errored, fresh ran: {e}")),
-            (Ok(a), Ok(b)) => match compare_cross_plan(&case.sibling, &a.rows, &b.rows) {
-                Some(d) => Check::Fail(format!("rebound vs fresh: {d}")),
-                None => Check::Pass,
-            },
-        }
+        cross_plan_verdict(&case.sibling, ("rebound serve", cached), ("fresh compile", fresh))
     }
 
     /// Oracle 4: TLP — `Q` ≡ `Q WHERE p` ⊎ `Q WHERE NOT p` ⊎
@@ -1056,7 +1054,7 @@ impl FuzzCtx<'_> {
                     }
                 }
             }
-            let (mw, mu) = (multiset(&whole.rows, true), multiset(&union, true));
+            let (mw, mu) = (canon_rows(&whole.rows, true), canon_rows(&union, true));
             if mw != mu {
                 return Check::Fail(format!(
                     "{label}: Q != (Q WHERE p) + (Q WHERE NOT p) + (Q WHERE p IS NULL) \
@@ -1086,7 +1084,7 @@ impl FuzzCtx<'_> {
                 return Check::Invalid;
             }
         };
-        let want: Vec<String> = reference.rows.iter().map(|r| canon_row(r, true)).collect();
+        let want = ordered(&reference.rows);
         let point = {
             let mut h = DefaultHasher::new();
             sql.hash(&mut h);
@@ -1106,7 +1104,7 @@ impl FuzzCtx<'_> {
         match after {
             Err(e) => Check::Fail(format!("statement failed right after a cancel: {e}")),
             Ok(out) => {
-                let got: Vec<String> = out.rows.iter().map(|r| canon_row(r, true)).collect();
+                let got = ordered(&out.rows);
                 if got != want {
                     Check::Fail(format!(
                         "post-cancel serve diverged (poisoned cache?): {}",
@@ -1232,38 +1230,16 @@ impl FuzzCtx<'_> {
         let sql = case.spec.render();
         self.engine.set_dop(1);
         self.engine.set_vectorized(false);
-        let reference = match self.engine.query(&sql) {
-            Ok(out) => out,
-            Err(_) => return Check::Invalid,
-        };
-        let want: Vec<String> = reference.rows.iter().map(|r| canon_row(r, true)).collect();
+        let Ok(reference) = self.engine.query(&sql) else { return Check::Invalid };
         self.engine.set_vectorized(true);
-        let verdict = (|| {
-            for dop in [1usize, 4, 8] {
-                self.engine.set_dop(dop);
-                match self.engine.query(&sql) {
-                    Err(e) => {
-                        return Check::Fail(format!(
-                            "batch path (dop={dop}) errored, row path ran: {e}"
-                        ))
-                    }
-                    Ok(out) => {
-                        let got: Vec<String> =
-                            out.rows.iter().map(|r| canon_row(r, true)).collect();
-                        if got != want {
-                            return Check::Fail(format!(
-                                "batch path (dop={dop}) differs from serial row path \
-                                 (ordered, exact): {}",
-                                first_diff(&want, &got)
-                            ));
-                        }
-                    }
-                }
-            }
-            Check::Pass
-        })();
+        let verdict = self.same_bytes_at_dops(
+            &sql,
+            &ordered(&reference.rows),
+            [1, 4, 8],
+            "batch path",
+            "serial row path",
+        );
         self.engine.set_vectorized(false);
-        self.engine.set_dop(1);
         verdict
     }
 
@@ -1282,39 +1258,17 @@ impl FuzzCtx<'_> {
         self.engine.set_dop(1);
         self.engine.set_order_opt(false);
         let reference = self.engine.query(&sql);
-        let verdict = (|| {
-            let reference = match reference {
-                Ok(out) => out,
-                Err(_) => return Check::Invalid,
-            };
-            let want: Vec<String> = reference.rows.iter().map(|r| canon_row(r, true)).collect();
-            self.engine.set_order_opt(true);
-            for dop in [1usize, 4, 8] {
-                self.engine.set_dop(dop);
-                match self.engine.query(&sql) {
-                    Err(e) => {
-                        return Check::Fail(format!(
-                            "order-optimized plan (dop={dop}) errored, always-enforce ran: {e}"
-                        ))
-                    }
-                    Ok(out) => {
-                        let got: Vec<String> =
-                            out.rows.iter().map(|r| canon_row(r, true)).collect();
-                        if got != want {
-                            return Check::Fail(format!(
-                                "order-optimized plan (dop={dop}) differs from always-enforce \
-                                 (ordered, exact): {}",
-                                first_diff(&want, &got)
-                            ));
-                        }
-                    }
-                }
-            }
-            Check::Pass
-        })();
         self.engine.set_order_opt(true);
-        self.engine.set_dop(1);
-        verdict
+        match reference {
+            Ok(reference) => self.same_bytes_at_dops(
+                &sql,
+                &ordered(&reference.rows),
+                [1, 4, 8],
+                "order-optimized plan",
+                "always-enforce plan",
+            ),
+            Err(_) => Check::Invalid,
+        }
     }
 
     fn check(&self, case: &FuzzCase, oracle: Oracle) -> Check {
@@ -1619,18 +1573,14 @@ pub fn run_fuzz(seeds: &[u64], budget: usize, scale: Scale) -> FuzzReport {
                 report.executed += 1;
             }
             for oracle in Oracle::ALL {
-                if oracle == Oracle::FreshVsRebound {
-                    // Count true rebind hits for the gate's sanity check.
-                    let before = engine.plan_cache_stats().hits;
-                    let verdict = ctx.check(&case, oracle);
-                    if engine.plan_cache_stats().hits > before {
-                        report.rebind_hits += 1;
-                    }
-                    record(&mut report, &ctx, &case, oracle, verdict, seed, i, schema_name);
-                } else {
-                    let verdict = ctx.check(&case, oracle);
-                    record(&mut report, &ctx, &case, oracle, verdict, seed, i, schema_name);
+                let hits_before = engine.plan_cache_stats().hits;
+                let verdict = ctx.check(&case, oracle);
+                // Count true rebind hits for the gate's sanity check.
+                if oracle == Oracle::FreshVsRebound && engine.plan_cache_stats().hits > hits_before
+                {
+                    report.rebind_hits += 1;
                 }
+                record(&mut report, &ctx, &case, oracle, verdict, seed, i, schema_name);
             }
         }
     }
@@ -1680,20 +1630,21 @@ fn record(
 
 /// Markdown report for the harness.
 pub fn format_fuzz_report(r: &FuzzReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "seeds {:?} × {} queries (TPC-H / TPC-DS / adversarial rotation): \
          {} generated, {} executed on the reference path\n\n",
         r.seeds, r.budget, r.generated, r.executed
-    ));
-    out.push_str("| oracle | comparisons | miscompares |\n|---|---|---|\n");
-    for (o, runs) in Oracle::ALL.iter().zip(r.oracle_runs) {
-        let fails = r.failures.iter().filter(|f| f.oracle == *o).count();
-        out.push_str(&format!("| {} | {} | {} |\n", o.name(), runs, fails));
-    }
-    out.push_str(&format!("\nplan-cache sibling rebind hits: {}\n", r.rebind_hits));
+    );
+    out += &md_table(
+        "oracle | comparisons | miscompares",
+        Oracle::ALL.iter().zip(r.oracle_runs).map(|(o, runs)| {
+            let fails = r.failures.iter().filter(|f| f.oracle == *o).count();
+            format!("{} | {runs} | {fails}", o.name())
+        }),
+    );
+    out += &format!("\nplan-cache sibling rebind hits: {}\n", r.rebind_hits);
     for f in &r.failures {
-        out.push_str(&format!(
+        out += &format!(
             "\nFAIL [{}] seed={} #{} schema={}\n  {}\n  sql: {}\n  minimized: {}\n",
             f.oracle.name(),
             f.seed,
@@ -1702,17 +1653,18 @@ pub fn format_fuzz_report(r: &FuzzReport) -> String {
             f.detail,
             f.sql,
             f.minimized
-        ));
+        );
     }
     out
 }
 
-/// Parse a `--seed-range` argument of the form `a..b` (half-open).
-pub fn parse_seed_range(arg: &str) -> Option<Vec<u64>> {
-    let (a, b) = arg.split_once("..")?;
-    let (a, b) = (a.trim().parse::<u64>().ok()?, b.trim().parse::<u64>().ok()?);
-    if a >= b {
-        return None;
-    }
-    Some((a..b).collect())
+/// The registry entry: `env.budget` queries for each of `env.seeds`.
+pub fn run(env: &Env) -> Outcome {
+    let seeds: Vec<u64> = env.seeds.clone().collect();
+    let r = run_fuzz(&seeds, env.budget, env.scale);
+    Outcome::gated(
+        format_fuzz_report(&r),
+        r.gate(),
+        format!("{} queries × 9 oracles, zero miscompares", r.generated),
+    )
 }

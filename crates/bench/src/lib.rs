@@ -1,31 +1,21 @@
-//! Experiment runners behind the `harness` binary.
+//! The experiment harness behind the `harness` binary, in three parts:
 //!
-//! Every table and figure in the paper's evaluation (§6) has a runner here:
+//! * [`paper`] — the paper's own evaluation (Fig 10–12, Table 1, the three
+//!   case studies, the §7 ablations) plus the routing table;
+//! * [`gates`] — the nine `ci.sh` gates, one module each;
+//! * [`plumbing`] — what both share (row canonicaliser, median, markdown
+//!   tables, the both-workloads testbeds).
 //!
-//! | Paper artifact | Runner | What it reports |
-//! |---|---|---|
-//! | Fig 10 | [`run_suite`] (TPC-H) | per-query MySQL vs Orca run time (incl. optimization) |
-//! | Fig 11 | [`run_suite`] (TPC-DS) | same for the 99-query suite |
-//! | Fig 12 | [`fig12_points`] | (MySQL time, Orca/MySQL ratio) scatter |
-//! | Table 1 | [`compile_totals`] | total EXPLAIN time: MySQL, +Orca EXHAUSTIVE, +Orca EXHAUSTIVE2 |
-//! | Fig 4/5 | [`q72_case_study`] | Q72 plan shapes and join-method counts |
-//! | Fig 6/7 + Listing 7 | [`q17_case_study`] | Q17 best-position array and EXPLAIN |
-//! | §6.2 Q41 | [`q41_case_study`] | OR-factorization speedup |
-//! | §7 lessons | [`ablations`] | rule on/off comparisons |
-//!
-//! Timings are medians over `reps` runs; work units (rows processed, probes,
-//! lookups) accompany every timing so shapes are machine-independent.
+//! [`registry::EXPERIMENTS`] is the one table that names them all.
 
-use mylite::engine::CostBasedOptimizer;
-use mylite::{Engine, MySqlOptimizer, PlanCacheStats};
-use orcalite::{JoinOrderStrategy, OrcaConfig};
-use std::time::{Duration, Instant};
-use taurus_bridge::{FallbackReason, OrcaOptimizer, RouterStats};
+use mylite::Engine;
 use taurus_workloads::tpch::Query;
 use taurus_workloads::{tpcds, tpch, Scale};
 
-pub mod concurrency;
-pub mod fuzz;
+pub mod gates;
+pub mod paper;
+pub mod plumbing;
+pub mod registry;
 
 /// Which workload a runner operates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,2170 +52,5 @@ impl Workload {
             Workload::TpcH => tpch::queries(),
             Workload::TpcDs => tpcds::queries(),
         }
-    }
-}
-
-/// Per-query comparison result.
-#[derive(Debug, Clone)]
-pub struct QueryComparison {
-    pub name: String,
-    pub mysql: Duration,
-    pub orca: Duration,
-    pub mysql_work: u64,
-    pub orca_work: u64,
-    /// Whether the Orca path actually produced the plan (vs threshold skip
-    /// or fallback).
-    pub orca_assisted: bool,
-}
-
-impl QueryComparison {
-    /// Orca-time / MySQL-time: < 1 means Orca's plan is faster (the Y axis
-    /// of Fig 12).
-    pub fn time_ratio(&self) -> f64 {
-        self.orca.as_secs_f64() / self.mysql.as_secs_f64().max(1e-9)
-    }
-
-    /// MySQL-work / Orca-work: > 1 means Orca's plan does less work (the
-    /// machine-independent speedup).
-    pub fn work_speedup(&self) -> f64 {
-        self.mysql_work as f64 / self.orca_work.max(1) as f64
-    }
-}
-
-/// Median-of-`reps` timing of planning + executing `sql` under `opt`.
-fn time_query(
-    engine: &Engine,
-    sql: &str,
-    opt: &dyn CostBasedOptimizer,
-    reps: usize,
-) -> (Duration, u64) {
-    let mut times = Vec::with_capacity(reps);
-    let mut work = 0;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let out = engine.query_with(sql, opt).expect("workload query must run");
-        times.push(t.elapsed());
-        work = out.work_units;
-    }
-    times.sort();
-    (times[times.len() / 2], work)
-}
-
-/// Run a whole suite under both optimizers — the Fig 10 / Fig 11 runner.
-pub fn run_suite(
-    workload: Workload,
-    scale: Scale,
-    strategy: JoinOrderStrategy,
-    reps: usize,
-) -> Vec<QueryComparison> {
-    let engine = workload.build_engine(scale);
-    let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), workload.threshold());
-    let mut out = Vec::new();
-    for q in workload.queries() {
-        let (mysql, mysql_work) = time_query(&engine, &q.sql, &MySqlOptimizer, reps);
-        let routed_before = orca.stats().routed;
-        let (orca_t, orca_work) = time_query(&engine, &q.sql, &orca, reps);
-        out.push(QueryComparison {
-            name: q.name.to_string(),
-            mysql,
-            orca: orca_t,
-            mysql_work,
-            orca_work,
-            orca_assisted: orca.stats().routed > routed_before,
-        });
-    }
-    out
-}
-
-/// Fig 12: (MySQL run time, Orca/MySQL time ratio) scatter points.
-pub fn fig12_points(results: &[QueryComparison]) -> Vec<(String, f64, f64)> {
-    results.iter().map(|r| (r.name.clone(), r.mysql.as_secs_f64(), r.time_ratio())).collect()
-}
-
-/// One Table 1 row: total time to *compile* (EXPLAIN) an entire suite.
-#[derive(Debug, Clone)]
-pub struct CompileTotal {
-    pub compiler: &'static str,
-    pub total: Duration,
-    /// Per-query compile times (to find the Q14/Q64-style outliers).
-    pub per_query: Vec<(String, Duration)>,
-}
-
-/// Table 1: total EXPLAIN times with the complex-query threshold at 1 so
-/// every query takes the Orca detour (§6.3).
-pub fn compile_totals(workload: Workload, scale: Scale) -> Vec<CompileTotal> {
-    let engine = workload.build_engine(scale);
-    let queries = workload.queries();
-    let mut rows = Vec::new();
-    let compile_with = |opt: &dyn CostBasedOptimizer| -> (Duration, Vec<(String, Duration)>) {
-        let mut total = Duration::ZERO;
-        let mut per = Vec::new();
-        for q in &queries {
-            let t = Instant::now();
-            engine.plan(&q.sql, opt).expect("workload query must plan");
-            let d = t.elapsed();
-            total += d;
-            per.push((q.name.to_string(), d));
-        }
-        (total, per)
-    };
-    let (total, per_query) = compile_with(&MySqlOptimizer);
-    rows.push(CompileTotal { compiler: "MySQL", total, per_query });
-    for (label, strategy) in [
-        ("MySQL + Orca—EXHAUSTIVE", JoinOrderStrategy::Exhaustive),
-        ("MySQL + Orca—EXHAUSTIVE2", JoinOrderStrategy::Exhaustive2),
-    ] {
-        let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), 1);
-        let (total, per_query) = compile_with(&orca);
-        rows.push(CompileTotal { compiler: label, total, per_query });
-    }
-    rows
-}
-
-/// Plan-shape summary for a case-study query.
-#[derive(Debug, Clone)]
-pub struct CaseStudy {
-    pub mysql_explain: String,
-    pub orca_explain: String,
-    /// `(nested loops, hash joins)` per optimizer.
-    pub mysql_joins: (usize, usize),
-    pub orca_joins: (usize, usize),
-    pub mysql_left_deep: bool,
-    pub orca_left_deep: bool,
-    pub mysql_time: Duration,
-    pub orca_time: Duration,
-    pub mysql_work: u64,
-    pub orca_work: u64,
-}
-
-/// Run a single query as a case study under both optimizers.
-pub fn case_study(workload: Workload, scale: Scale, sql: &str, reps: usize) -> CaseStudy {
-    let engine = workload.build_engine(scale);
-    let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
-    let mplan = engine.plan(sql, &MySqlOptimizer).expect("plans");
-    let oplan = engine.plan(sql, &orca).expect("plans");
-    let (mysql_time, mysql_work) = time_query(&engine, sql, &MySqlOptimizer, reps);
-    let (orca_time, orca_work) = time_query(&engine, sql, &orca, reps);
-    CaseStudy {
-        mysql_explain: engine.explain(sql, &MySqlOptimizer).expect("explains"),
-        orca_explain: engine.explain(sql, &orca).expect("explains"),
-        mysql_joins: mplan.primary().plan.join_method_counts(),
-        orca_joins: oplan.primary().plan.join_method_counts(),
-        mysql_left_deep: mplan.primary().plan.is_left_deep(),
-        orca_left_deep: oplan.primary().plan.is_left_deep(),
-        mysql_time,
-        orca_time,
-        mysql_work,
-        orca_work,
-    }
-}
-
-/// Fig 4/5: the Q72 snowflake.
-pub fn q72_case_study(scale: Scale, reps: usize) -> CaseStudy {
-    case_study(Workload::TpcDs, scale, &tpcds::query(72).sql, reps)
-}
-
-/// Fig 6/7 + Listing 7: TPC-H Q17 (correlated average, materialized
-/// derived, best-position arrays).
-pub fn q17_case_study(scale: Scale, reps: usize) -> CaseStudy {
-    let q17 = &tpch::queries()[16];
-    case_study(Workload::TpcH, scale, &q17.sql, reps)
-}
-
-/// §6.2's Q41: the OR-factorization query.
-pub fn q41_case_study(scale: Scale, reps: usize) -> CaseStudy {
-    case_study(Workload::TpcDs, scale, &tpcds::query(41).sql, reps)
-}
-
-/// One ablation row: a §7 lesson toggled off vs the paper configuration.
-#[derive(Debug, Clone)]
-pub struct Ablation {
-    pub name: &'static str,
-    pub query: String,
-    pub with_rule: Duration,
-    pub without_rule: Duration,
-    pub with_work: u64,
-    pub without_work: u64,
-}
-
-/// The §7 lesson ablations.
-pub fn ablations(scale: Scale, reps: usize) -> Vec<Ablation> {
-    let mut out = Vec::new();
-
-    // (1) OR factorization on Q41 (§7 item 4 / §6.2).
-    {
-        let engine = Workload::TpcDs.build_engine(scale);
-        let sql = tpcds::query(41).sql;
-        let on = OrcaOptimizer::new(OrcaConfig::default(), 1);
-        let off = OrcaOptimizer::new(
-            OrcaConfig { enable_or_factorization: false, ..OrcaConfig::default() },
-            1,
-        );
-        let (with_rule, with_work) = time_query(&engine, &sql, &on, reps);
-        let (without_rule, without_work) = time_query(&engine, &sql, &off, reps);
-        out.push(Ablation {
-            name: "OR factorization (Q41)",
-            query: "tpcds/q41".into(),
-            with_rule,
-            without_rule,
-            with_work,
-            without_work,
-        });
-    }
-
-    // (2) Apply/join swap rules on a correlated-subquery query (§7 item 1).
-    {
-        let engine = Workload::TpcDs.build_engine(scale);
-        let sql = tpcds::query(6).sql; // correlated category-average
-        let on = OrcaOptimizer::new(OrcaConfig::default(), 1);
-        let off = OrcaOptimizer::new(
-            OrcaConfig { enable_apply_swaps: false, ..OrcaConfig::default() },
-            1,
-        );
-        let (with_rule, with_work) = time_query(&engine, &sql, &on, reps);
-        let (without_rule, without_work) = time_query(&engine, &sql, &off, reps);
-        out.push(Ablation {
-            name: "apply/join swap rules (Q6)",
-            query: "tpcds/q6".into(),
-            with_rule,
-            without_rule,
-            with_work,
-            without_work,
-        });
-    }
-
-    // (3) Histograms on UNIQUE columns (§5.5 / §7 item 5): rebuild the
-    // catalog with stock-MySQL statistics and compare a key-filtered join.
-    {
-        let sql = "SELECT COUNT(*) AS n FROM store_sales, item, date_dim \
-                   WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk \
-                     AND i_item_sk < 20 AND d_date_sk < 300";
-        let with_hist = Workload::TpcDs.build_engine(scale);
-        let without_hist = Workload::TpcDs.build_engine(scale);
-        without_hist.with_catalog_mut(|c| {
-            c.analyze_all(&taurus_catalog::AnalyzeOptions {
-                histograms_on_unique: false,
-                ..Default::default()
-            })
-        });
-        let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
-        let (with_rule, with_work) = time_query(&with_hist, sql, &orca, reps);
-        let (without_rule, without_work) = time_query(&without_hist, sql, &orca, reps);
-        out.push(Ablation {
-            name: "histograms on UNIQUE columns",
-            query: "key-filtered star join".into(),
-            with_rule,
-            without_rule,
-            with_work,
-            without_work,
-        });
-    }
-    out
-}
-
-/// Routing outcome of planning a whole workload through one Orca router:
-/// how many statements each path took, and why each fallback happened.
-#[derive(Debug, Clone)]
-pub struct RoutingReport {
-    pub workload: Workload,
-    pub strategy: JoinOrderStrategy,
-    pub queries: usize,
-    pub stats: RouterStats,
-}
-
-/// Plan every workload query through a fresh router and collect its
-/// [`RouterStats`] — the never-fail-detour observability report.
-pub fn run_routing(
-    workload: Workload,
-    scale: Scale,
-    strategy: JoinOrderStrategy,
-    config: OrcaConfig,
-) -> RoutingReport {
-    let engine = workload.build_engine(scale);
-    let orca = OrcaOptimizer::new(OrcaConfig { strategy, ..config }, workload.threshold());
-    let queries = workload.queries();
-    for q in &queries {
-        engine.plan(&q.sql, &orca).expect("workload query must plan");
-    }
-    RoutingReport { workload, strategy, queries: queries.len(), stats: orca.stats() }
-}
-
-/// Format a routing report as a markdown table: one row per routing path,
-/// then one row per fallback reason (the taxonomy the router records).
-pub fn format_routing_table(report: &RoutingReport) -> String {
-    use std::fmt::Write;
-    let s = &report.stats;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "routing of {} queries ({}, {:?}):\n",
-        report.queries,
-        report.workload.name(),
-        report.strategy
-    );
-    let _ = writeln!(out, "| outcome | statements |");
-    let _ = writeln!(out, "|---|---|");
-    let _ = writeln!(out, "| routed to Orca | {} |", s.routed);
-    let _ = writeln!(out, "| below complex-query threshold | {} |", s.below_threshold);
-    let _ = writeln!(out, "| fell back to MySQL | {} |", s.fallbacks);
-    for reason in FallbackReason::ALL {
-        let n = s.reasons.get(reason);
-        if n > 0 {
-            let _ = writeln!(out, "| — fallback: {} | {} |", reason.name(), n);
-        }
-    }
-    if s.degraded > 0 {
-        let _ = writeln!(out, "| blocks rescued by the degradation ladder | {} |", s.degraded);
-    }
-    for (label, n) in [
-        ("cancelled", s.governed.cancelled),
-        ("deadline exceeded", s.governed.deadline_exceeded),
-        ("memory exceeded", s.governed.memory_exceeded),
-        ("retried serial under memory pressure", s.governed.memory_degraded),
-    ] {
-        if n > 0 {
-            let _ = writeln!(out, "| — governed at execution: {label} | {n} |");
-        }
-    }
-    out
-}
-
-/// The repeated-statement mix for the plan-cache experiment: TPC-H
-/// statement *templates*, each instantiated with different literals — the
-/// "millions of users running the same queries against their own data"
-/// workload the plan cache exists for. Every template keeps its shape
-/// (same fingerprint); only literal values vary between instantiations.
-fn plan_cache_mix(instances: usize) -> Vec<(&'static str, Vec<String>)> {
-    let segs = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"];
-    let regions = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
-    let colors = ["green", "red", "blue", "ivory", "navy"];
-    let many = |f: &dyn Fn(usize) -> String| (0..instances).map(f).collect::<Vec<_>>();
-    vec![
-        // --- short statements (below the Orca threshold, cheap compiles)
-        (
-            "pricing-summary",
-            many(&|i| {
-                format!(
-                    "SELECT l_returnflag, SUM(l_quantity) AS sum_qty, COUNT(*) AS n \
-                     FROM lineitem WHERE l_shipdate <= DATE '1998-{:02}-01' \
-                     GROUP BY l_returnflag ORDER BY l_returnflag",
-                    1 + i % 12
-                )
-            }),
-        ),
-        (
-            "order-lookup",
-            many(&|i| {
-                format!(
-                    "SELECT o_orderdate, o_totalprice FROM orders WHERE o_orderkey = {}",
-                    (i * 37) % 900
-                )
-            }),
-        ),
-        // --- multi-join statements (Orca detour: the compiles worth caching)
-        (
-            "shipping-priority",
-            many(&|i| {
-                format!(
-                    "SELECT l_orderkey, SUM(l_extendedprice * (1 - l_discount)) AS revenue \
-                     FROM customer, orders, lineitem \
-                     WHERE c_mktsegment = '{}' AND c_custkey = o_custkey \
-                       AND l_orderkey = o_orderkey AND o_orderdate < DATE '1995-{:02}-15' \
-                     GROUP BY l_orderkey ORDER BY revenue DESC LIMIT 10",
-                    segs[i % segs.len()],
-                    1 + i % 12
-                )
-            }),
-        ),
-        (
-            "shipmode-volume",
-            many(&|i| {
-                format!(
-                    "SELECT l_shipmode, COUNT(*) AS n FROM lineitem, orders, customer, nation \
-                     WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey \
-                       AND c_nationkey = n_nationkey AND n_name = '{}' \
-                       AND o_orderdate >= DATE '199{}-01-01' \
-                     GROUP BY l_shipmode ORDER BY l_shipmode",
-                    ["FRANCE", "GERMANY", "CHINA", "BRAZIL", "JAPAN"][i % 5],
-                    3 + i % 5
-                )
-            }),
-        ),
-        (
-            "regional-part-suppliers",
-            many(&|i| {
-                format!(
-                    "SELECT s_name, p_partkey FROM part, partsupp, supplier, nation, region \
-                     WHERE p_partkey = ps_partkey AND s_suppkey = ps_suppkey \
-                       AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey \
-                       AND r_name = '{}' AND p_size = {} \
-                     ORDER BY s_name LIMIT 10",
-                    regions[(i + 2) % regions.len()],
-                    1 + i % 50
-                )
-            }),
-        ),
-        (
-            "order-fulfillment",
-            many(&|i| {
-                format!(
-                    "SELECT r_name, COUNT(*) AS n, SUM(l_quantity) AS qty \
-                     FROM customer, orders, lineitem, nation, region \
-                     WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey \
-                       AND c_nationkey = n_nationkey AND n_regionkey = r_regionkey \
-                       AND r_name = '{}' AND l_quantity > {} \
-                     GROUP BY r_name",
-                    regions[i % regions.len()],
-                    10 + i % 30
-                )
-            }),
-        ),
-        (
-            "volume-shipping",
-            many(&|i| {
-                format!(
-                    "SELECT supp_nation, cust_nation, SUM(volume) AS revenue FROM \
-                     (SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation, \
-                             l_extendedprice * (1 - l_discount) AS volume \
-                      FROM supplier, lineitem, orders, customer, nation n1, nation n2 \
-                      WHERE s_suppkey = l_suppkey AND o_orderkey = l_orderkey \
-                        AND c_custkey = o_custkey AND s_nationkey = n1.n_nationkey \
-                        AND c_nationkey = n2.n_nationkey AND n1.n_name = '{}' \
-                        AND n2.n_name = '{}' AND l_shipdate >= DATE '1995-{:02}-01') \
-                     AS shipping \
-                     GROUP BY supp_nation, cust_nation ORDER BY supp_nation, cust_nation",
-                    ["FRANCE", "GERMANY", "CHINA", "BRAZIL", "JAPAN"][i % 5],
-                    ["GERMANY", "CHINA", "BRAZIL", "JAPAN", "FRANCE"][i % 5],
-                    1 + i % 12
-                )
-            }),
-        ),
-        (
-            "local-supplier-volume",
-            many(&|i| {
-                format!(
-                    "SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue \
-                     FROM customer, orders, lineitem, supplier, nation, region \
-                     WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey \
-                       AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey \
-                       AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey \
-                       AND r_name = '{}' AND o_orderdate >= DATE '199{}-01-01' \
-                     GROUP BY n_name ORDER BY revenue DESC",
-                    regions[(i + 1) % regions.len()],
-                    4 + i % 4
-                )
-            }),
-        ),
-        (
-            "product-profit",
-            many(&|i| {
-                format!(
-                    "SELECT nationname, SUM(amount) AS sum_profit FROM \
-                     (SELECT n_name AS nationname, \
-                             l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity \
-                             AS amount \
-                      FROM part, supplier, lineitem, partsupp, orders, nation \
-                      WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey \
-                        AND ps_partkey = l_partkey AND p_partkey = l_partkey \
-                        AND o_orderkey = l_orderkey AND s_nationkey = n_nationkey \
-                        AND p_name LIKE '%{}%') AS profit \
-                     GROUP BY nationname ORDER BY nationname",
-                    colors[i % colors.len()]
-                )
-            }),
-        ),
-        (
-            "market-share",
-            many(&|i| {
-                format!(
-                    "SELECT o_year, SUM(volume) AS total FROM \
-                     (SELECT YEAR(o_orderdate) AS o_year, \
-                             l_extendedprice * (1 - l_discount) AS volume \
-                      FROM part, supplier, lineitem, orders, customer, nation n1, nation n2, \
-                           region \
-                      WHERE p_partkey = l_partkey AND s_suppkey = l_suppkey \
-                        AND l_orderkey = o_orderkey AND o_custkey = c_custkey \
-                        AND c_nationkey = n1.n_nationkey AND n1.n_regionkey = r_regionkey \
-                        AND r_name = '{}' AND s_nationkey = n2.n_nationkey \
-                        AND o_orderdate >= DATE '199{}-01-01') AS all_nations \
-                     GROUP BY o_year ORDER BY o_year",
-                    regions[(i + 3) % regions.len()],
-                    5 + i % 3
-                )
-            }),
-        ),
-    ]
-}
-
-/// Per-template paired timing: the same statement's cold-compile cost
-/// against its amortized cache-hit cost. Pairing cold and hit per template
-/// keeps the comparison honest — a cheap single-table statement is compared
-/// with its own hits, not with another statement's.
-#[derive(Debug, Clone)]
-pub struct TemplateTiming {
-    pub name: String,
-    /// Best-of-3 full compile (parse + resolve + optimize), cache bypassed.
-    pub cold: Duration,
-    /// Hit-path cost (fingerprint + lookup + rebind), amortized over the
-    /// template's whole hot batch so timer jitter averages out.
-    pub hit: Duration,
-}
-
-impl TemplateTiming {
-    pub fn speedup(&self) -> f64 {
-        self.cold.as_secs_f64() / self.hit.as_secs_f64().max(1e-9)
-    }
-}
-
-/// What the plan-cache experiment measured.
-#[derive(Debug, Clone)]
-pub struct PlanCacheReport {
-    /// Statement executions in the hot phase (all lookups).
-    pub executions: usize,
-    /// Distinct statement templates (= expected compile count).
-    pub templates: usize,
-    /// Engine cache counters after the hot phase (before DDL).
-    pub stats: PlanCacheStats,
-    /// Paired cold/hit timings, one per template.
-    pub per_template: Vec<TemplateTiming>,
-    /// Median cold-compile latency (cache miss: full optimize + refine).
-    pub cold_compile: Duration,
-    /// Median hit-path latency (fingerprint + lookup + rebind).
-    pub hit_path: Duration,
-    /// Optimizer invocations during the hot phase — a cache hit must skip
-    /// memo exploration entirely, so this must be 0.
-    pub optimizer_calls_hot: u64,
-    /// Entries invalidated by the post-hot-phase DDL (ANALYZE).
-    pub ddl_invalidations: u64,
-    /// Whether cached-plan results matched fresh-compile results.
-    pub results_match: bool,
-}
-
-impl PlanCacheReport {
-    /// Median per-template speedup: the compile-once serve-many win for the
-    /// typical statement of the mix.
-    pub fn speedup(&self) -> f64 {
-        let mut ratios: Vec<f64> = self.per_template.iter().map(|t| t.speedup()).collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        ratios.get(ratios.len() / 2).copied().unwrap_or(0.0)
-    }
-
-    /// The CI gate: every acceptance property, or the first violation.
-    pub fn gate(&self) -> std::result::Result<(), String> {
-        if self.stats.hit_rate() < 0.95 {
-            return Err(format!("hit rate {:.3} < 0.95", self.stats.hit_rate()));
-        }
-        if self.optimizer_calls_hot != 0 {
-            return Err(format!(
-                "{} optimizer invocations during the hot phase: cache hits re-entered \
-                 memo exploration",
-                self.optimizer_calls_hot
-            ));
-        }
-        if self.speedup() < 10.0 {
-            return Err(format!(
-                "median per-template speedup only {:.1}x (median cold {:?}, median hit {:?})",
-                self.speedup(),
-                self.cold_compile,
-                self.hit_path
-            ));
-        }
-        if self.ddl_invalidations < self.templates as u64 {
-            return Err(format!(
-                "DDL invalidated {}/{} cached statements",
-                self.ddl_invalidations, self.templates
-            ));
-        }
-        if !self.results_match {
-            return Err("cached-plan results diverged from fresh compiles".into());
-        }
-        Ok(())
-    }
-}
-
-/// Run the plan-cache experiment: compile each template once, serve
-/// `instances` literal variations per template from the cache, then ANALYZE
-/// and observe the invalidation sweep. Fully offline and deterministic
-/// (fixed mix, fixed catalog; only the timings vary run to run).
-pub fn run_plan_cache(scale: Scale, instances: usize) -> PlanCacheReport {
-    let mut engine = Workload::TpcH.build_engine(scale);
-    let orca = OrcaOptimizer::new(OrcaConfig::default(), Workload::TpcH.threshold());
-    let mix = plan_cache_mix(instances.max(2));
-    let optimizer_calls = |o: &OrcaOptimizer| {
-        let s = o.stats();
-        s.routed + s.below_threshold + s.fallbacks
-    };
-
-    // Cold phase: the first instantiation of each template compiles and
-    // populates the cache.
-    for (name, stmts) in &mix {
-        let (_, outcome) = engine.plan_cached(&stmts[0], &orca).expect(name);
-        assert_eq!(outcome, mylite::CacheOutcome::Miss, "{name} was already cached");
-    }
-
-    // Correctness: a cached plan re-bound to fresh literals must return
-    // exactly what a from-scratch compile of the same text returns.
-    let results_match = mix.iter().take(4).all(|(name, stmts)| {
-        let cached = engine.query_cached(&stmts[1], &orca).expect(name);
-        let fresh = engine.query_with(&stmts[1], &orca).expect(name);
-        let mut a = cached.rows;
-        let mut b = fresh.rows;
-        a.sort_by_key(|r| format!("{r:?}"));
-        b.sort_by_key(|r| format!("{r:?}"));
-        a == b
-    });
-
-    // Calibration: per-template cold-compile cost via `Engine::plan`, which
-    // bypasses the cache (stats stay untouched). Best of 3 — the minimum is
-    // the least scheduler-contaminated estimate of the true compile cost.
-    let mut cold_times = Vec::with_capacity(mix.len());
-    for (name, stmts) in &mix {
-        let cold = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                engine.plan(&stmts[0], &orca).expect(name);
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
-        cold_times.push(cold);
-    }
-
-    // Hot phase: every instantiation again — all hits, no optimizer calls.
-    // Each template's batch is timed as one span so per-call timer jitter
-    // amortizes over the whole batch.
-    let calls_before = optimizer_calls(&orca);
-    let mut hit_times = Vec::with_capacity(mix.len());
-    let mut executions = 0usize;
-    for (name, stmts) in &mix {
-        let t = Instant::now();
-        for s in stmts {
-            let (_, outcome) = engine.plan_cached(s, &orca).expect(name);
-            assert_eq!(outcome, mylite::CacheOutcome::Hit, "{name} missed in the hot phase");
-        }
-        hit_times.push(t.elapsed() / stmts.len() as u32);
-        executions += stmts.len();
-    }
-    let optimizer_calls_hot = optimizer_calls(&orca) - calls_before;
-    let stats = engine.plan_cache_stats();
-
-    // DDL phase: ANALYZE publishes new statistics, bumping the catalog
-    // version; every cached statement must re-compile on next use.
-    let inval_before = stats.invalidations;
-    engine.analyze();
-    for (name, stmts) in &mix {
-        engine.plan_cached(&stmts[0], &orca).expect(name);
-    }
-    let ddl_invalidations = engine.plan_cache_stats().invalidations - inval_before;
-
-    let per_template: Vec<TemplateTiming> = mix
-        .iter()
-        .zip(cold_times.iter().zip(&hit_times))
-        .map(|((name, _), (&cold, &hit))| TemplateTiming { name: name.to_string(), cold, hit })
-        .collect();
-    cold_times.sort();
-    hit_times.sort();
-    PlanCacheReport {
-        executions,
-        templates: mix.len(),
-        stats,
-        per_template,
-        cold_compile: cold_times[cold_times.len() / 2],
-        hit_path: hit_times[hit_times.len() / 2],
-        optimizer_calls_hot,
-        ddl_invalidations,
-        results_match,
-    }
-}
-
-/// Format the plan-cache report as markdown (the `harness plancache` body).
-pub fn format_plan_cache_report(r: &PlanCacheReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(s, "| metric | value |");
-    let _ = writeln!(s, "|---|---|");
-    let _ = writeln!(s, "| statement templates | {} |", r.templates);
-    let _ = writeln!(s, "| hot-phase executions | {} |", r.executions);
-    let _ = writeln!(
-        s,
-        "| cache hit rate | {:.1}% ({} hits / {} misses / {} invalidations) |",
-        r.stats.hit_rate() * 100.0,
-        r.stats.hits,
-        r.stats.misses,
-        r.stats.invalidations
-    );
-    let _ = writeln!(s, "| median cold compile | {:.3?} |", r.cold_compile);
-    let _ = writeln!(s, "| median hit path | {:.3?} |", r.hit_path);
-    let _ = writeln!(s, "| median per-template speedup | {:.1}x |", r.speedup());
-    let _ = writeln!(s, "| optimizer calls during hot phase | {} |", r.optimizer_calls_hot);
-    let _ = writeln!(s, "| entries invalidated by ANALYZE | {} |", r.ddl_invalidations);
-    let _ = writeln!(s, "| cached results match fresh compiles | {} |", r.results_match);
-    let _ = writeln!(s, "\n| template | cold compile | hit path | speedup |");
-    let _ = writeln!(s, "|---|---|---|---|");
-    for t in &r.per_template {
-        let _ =
-            writeln!(s, "| {} | {:.3?} | {:.3?} | {:.1}x |", t.name, t.cold, t.hit, t.speedup());
-    }
-    s
-}
-
-/// Format a suite comparison as a markdown table (used by the harness and
-/// pasted into EXPERIMENTS.md).
-pub fn format_suite_table(results: &[QueryComparison]) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| query | MySQL time | Orca time | time ratio (orca/mysql) | MySQL work | Orca work | work speedup | routed |"
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|---|---|");
-    for r in results {
-        let _ = writeln!(
-            s,
-            "| {} | {:.3?} | {:.3?} | {:.2} | {} | {} | {:.2}× | {} |",
-            r.name,
-            r.mysql,
-            r.orca,
-            r.time_ratio(),
-            r.mysql_work,
-            r.orca_work,
-            r.work_speedup(),
-            if r.orca_assisted { "orca" } else { "mysql" }
-        );
-    }
-    let total_m: f64 = results.iter().map(|r| r.mysql.as_secs_f64()).sum();
-    let total_o: f64 = results.iter().map(|r| r.orca.as_secs_f64()).sum();
-    let _ = writeln!(
-        s,
-        "\ntotal: MySQL {:.3}s, Orca {:.3}s — Orca reduces total run time by {:.0}%",
-        total_m,
-        total_o,
-        (1.0 - total_o / total_m) * 100.0
-    );
-    let improved = results.iter().filter(|r| r.time_ratio() < 0.95).count();
-    let tenx = results
-        .iter()
-        .filter(|r| r.work_speedup() >= 10.0)
-        .map(|r| r.name.clone())
-        .collect::<Vec<_>>();
-    let _ = writeln!(
-        s,
-        "Orca-faster queries: {improved}/{}; ≥10× work reduction: {:?}",
-        results.len(),
-        tenx
-    );
-    s
-}
-
-// ---------------------------------------------------------------- parallel
-
-/// One parallel microbench template measured serial vs parallel.
-#[derive(Debug, Clone)]
-pub struct ParallelMeasurement {
-    pub name: &'static str,
-    /// Serial work units (dop 1).
-    pub serial_work: u64,
-    /// Parallel critical-path work units (slowest worker per fragment).
-    pub parallel_critical: u64,
-    /// Rows returned (serial == parallel enforced separately).
-    pub rows: usize,
-    /// Parallel rows byte-identical to serial, in order.
-    pub rows_match: bool,
-    /// The parallel plan actually placed an exchange.
-    pub exchanged: bool,
-}
-
-impl ParallelMeasurement {
-    /// Machine-independent speedup: serial work over the parallel critical
-    /// path. Wall clock would measure the container's core count; this
-    /// measures the plan's parallelism.
-    pub fn speedup(&self) -> f64 {
-        self.serial_work as f64 / self.parallel_critical.max(1) as f64
-    }
-}
-
-/// The morsel-driven parallel execution report (`harness parallel`).
-#[derive(Debug, Clone)]
-pub struct ParallelReport {
-    pub dop: usize,
-    pub per_template: Vec<ParallelMeasurement>,
-}
-
-impl ParallelReport {
-    pub fn median_speedup(&self) -> f64 {
-        let mut s: Vec<f64> = self.per_template.iter().map(|m| m.speedup()).collect();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        s.get(s.len() / 2).copied().unwrap_or(0.0)
-    }
-
-    /// The CI gate: every template must return identical rows and place its
-    /// exchange, and the median critical-path speedup at this dop must
-    /// reach 2× — the acceptance bar for the parallel subsystem.
-    pub fn gate(&self) -> std::result::Result<(), String> {
-        for m in &self.per_template {
-            if !m.rows_match {
-                return Err(format!("{}: parallel rows diverged from serial", m.name));
-            }
-            if !m.exchanged {
-                return Err(format!("{}: no exchange was placed (plan stayed serial)", m.name));
-            }
-        }
-        let median = self.median_speedup();
-        if median < 2.0 {
-            return Err(format!(
-                "median critical-path speedup {median:.2}x < 2.0x at dop={}",
-                self.dop
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The scan/join/agg microbench templates the parallel gate runs on. All
-/// drive `lineitem`, the workload's biggest table, so morsel-parallelism
-/// has work to split.
-fn parallel_templates() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "scan-filter",
-            "SELECT l_orderkey, l_quantity, l_extendedprice FROM lineitem \
-             WHERE l_quantity > 10 AND l_discount < 0.09",
-        ),
-        (
-            "hash-join",
-            "SELECT l_orderkey, l_quantity, o_orderdate FROM lineitem, orders \
-             WHERE l_orderkey = o_orderkey AND l_quantity > 20",
-        ),
-        (
-            "group-agg",
-            "SELECT l_returnflag, l_linestatus, COUNT(*) AS n, SUM(l_quantity) AS qty \
-             FROM lineitem GROUP BY l_returnflag, l_linestatus \
-             ORDER BY l_returnflag, l_linestatus",
-        ),
-        (
-            "sort-merge",
-            "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity > 30 \
-             ORDER BY l_extendedprice DESC, l_orderkey",
-        ),
-    ]
-}
-
-/// Run the parallel microbench: each template serial, then at `dop`, with
-/// the placement threshold and morsel size lowered so small bench scales
-/// still split into enough morsels per worker.
-pub fn run_parallel(scale: Scale, dop: usize) -> ParallelReport {
-    let engine = Workload::TpcH.build_engine(scale);
-    engine.set_parallel_threshold(8);
-    engine.set_morsel_rows(64);
-    let mut per_template = Vec::new();
-    for (name, sql) in parallel_templates() {
-        engine.set_dop(1);
-        let serial = engine.query(sql).expect(name);
-        engine.set_dop(dop);
-        let parallel = engine.query(sql).expect(name);
-        let planned = engine.plan(sql, &MySqlOptimizer).expect(name);
-        let exchanged = format!("{:?}", planned.primary().plan).contains("Exchange");
-        per_template.push(ParallelMeasurement {
-            name,
-            serial_work: serial.work_units,
-            parallel_critical: parallel.critical_work_units,
-            rows: serial.rows.len(),
-            rows_match: serial.rows == parallel.rows,
-            exchanged,
-        });
-    }
-    ParallelReport { dop, per_template }
-}
-
-/// Format the parallel report as markdown (the `harness parallel` body).
-pub fn format_parallel_report(r: &ParallelReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| template | rows | serial work | critical path (dop={}) | speedup | identical |",
-        r.dop
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|");
-    for m in &r.per_template {
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {} | {:.2}× | {} |",
-            m.name,
-            m.rows,
-            m.serial_work,
-            m.parallel_critical,
-            m.speedup(),
-            m.rows_match
-        );
-    }
-    let _ = writeln!(s, "\nmedian critical-path speedup: {:.2}×", r.median_speedup());
-    s
-}
-
-// ---------------------------------------------------------------- vectorized
-
-/// One vectorized microbench template: serial row vs serial batch vs
-/// parallel batch, wall-clock medians over repeated executions of the
-/// same compiled plan (planning is paid once, outside the timed loop).
-#[derive(Debug, Clone)]
-pub struct VectorizedMeasurement {
-    pub name: &'static str,
-    /// Rows returned (identical across engines enforced separately).
-    pub rows: usize,
-    /// Median wall time, serial row engine (ns).
-    pub row_ns: u64,
-    /// Median wall time, serial batch engine (ns).
-    pub batch_ns: u64,
-    /// Median wall time, batch engine at the report's dop (ns).
-    pub batch_par_ns: u64,
-    /// Serial batch rows byte-identical to serial row, in order.
-    pub batch_match: bool,
-    /// Parallel batch rows byte-identical to serial row, in order.
-    pub batch_par_match: bool,
-}
-
-impl VectorizedMeasurement {
-    /// Serial-row over serial-batch wall time: the pure vectorization win,
-    /// no parallelism involved.
-    pub fn speedup(&self) -> f64 {
-        self.row_ns as f64 / self.batch_ns.max(1) as f64
-    }
-
-    /// Serial-row over parallel-batch wall time: vectorization × morsels.
-    pub fn par_speedup(&self) -> f64 {
-        self.row_ns as f64 / self.batch_par_ns.max(1) as f64
-    }
-}
-
-/// The vectorized execution report (`harness vectorized`).
-#[derive(Debug, Clone)]
-pub struct VectorizedReport {
-    pub dop: usize,
-    pub reps: usize,
-    pub per_template: Vec<VectorizedMeasurement>,
-}
-
-impl VectorizedReport {
-    /// Median serial-batch speedup across templates.
-    pub fn median_speedup(&self) -> f64 {
-        let mut s: Vec<f64> = self.per_template.iter().map(|m| m.speedup()).collect();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        s.get(s.len() / 2).copied().unwrap_or(0.0)
-    }
-
-    /// The CI gate: both batch variants must return the serial row engine's
-    /// bytes on every template (the purity contract), and the median
-    /// serial-batch speedup must reach 2× — the acceptance bar for the
-    /// columnar engine on its scan/filter/agg-heavy showcase templates.
-    pub fn gate(&self) -> std::result::Result<(), String> {
-        for m in &self.per_template {
-            if !m.batch_match {
-                return Err(format!("{}: serial batch rows diverged from serial row", m.name));
-            }
-            if !m.batch_par_match {
-                return Err(format!(
-                    "{}: batch rows at dop={} diverged from serial row",
-                    m.name, self.dop
-                ));
-            }
-        }
-        let median = self.median_speedup();
-        if median < 2.0 {
-            return Err(format!("median serial-batch speedup {median:.2}x < 2.0x"));
-        }
-        Ok(())
-    }
-}
-
-/// The scan/filter/agg-heavy templates the vectorized gate runs on. All
-/// are selective over `lineitem`: the batch scan prunes columns and
-/// prefilters rows before transposing, so selective predicates are where
-/// the columnar engine is designed to win (low-selectivity wide scans
-/// roughly break even and are covered by the fuzzer, not this gate).
-fn vectorized_templates() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "q6-filter-agg",
-            "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem \
-             WHERE l_discount >= 0.04 AND l_discount <= 0.06 AND l_quantity < 24",
-        ),
-        (
-            "filter-project",
-            "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity > 45",
-        ),
-        (
-            "conjunct-scan",
-            "SELECT l_orderkey, l_quantity, l_discount FROM lineitem \
-             WHERE l_quantity > 40 AND l_discount < 0.03 AND l_extendedprice > 2000",
-        ),
-        (
-            "scalar-minmax",
-            "SELECT COUNT(*) AS n, MIN(l_extendedprice) AS lo, MAX(l_extendedprice) AS hi, \
-             SUM(l_quantity) AS qty FROM lineitem WHERE l_discount > 0.07",
-        ),
-        (
-            "grouped-selective",
-            "SELECT l_returnflag, COUNT(*) AS n, SUM(l_extendedprice) AS total \
-             FROM lineitem WHERE l_quantity > 45 GROUP BY l_returnflag ORDER BY l_returnflag",
-        ),
-    ]
-}
-
-/// Median wall time of `reps` executions of an already-compiled plan.
-fn median_exec_ns(engine: &Engine, planned: &mylite::PlannedQuery, reps: usize) -> u64 {
-    let mut ts = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        engine.execute_planned(planned).expect("timed run");
-        ts.push(t.elapsed().as_nanos() as u64);
-    }
-    ts.sort_unstable();
-    ts[ts.len() / 2]
-}
-
-/// Run the vectorized microbench: each template compiled once per plan
-/// shape, then executed `reps` times per engine (serial row, serial
-/// batch, batch at `dop`) with the median wall time reported. The knob is
-/// execution-only, so the serial plan is shared by both serial engines;
-/// only the parallel variant re-plans (exchange placement depends on dop).
-pub fn run_vectorized(scale: Scale, dop: usize, reps: usize) -> VectorizedReport {
-    let engine = Workload::TpcH.build_engine(scale);
-    engine.set_parallel_threshold(8);
-    engine.set_morsel_rows(256);
-    let mut per_template = Vec::new();
-    for (name, sql) in vectorized_templates() {
-        engine.set_dop(1);
-        engine.set_vectorized(false);
-        let serial_plan = engine.plan(sql, &MySqlOptimizer).expect(name);
-        let reference = engine.execute_planned(&serial_plan).expect(name);
-        let row_ns = median_exec_ns(&engine, &serial_plan, reps);
-
-        engine.set_vectorized(true);
-        let batch_out = engine.execute_planned(&serial_plan).expect(name);
-        let batch_ns = median_exec_ns(&engine, &serial_plan, reps);
-
-        engine.set_dop(dop);
-        let par_plan = engine.plan(sql, &MySqlOptimizer).expect(name);
-        let par_out = engine.execute_planned(&par_plan).expect(name);
-        let batch_par_ns = median_exec_ns(&engine, &par_plan, reps);
-
-        engine.set_dop(1);
-        engine.set_vectorized(false);
-        per_template.push(VectorizedMeasurement {
-            name,
-            rows: reference.rows.len(),
-            row_ns,
-            batch_ns,
-            batch_par_ns,
-            batch_match: reference.rows == batch_out.rows,
-            batch_par_match: reference.rows == par_out.rows,
-        });
-    }
-    VectorizedReport { dop, reps, per_template }
-}
-
-/// Format the vectorized report as markdown (the `harness vectorized` body).
-pub fn format_vectorized_report(r: &VectorizedReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| template | rows | serial row | serial batch | batch dop={} | batch speedup | ×dop | identical |",
-        r.dop
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|---|---|");
-    for m in &r.per_template {
-        let _ = writeln!(
-            s,
-            "| {} | {} | {:.3?} | {:.3?} | {:.3?} | {:.2}× | {:.2}× | {} |",
-            m.name,
-            m.rows,
-            Duration::from_nanos(m.row_ns),
-            Duration::from_nanos(m.batch_ns),
-            Duration::from_nanos(m.batch_par_ns),
-            m.speedup(),
-            m.par_speedup(),
-            m.batch_match && m.batch_par_match
-        );
-    }
-    let _ = writeln!(
-        s,
-        "\nmedian serial-batch speedup: {:.2}× (medians over {} runs per cell, plan compiled once)",
-        r.median_speedup(),
-        r.reps
-    );
-    s
-}
-
-/// Per-template observation: the worst operator q-error at dop 1, and
-/// whether instrumented runs (serial and parallel) returned byte-identical
-/// rows to an uninstrumented run of the same plan.
-#[derive(Debug, Clone)]
-pub struct ObserveMeasurement {
-    pub workload: &'static str,
-    pub name: String,
-    /// Operators in the (serial) analyzed plan.
-    pub operators: usize,
-    /// Operators that actually executed (loops > 0).
-    pub executed: usize,
-    /// Worst per-operator q-error at dop 1.
-    pub max_q: f64,
-    /// `EXPLAIN ANALYZE` at dop 1 returned the uninstrumented rows.
-    pub serial_identical: bool,
-    /// `EXPLAIN ANALYZE` at the report's dop returned the same rows.
-    pub parallel_identical: bool,
-}
-
-/// The CI ceiling for the worst per-operator q-error across both suites.
-/// Observed max at bench scales is ~340 (TPC-DS grouped-aggregate guesses);
-/// the pre-fix derived-table bug sat at 10^28, so the ceiling separates
-/// honest estimation noise from compounding estimation bugs by 25 orders
-/// of magnitude.
-pub const OBSERVE_Q_CEILING: f64 = 1000.0;
-
-/// The estimation-quality report (`harness observe`): every TPC-H and
-/// TPC-DS template run under `EXPLAIN ANALYZE`, with the q-error
-/// distribution over per-template worst operators.
-#[derive(Debug, Clone)]
-pub struct ObserveReport {
-    pub dop: usize,
-    pub per_template: Vec<ObserveMeasurement>,
-}
-
-impl ObserveReport {
-    fn sorted_qs(&self) -> Vec<f64> {
-        let mut qs: Vec<f64> = self.per_template.iter().map(|m| m.max_q).collect();
-        qs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        qs
-    }
-
-    pub fn median_q(&self) -> f64 {
-        let qs = self.sorted_qs();
-        qs.get(qs.len() / 2).copied().unwrap_or(1.0)
-    }
-
-    pub fn p95_q(&self) -> f64 {
-        let qs = self.sorted_qs();
-        if qs.is_empty() {
-            return 1.0;
-        }
-        qs[((qs.len() - 1) as f64 * 0.95).round() as usize]
-    }
-
-    pub fn max_q(&self) -> f64 {
-        self.sorted_qs().last().copied().unwrap_or(1.0)
-    }
-
-    /// The template with the worst operator estimate, named so regressions
-    /// point straight at a query shape.
-    pub fn worst_template(&self) -> Option<&ObserveMeasurement> {
-        self.per_template
-            .iter()
-            .max_by(|a, b| a.max_q.partial_cmp(&b.max_q).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// The CI gate: instrumentation must never change results (serial or
-    /// parallel), every template must execute at least one operator, and
-    /// the worst q-error must stay under `ceiling` — a cardinality
-    /// regression anywhere in the estimation stack trips this.
-    pub fn gate(&self, ceiling: f64) -> std::result::Result<(), String> {
-        for m in &self.per_template {
-            if !m.serial_identical {
-                return Err(format!("{} {}: analyzed serial rows diverged", m.workload, m.name));
-            }
-            if !m.parallel_identical {
-                return Err(format!(
-                    "{} {}: analyzed rows diverged at dop={}",
-                    m.workload, m.name, self.dop
-                ));
-            }
-            if m.executed == 0 {
-                return Err(format!("{} {}: no operator recorded execution", m.workload, m.name));
-            }
-        }
-        let max = self.max_q();
-        if max > ceiling {
-            let worst = self.worst_template().expect("non-empty");
-            return Err(format!(
-                "max q-error {max:.1} exceeds ceiling {ceiling:.1} \
-                 (worst template: {} {})",
-                worst.workload, worst.name
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Run every TPC-H and TPC-DS template under `EXPLAIN ANALYZE` through the
-/// Orca detour (threshold per workload, so both backends are exercised).
-/// q-errors are measured at dop 1, where estimates and totals compare
-/// directly; the dop-`dop` pass re-analyzes each query to prove the
-/// instrumentation is invisible under parallel exchange operators too.
-pub fn run_observe(scale: Scale, dop: usize) -> ObserveReport {
-    let mut per_template = Vec::new();
-    for workload in [Workload::TpcH, Workload::TpcDs] {
-        let engine = workload.build_engine(scale);
-        // Lowered placement knobs so small bench scales still parallelize.
-        engine.set_parallel_threshold(8);
-        engine.set_morsel_rows(64);
-        let orca = OrcaOptimizer::new(OrcaConfig::default(), workload.threshold());
-        for q in workload.queries() {
-            engine.set_dop(1);
-            let plain = engine.query_with(&q.sql, &orca).expect(q.name);
-            let serial = engine.explain_analyze(&q.sql, &orca).expect(q.name);
-            engine.set_dop(dop);
-            let parallel = engine.explain_analyze(&q.sql, &orca).expect(q.name);
-            let max_q = serial.nodes.iter().filter_map(|n| n.q_error).fold(1.0, f64::max);
-            per_template.push(ObserveMeasurement {
-                workload: workload.name(),
-                name: q.name.to_string(),
-                operators: serial.nodes.len(),
-                executed: serial.nodes.iter().filter(|n| n.loops > 0).count(),
-                max_q,
-                serial_identical: serial.output.rows == plain.rows,
-                parallel_identical: parallel.output.rows == plain.rows,
-            });
-        }
-    }
-    ObserveReport { dop, per_template }
-}
-
-/// Format the observe report as markdown (the `harness observe` body).
-pub fn format_observe_report(r: &ObserveReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| workload | template | operators | max q-error | identical (serial / dop={}) |",
-        r.dop
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|");
-    for m in &r.per_template {
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {:.2} | {} / {} |",
-            m.workload, m.name, m.operators, m.max_q, m.serial_identical, m.parallel_identical
-        );
-    }
-    let _ = writeln!(
-        s,
-        "\nq-error over per-template worst operators: median {:.2}, p95 {:.2}, max {:.2}",
-        r.median_q(),
-        r.p95_q(),
-        r.max_q()
-    );
-    if let Some(w) = r.worst_template() {
-        let _ = writeln!(s, "worst template: {} {} (q-error {:.2})", w.workload, w.name, w.max_q);
-    }
-    s
-}
-
-// --------------------------------------------------------------- feedback
-
-/// Convergence ceiling for the feedback loop: after one observed execution
-/// and one feedback-driven re-optimization, the worst per-operator q-error
-/// of every template that started above the re-optimization threshold must
-/// land at or under this.
-pub const FEEDBACK_Q_CEILING: f64 = 2.0;
-
-/// One template through the feedback loop: three `analyze_cached` serves
-/// of the same statement.
-#[derive(Debug, Clone)]
-pub struct FeedbackMeasurement {
-    pub workload: &'static str,
-    pub name: String,
-    /// Worst per-operator q-error of the first (statically planned) serve.
-    pub first_q: f64,
-    /// Worst q-error of the second serve — re-optimized with observed
-    /// cardinalities when `first_q` crossed the threshold.
-    pub second_q: f64,
-    /// Cache-outcome labels of the three serves.
-    pub outcomes: [&'static str; 3],
-    /// Row multisets agree across all three serves (4-decimal double
-    /// rounding — plan shapes legitimately reorder float aggregation).
-    pub identical: bool,
-}
-
-/// The feedback-loop report (`harness feedback`): every TPC-H and TPC-DS
-/// template compiled, observed, and (when its worst q-error crossed the
-/// threshold) re-optimized with true cardinalities injected.
-#[derive(Debug, Clone)]
-pub struct FeedbackReport {
-    /// Re-optimization q-error threshold the engines ran with.
-    pub threshold: f64,
-    pub per_template: Vec<FeedbackMeasurement>,
-    /// Router-side re-optimization count summed over both workloads.
-    pub router_reoptimized: u64,
-    /// Plan-cache re-optimization evictions summed over both workloads.
-    pub cache_reoptimizations: u64,
-}
-
-impl FeedbackReport {
-    /// Templates whose first serve exceeded the threshold (the loop's
-    /// targets).
-    pub fn bad_actors(&self) -> Vec<&FeedbackMeasurement> {
-        self.per_template.iter().filter(|m| m.first_q > self.threshold).collect()
-    }
-
-    /// Templates the second serve re-optimized.
-    pub fn reoptimized(&self) -> usize {
-        self.per_template.iter().filter(|m| m.outcomes[1] == "reoptimized").count()
-    }
-
-    /// The CI gate for `harness feedback`:
-    ///
-    /// * results must be identical across all three serves of every
-    ///   template (first compile, re-optimized serve, converged hit);
-    /// * every template whose first worst q-error is above the threshold
-    ///   must re-optimize on its second serve and land at or under
-    ///   [`FEEDBACK_Q_CEILING`];
-    /// * templates under the threshold must serve straight hits;
-    /// * the third serve must be a hit everywhere — the convergence
-    ///   guarantee (same observations never re-optimize twice);
-    /// * at least one bad actor must exist — the loop must have something
-    ///   to demonstrate on;
-    /// * router and plan-cache re-optimization counters must agree with
-    ///   the per-template outcomes.
-    ///
-    /// Note the first serve of a template is not necessarily a cache miss:
-    /// generated templates that differ only in literals share a fingerprint
-    /// (compile-once-serve-many working as designed), so a template whose
-    /// twin compiled first legitimately opens on a hit — and can open
-    /// straight onto a re-optimization when the twin's observations
-    /// crossed the threshold.
-    pub fn gate(&self) -> std::result::Result<(), String> {
-        let mut bad_actors = 0usize;
-        for m in &self.per_template {
-            if !m.identical {
-                return Err(format!("{} {}: rows diverged across serves", m.workload, m.name));
-            }
-            if m.outcomes[2] != "hit" {
-                return Err(format!(
-                    "{} {}: third serve was {}, expected hit (convergence guarantee)",
-                    m.workload, m.name, m.outcomes[2]
-                ));
-            }
-            if m.first_q > self.threshold {
-                bad_actors += 1;
-                if m.outcomes[1] != "reoptimized" {
-                    return Err(format!(
-                        "{} {}: first q-error {:.1} over threshold but second serve was {}",
-                        m.workload, m.name, m.first_q, m.outcomes[1]
-                    ));
-                }
-                if m.second_q > FEEDBACK_Q_CEILING {
-                    return Err(format!(
-                        "{} {}: re-optimized q-error {:.2} above ceiling {FEEDBACK_Q_CEILING} \
-                         (started at {:.1})",
-                        m.workload, m.name, m.second_q, m.first_q
-                    ));
-                }
-            } else if m.outcomes[1] != "hit" {
-                return Err(format!(
-                    "{} {}: under threshold (q {:.1}) but second serve was {}",
-                    m.workload, m.name, m.first_q, m.outcomes[1]
-                ));
-            }
-        }
-        if bad_actors == 0 {
-            return Err("no template exceeded the threshold; nothing demonstrated".to_string());
-        }
-        let n = self.reoptimized() as u64;
-        if self.router_reoptimized != n || self.cache_reoptimizations != n {
-            return Err(format!(
-                "re-optimization counters disagree: {} outcomes, router {}, cache {}",
-                n, self.router_reoptimized, self.cache_reoptimizations
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Sorted row multiset with doubles rounded to 4 decimals — two plans for
-/// the same query legitimately reorder floating-point aggregation.
-fn row_multiset(rows: &[taurus_common::Row]) -> Vec<String> {
-    let mut v: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|v| match v {
-                    taurus_common::Value::Double(d) => {
-                        format!("D{:.4}", if *d == 0.0 { 0.0 } else { *d })
-                    }
-                    other => format!("{other:?}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect();
-    v.sort();
-    v
-}
-
-/// Run every template through three `analyze_cached` serves: compile +
-/// observe, re-optimize (when the observed worst q-error crossed the
-/// threshold), and the converged hit.
-pub fn run_feedback(scale: Scale) -> FeedbackReport {
-    let threshold = 10.0;
-    let mut per_template = Vec::new();
-    let mut router_reoptimized = 0u64;
-    let mut cache_reoptimizations = 0u64;
-    for workload in [Workload::TpcH, Workload::TpcDs] {
-        let engine = workload.build_engine(scale);
-        // Same placement knobs as the observe report, so q-errors match.
-        engine.set_parallel_threshold(8);
-        engine.set_morsel_rows(64);
-        engine.set_reopt_q_threshold(Some(threshold));
-        let orca = OrcaOptimizer::new(OrcaConfig::default(), workload.threshold());
-        for q in workload.queries() {
-            let (a1, o1) = engine.analyze_cached(&q.sql, &orca).expect(q.name);
-            let (a2, o2) = engine.analyze_cached(&q.sql, &orca).expect(q.name);
-            let (a3, o3) = engine.analyze_cached(&q.sql, &orca).expect(q.name);
-            let worst = |a: &mylite::AnalyzedQuery| {
-                a.nodes.iter().filter_map(|n| n.q_error).fold(1.0, f64::max)
-            };
-            let m1 = row_multiset(&a1.output.rows);
-            let identical =
-                m1 == row_multiset(&a2.output.rows) && m1 == row_multiset(&a3.output.rows);
-            per_template.push(FeedbackMeasurement {
-                workload: workload.name(),
-                name: q.name.to_string(),
-                first_q: worst(&a1),
-                second_q: worst(&a2),
-                outcomes: [o1.label(), o2.label(), o3.label()],
-                identical,
-            });
-        }
-        router_reoptimized += orca.stats().reoptimized;
-        cache_reoptimizations += engine.plan_cache_stats().reoptimizations;
-    }
-    FeedbackReport { threshold, per_template, router_reoptimized, cache_reoptimizations }
-}
-
-/// Format the feedback report as markdown (the `harness feedback` body).
-pub fn format_feedback_report(r: &FeedbackReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(s, "| workload | template | q-error 1st | q-error 2nd | serves | identical |");
-    let _ = writeln!(s, "|---|---|---|---|---|---|");
-    for m in &r.per_template {
-        let _ = writeln!(
-            s,
-            "| {} | {} | {:.2} | {:.2} | {} | {} |",
-            m.workload,
-            m.name,
-            m.first_q,
-            m.second_q,
-            m.outcomes.join(" → "),
-            m.identical
-        );
-    }
-    let bad = r.bad_actors();
-    let _ = writeln!(
-        s,
-        "\ntemplates over threshold {:.0}: {} of {}; re-optimized: {}",
-        r.threshold,
-        bad.len(),
-        r.per_template.len(),
-        r.reoptimized()
-    );
-    if let Some(worst) = bad
-        .iter()
-        .max_by(|a, b| a.first_q.partial_cmp(&b.first_q).unwrap_or(std::cmp::Ordering::Equal))
-    {
-        let _ = writeln!(
-            s,
-            "worst actor: {} {} — q-error {:.2} → {:.2} after re-optimization",
-            worst.workload, worst.name, worst.first_q, worst.second_q
-        );
-    }
-    s
-}
-
-// --------------------------------------------------------------- governance
-
-/// One workload under chaos: its engine, its router (which accumulates the
-/// governed-outcome counters), its templates, and lazily computed reference
-/// answers for the post-failure recovery check.
-struct GovernanceUnit {
-    workload: Workload,
-    engine: Engine,
-    orca: OrcaOptimizer,
-    queries: Vec<Query>,
-    refs: Vec<Option<Vec<String>>>,
-}
-
-/// Outcome of the governance chaos run (`harness governance`): randomized
-/// cancel points, wall-clock deadlines, and memory budgets injected across
-/// every TPC-H and TPC-DS template. The invariants under test: no
-/// disturbance may panic, tracked peak memory never exceeds a configured
-/// budget, and after every governed failure the very next serve of the
-/// same statement returns the undisturbed answer.
-#[derive(Debug, Clone)]
-pub struct GovernanceReport {
-    /// Disturbed executions performed.
-    pub injections: usize,
-    /// Distinct templates the round-robin mix cycles through.
-    pub templates: usize,
-    /// Runs that finished before their disturbance could trip.
-    pub completed_ok: usize,
-    /// Runs stopped by the injected cancel point.
-    pub cancelled: usize,
-    /// Runs that died on the injected wall-clock deadline.
-    pub deadline_exceeded: usize,
-    /// Runs over the injected memory budget even at the serial rung.
-    pub memory_exceeded: usize,
-    /// Over-budget runs rescued by the engine's retry at dop=1 (from the
-    /// routers' governed counters).
-    pub memory_degraded: u64,
-    /// Executions that panicked instead of failing typed. Must be zero.
-    pub panics: usize,
-    /// Runs where tracked peak memory exceeded the configured budget.
-    pub peak_violations: usize,
-    /// Post-failure re-serves compared against the undisturbed answer.
-    pub recovery_checks: usize,
-    /// Every invariant violation, described.
-    pub failures: Vec<String>,
-}
-
-impl GovernanceReport {
-    /// Disturbances that actually stopped an execution.
-    pub fn governed_trips(&self) -> usize {
-        self.cancelled + self.deadline_exceeded + self.memory_exceeded
-    }
-
-    /// The CI gate: zero panics, peak memory bounded by the budget on every
-    /// run, every post-failure serve correct — and the mix must actually
-    /// have tripped the governor, otherwise the run proved nothing.
-    pub fn gate(&self) -> std::result::Result<(), String> {
-        if self.panics > 0 {
-            return Err(format!("{} disturbed executions panicked", self.panics));
-        }
-        if self.peak_violations > 0 {
-            return Err(format!(
-                "{} runs exceeded their configured memory budget",
-                self.peak_violations
-            ));
-        }
-        if let Some(first) = self.failures.first() {
-            return Err(format!("{} violations; first: {first}", self.failures.len()));
-        }
-        if self.governed_trips() + self.memory_degraded as usize == 0 {
-            return Err("no disturbance tripped the governor; the run proved nothing".into());
-        }
-        Ok(())
-    }
-}
-
-/// Canonical rows for the recovery comparison. Rounded to 4 decimals:
-/// recovery may execute a parallel plan, and float aggregation order is not
-/// deterministic across runs of the same parallel plan.
-fn governance_canon(rows: &[Vec<taurus_common::Value>]) -> Vec<String> {
-    let mut out: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|v| match v {
-                    taurus_common::Value::Double(d) => format!("D{:.4}", d),
-                    other => format!("{other:?}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// Run the governance chaos mix: `injections` disturbed executions
-/// round-robined over every TPC-H and TPC-DS template, each under a
-/// randomly drawn cancel point, deadline, or memory budget.
-pub fn run_governance(scale: Scale, injections: usize) -> GovernanceReport {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use taurus_workloads::gen::SmallRng;
-
-    let mut units: Vec<GovernanceUnit> = [Workload::TpcH, Workload::TpcDs]
-        .into_iter()
-        .map(|w| {
-            let engine = w.build_engine(scale);
-            // Lowered placement knobs so small scales still parallelize —
-            // the chaos must reach the worker pool, not just serial paths.
-            engine.set_parallel_threshold(8);
-            engine.set_morsel_rows(64);
-            let queries = w.queries();
-            let refs = vec![None; queries.len()];
-            GovernanceUnit {
-                workload: w,
-                engine,
-                orca: OrcaOptimizer::new(OrcaConfig::default(), w.threshold()),
-                queries,
-                refs,
-            }
-        })
-        .collect();
-    let templates: usize = units.iter().map(|u| u.queries.len()).sum();
-    let mut rng = SmallRng::seed_from_u64(0x676f7665726e);
-    let mut report = GovernanceReport {
-        injections,
-        templates,
-        completed_ok: 0,
-        cancelled: 0,
-        deadline_exceeded: 0,
-        memory_exceeded: 0,
-        memory_degraded: 0,
-        panics: 0,
-        peak_violations: 0,
-        recovery_checks: 0,
-        failures: Vec::new(),
-    };
-
-    for i in 0..injections {
-        let mut flat = i % templates;
-        let mut ui = 0;
-        while flat >= units[ui].queries.len() {
-            flat -= units[ui].queries.len();
-            ui += 1;
-        }
-        let kind = rng.gen_range(0..3usize);
-        let cancel_point = rng.gen_range(1..=40usize) as u64;
-        let deadline_ms = rng.gen_range(1..=3usize) as u64;
-        // Budgets from one byte to a mebibyte: tiny ones trip on the first
-        // charge, large ones only on the heaviest templates.
-        let mem_budget = 1u64 << rng.gen_range(0..21usize);
-
-        let unit = &mut units[ui];
-        let sql = unit.queries[flat].sql.clone();
-        let name = format!("{} {}", unit.workload.name(), unit.queries[flat].name);
-        let mut budget = None;
-        match kind {
-            0 => unit.engine.set_cancel_after(Some(cancel_point)),
-            1 => unit.engine.set_deadline(Some(Duration::from_millis(deadline_ms))),
-            _ => {
-                budget = Some(mem_budget);
-                unit.engine.set_memory_budget(Some(mem_budget));
-            }
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| unit.engine.query_cached(&sql, &unit.orca)));
-        unit.engine.set_cancel_after(None);
-        unit.engine.set_deadline(None);
-        unit.engine.set_memory_budget(None);
-        if let Some(b) = budget {
-            let peak = unit.engine.last_peak_bytes();
-            if peak > b {
-                report.peak_violations += 1;
-                report.failures.push(format!("{name}: tracked peak {peak} over budget {b}"));
-            }
-        }
-        let failed = match outcome {
-            Err(_) => {
-                report.panics += 1;
-                report.failures.push(format!("{name}: panicked under disturbance"));
-                continue;
-            }
-            Ok(Ok(_)) => {
-                report.completed_ok += 1;
-                false
-            }
-            Ok(Err(e)) => {
-                match e {
-                    taurus_common::Error::Cancelled => report.cancelled += 1,
-                    taurus_common::Error::DeadlineExceeded { .. } => report.deadline_exceeded += 1,
-                    taurus_common::Error::MemoryExceeded { .. } => report.memory_exceeded += 1,
-                    other => report
-                        .failures
-                        .push(format!("{name}: foreign error under disturbance: {other}")),
-                }
-                true
-            }
-        };
-        if !failed {
-            continue;
-        }
-        // Serviceability: immediately after every governed failure, the
-        // same statement with clean knobs must produce the undisturbed
-        // answer — no poisoned plan cache, no wedged workers.
-        report.recovery_checks += 1;
-        if unit.refs[flat].is_none() {
-            // Reference from a fresh compile, bypassing the plan cache, so
-            // a poisoned cache entry cannot vouch for itself.
-            match unit.engine.query_with(&sql, &unit.orca) {
-                Ok(out) => unit.refs[flat] = Some(governance_canon(&out.rows)),
-                Err(e) => {
-                    report.failures.push(format!("{name}: reference compile failed: {e}"));
-                    continue;
-                }
-            }
-        }
-        let want = unit.refs[flat].as_ref().expect("just computed").clone();
-        match unit.engine.query_cached(&sql, &unit.orca) {
-            Err(e) => report.failures.push(format!("{name}: still failing after recovery: {e}")),
-            Ok(out) => {
-                if governance_canon(&out.rows) != want {
-                    report
-                        .failures
-                        .push(format!("{name}: answer diverged after a governed failure"));
-                }
-            }
-        }
-    }
-    report.memory_degraded = units.iter().map(|u| u.orca.stats().governed.memory_degraded).sum();
-    report
-}
-
-/// Format the governance report as markdown (the `harness governance` body).
-pub fn format_governance_report(r: &GovernanceReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "governance chaos: {} disturbed executions over {} templates\n",
-        r.injections, r.templates
-    );
-    let _ = writeln!(s, "| outcome | runs |");
-    let _ = writeln!(s, "|---|---|");
-    let _ = writeln!(s, "| completed before the disturbance tripped | {} |", r.completed_ok);
-    let _ = writeln!(s, "| cancelled | {} |", r.cancelled);
-    let _ = writeln!(s, "| deadline exceeded | {} |", r.deadline_exceeded);
-    let _ = writeln!(s, "| memory exceeded | {} |", r.memory_exceeded);
-    let _ = writeln!(s, "| rescued by the serial degradation rung | {} |", r.memory_degraded);
-    let _ = writeln!(s, "| post-failure recovery checks | {} |", r.recovery_checks);
-    let _ = writeln!(s, "| panics | {} |", r.panics);
-    let _ = writeln!(s, "| peak-memory budget violations | {} |", r.peak_violations);
-    if !r.failures.is_empty() {
-        let _ = writeln!(s, "\n{} violations:", r.failures.len());
-        for f in &r.failures {
-            let _ = writeln!(s, "- {f}");
-        }
-    }
-    s
-}
-
-// ------------------------------------------------------------------- orders
-
-/// One workload template measured with order optimization off vs on.
-#[derive(Debug, Clone)]
-pub struct OrdersMeasurement {
-    pub workload: &'static str,
-    pub name: String,
-    /// Rows the always-enforce serial reference returned.
-    pub rows: usize,
-    /// Sort nodes in the refined plan with `order_opt` off (always-enforce).
-    pub sorts_off: usize,
-    /// Sort nodes with `order_opt` on (redundant enforcers dropped).
-    pub sorts_on: usize,
-    /// Memo `plans_costed` with `order_properties` off (order-blind search).
-    pub plans_costed_off: u64,
-    /// Memo `plans_costed` with `order_properties` on (ordered alternatives
-    /// costed against plan-plus-enforcer).
-    pub plans_costed_on: u64,
-    /// Order-optimized rows byte-identical, in order, to the always-enforce
-    /// serial reference at dop 1, 4, and 8.
-    pub identical: bool,
-}
-
-/// The interesting-order report (`harness orders`).
-#[derive(Debug, Clone)]
-pub struct OrdersReport {
-    pub per_template: Vec<OrdersMeasurement>,
-}
-
-impl OrdersReport {
-    /// `(always-enforce, order-optimized)` Sort totals over all templates.
-    pub fn total_sorts(&self) -> (usize, usize) {
-        self.per_template.iter().fold((0, 0), |(off, on), m| (off + m.sorts_off, on + m.sorts_on))
-    }
-
-    /// The CI gate: dropped enforcers must never change bytes at any dop,
-    /// no template may gain a Sort, the ordered alternatives must stay
-    /// within 1.5× of the order-blind search effort per template, and the
-    /// optimization must actually fire — strictly fewer Sort nodes across
-    /// the workloads combined.
-    pub fn gate(&self) -> std::result::Result<(), String> {
-        for m in &self.per_template {
-            if !m.identical {
-                return Err(format!(
-                    "{} {}: order-optimized rows diverged from always-enforce",
-                    m.workload, m.name
-                ));
-            }
-            if m.sorts_on > m.sorts_off {
-                return Err(format!(
-                    "{} {}: order optimization added Sort nodes ({} from {})",
-                    m.workload, m.name, m.sorts_on, m.sorts_off
-                ));
-            }
-            // 1.5× the order-blind effort, plus the ordered machinery's
-            // fixed per-block charges (anchor ordered-leaf seed + root
-            // decision) that dominate only when the order-blind search is
-            // trivially small (a single-member block costs ~0 plans).
-            if m.plans_costed_on as f64 > 1.5 * m.plans_costed_off as f64 + 6.0 {
-                return Err(format!(
-                    "{} {}: ordered alternatives cost {} plans vs {} order-blind (> 1.5×)",
-                    m.workload, m.name, m.plans_costed_on, m.plans_costed_off
-                ));
-            }
-        }
-        let (off, on) = self.total_sorts();
-        if on >= off {
-            return Err(format!(
-                "no Sort enforcer was eliminated: {on} Sort nodes with order_opt on \
-                 vs {off} always-enforce"
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Run the interesting-order measurement over every TPC-H and TPC-DS
-/// template: Sort-node counts and memo search effort with the optimization
-/// off vs on, plus byte-identity of the optimized plans at dop 1/4/8
-/// against the always-enforce serial reference.
-pub fn run_orders(scale: Scale) -> OrdersReport {
-    let mut per_template = Vec::new();
-    for workload in [Workload::TpcH, Workload::TpcDs] {
-        let engine = workload.build_engine(scale);
-        // Lowered placement knobs so dop 4/8 actually parallelize at bench
-        // scales — the byte-identity claim must cover GatherMerge.
-        engine.set_parallel_threshold(8);
-        engine.set_morsel_rows(64);
-        // Threshold 1: every template takes the detour, so `plans_costed`
-        // measures the memo's ordered alternatives, not the routing policy.
-        let orca_off =
-            OrcaOptimizer::new(OrcaConfig { order_properties: false, ..OrcaConfig::default() }, 1);
-        let orca_on = OrcaOptimizer::new(OrcaConfig::default(), 1);
-        for q in workload.queries() {
-            engine.set_dop(1);
-            engine.set_order_opt(false);
-            let reference = engine.query(&q.sql).expect("workload query must run");
-            let off_plan = engine.plan(&q.sql, &MySqlOptimizer).expect("workload query must plan");
-            let sorts_off = mylite::orders::count_sorts(&off_plan.primary().plan);
-            engine.plan(&q.sql, &orca_off).expect("workload query must plan");
-            let plans_costed_off = orca_off.last_search_stats().plans_costed;
-
-            engine.set_order_opt(true);
-            let on_plan = engine.plan(&q.sql, &MySqlOptimizer).expect("workload query must plan");
-            let sorts_on = mylite::orders::count_sorts(&on_plan.primary().plan);
-            engine.plan(&q.sql, &orca_on).expect("workload query must plan");
-            let plans_costed_on = orca_on.last_search_stats().plans_costed;
-
-            let mut identical = true;
-            for dop in [1usize, 4, 8] {
-                engine.set_dop(dop);
-                let got = engine.query(&q.sql).expect("workload query must run");
-                if got.rows != reference.rows {
-                    identical = false;
-                    break;
-                }
-            }
-            engine.set_dop(1);
-            per_template.push(OrdersMeasurement {
-                workload: workload.name(),
-                name: q.name.to_string(),
-                rows: reference.rows.len(),
-                sorts_off,
-                sorts_on,
-                plans_costed_off,
-                plans_costed_on,
-                identical,
-            });
-        }
-    }
-    OrdersReport { per_template }
-}
-
-/// Format the orders report as markdown (the `harness orders` body). Only
-/// templates where the optimization changed the Sort count get a table row;
-/// the totals line always covers every template.
-pub fn format_orders_report(r: &OrdersReport) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "| workload | template | rows | Sorts enforce→optimized | \
-         plans costed blind→ordered | identical (dop 1/4/8) |"
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|");
-    for m in r.per_template.iter().filter(|m| m.sorts_on != m.sorts_off) {
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {}→{} | {}→{} | {} |",
-            m.workload,
-            m.name,
-            m.rows,
-            m.sorts_off,
-            m.sorts_on,
-            m.plans_costed_off,
-            m.plans_costed_on,
-            m.identical
-        );
-    }
-    let (off, on) = r.total_sorts();
-    let _ = writeln!(
-        s,
-        "\ntotal Sort nodes across {} templates: {off} always-enforce → {on} \
-         order-optimized ({} eliminated)",
-        r.per_template.len(),
-        off.saturating_sub(on)
-    );
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_runner_smoke() {
-        // Tiny scale, one reputation: just verify plumbing end to end.
-        let results = run_suite(Workload::TpcH, Scale(0.02), JoinOrderStrategy::Exhaustive, 1);
-        assert_eq!(results.len(), 22);
-        assert!(results.iter().all(|r| r.mysql_work > 0));
-        let table = format_suite_table(&results);
-        assert!(table.contains("| q1 |"));
-        assert!(table.contains("total:"));
-    }
-
-    #[test]
-    fn routing_report_accounts_for_every_query() {
-        let report = run_routing(
-            Workload::TpcH,
-            Scale(0.02),
-            JoinOrderStrategy::Exhaustive,
-            OrcaConfig::default(),
-        );
-        let s = &report.stats;
-        assert_eq!(s.routed + s.below_threshold + s.fallbacks, report.queries as u64, "{s:?}");
-        assert_eq!(s.reasons.total(), s.fallbacks);
-        let table = format_routing_table(&report);
-        assert!(table.contains("| routed to Orca |"), "{table}");
-        assert!(table.contains("| fell back to MySQL |"), "{table}");
-    }
-
-    #[test]
-    fn compile_totals_has_three_rows() {
-        let rows = compile_totals(Workload::TpcH, Scale(0.02));
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].compiler, "MySQL");
-        // Orca compilation is slower than MySQL compilation (§6.3 obs. 1).
-        assert!(rows[1].total > rows[0].total);
-        assert_eq!(rows[0].per_query.len(), 22);
-    }
-
-    #[test]
-    fn plan_cache_report_passes_its_own_gate() {
-        // 25 instances per template: 8 compulsory misses amortize to >95%.
-        let r = run_plan_cache(Scale(0.05), 25);
-        assert_eq!(r.executions, r.templates * 25);
-        r.gate().expect("plan-cache acceptance gate");
-        let table = format_plan_cache_report(&r);
-        assert!(table.contains("| cache hit rate |"), "{table}");
-        assert!(table.contains("| optimizer calls during hot phase | 0 |"), "{table}");
-    }
-
-    #[test]
-    fn parallel_report_passes_its_own_gate() {
-        let r = run_parallel(Scale(0.05), 4);
-        assert_eq!(r.per_template.len(), 4);
-        r.gate().expect("parallel acceptance gate");
-        let table = format_parallel_report(&r);
-        assert!(table.contains("median critical-path speedup"), "{table}");
-    }
-
-    #[test]
-    fn vectorized_report_is_byte_identical() {
-        // The ≥2x speedup half of the gate is wall-clock and only
-        // meaningful in release builds — ci.sh enforces it there. Under
-        // `cargo test` we pin the half that must hold everywhere: both
-        // batch variants return the serial row engine's exact bytes.
-        let r = run_vectorized(Scale(0.05), 4, 3);
-        assert_eq!(r.per_template.len(), 5);
-        for m in &r.per_template {
-            assert!(m.batch_match, "{}: serial batch diverged", m.name);
-            assert!(m.batch_par_match, "{}: dop-4 batch diverged", m.name);
-            assert!(m.rows > 0, "{}: template returned nothing, proves nothing", m.name);
-        }
-        let table = format_vectorized_report(&r);
-        assert!(table.contains("median serial-batch speedup"), "{table}");
-        assert!(table.contains("q6-filter-agg"), "{table}");
-    }
-
-    #[test]
-    fn vectorized_gate_catches_divergence_and_slowdowns() {
-        let mut r = VectorizedReport {
-            dop: 4,
-            reps: 3,
-            per_template: vec![VectorizedMeasurement {
-                name: "q6-filter-agg",
-                rows: 1,
-                row_ns: 1000,
-                batch_ns: 400,
-                batch_par_ns: 300,
-                batch_match: true,
-                batch_par_match: true,
-            }],
-        };
-        r.gate().expect("clean report passes");
-        r.per_template[0].batch_ns = 900;
-        assert!(r.gate().unwrap_err().contains("< 2.0x"));
-        r.per_template[0].batch_ns = 400;
-        r.per_template[0].batch_par_match = false;
-        assert!(r.gate().unwrap_err().contains("dop=4"));
-        r.per_template[0].batch_par_match = true;
-        r.per_template[0].batch_match = false;
-        assert!(r.gate().unwrap_err().contains("diverged"));
-    }
-
-    #[test]
-    fn observe_report_passes_its_own_gate() {
-        let r = run_observe(Scale(0.05), 4);
-        assert_eq!(r.per_template.len(), 22 + 99, "every TPC-H and TPC-DS template");
-        r.gate(OBSERVE_Q_CEILING).expect("observe acceptance gate");
-        assert!(r.median_q() >= 1.0 && r.median_q() < 20.0, "median {}", r.median_q());
-        let table = format_observe_report(&r);
-        assert!(table.contains("worst template:"), "{table}");
-        assert!(table.contains("| TPC-H | q1 |"), "{table}");
-    }
-
-    #[test]
-    fn observe_gate_catches_divergence_and_blowups() {
-        let mut r = ObserveReport {
-            dop: 4,
-            per_template: vec![ObserveMeasurement {
-                workload: "TPC-H",
-                name: "q1".into(),
-                operators: 5,
-                executed: 5,
-                max_q: 2.0,
-                serial_identical: true,
-                parallel_identical: true,
-            }],
-        };
-        r.gate(OBSERVE_Q_CEILING).expect("clean report passes");
-        r.per_template[0].max_q = OBSERVE_Q_CEILING * 10.0;
-        assert!(r.gate(OBSERVE_Q_CEILING).unwrap_err().contains("q-error"));
-        r.per_template[0].max_q = 2.0;
-        r.per_template[0].parallel_identical = false;
-        assert!(r.gate(OBSERVE_Q_CEILING).unwrap_err().contains("dop=4"));
-        r.per_template[0].parallel_identical = true;
-        r.per_template[0].serial_identical = false;
-        assert!(r.gate(OBSERVE_Q_CEILING).unwrap_err().contains("diverged"));
-    }
-
-    #[test]
-    fn governance_report_passes_its_own_gate() {
-        // A small chaos budget for test speed; ci.sh runs the full mix.
-        let r = run_governance(Scale(0.05), 40);
-        assert_eq!(r.templates, 22 + 99, "round-robin covers both workloads");
-        assert_eq!(r.injections, 40);
-        r.gate().expect("governance acceptance gate");
-        assert!(r.governed_trips() > 0, "disturbances must actually trip: {r:?}");
-        let table = format_governance_report(&r);
-        assert!(table.contains("| cancelled |"), "{table}");
-        assert!(table.contains("| panics | 0 |"), "{table}");
-    }
-
-    #[test]
-    fn governance_gate_flags_every_violation_class() {
-        let clean = GovernanceReport {
-            injections: 10,
-            templates: 5,
-            completed_ok: 4,
-            cancelled: 3,
-            deadline_exceeded: 2,
-            memory_exceeded: 1,
-            memory_degraded: 0,
-            panics: 0,
-            peak_violations: 0,
-            recovery_checks: 6,
-            failures: Vec::new(),
-        };
-        clean.gate().expect("clean report passes");
-        let mut r = clean.clone();
-        r.panics = 1;
-        assert!(r.gate().unwrap_err().contains("panicked"));
-        r = clean.clone();
-        r.peak_violations = 2;
-        assert!(r.gate().unwrap_err().contains("memory budget"));
-        r = clean.clone();
-        r.failures.push("TPC-H q1: answer diverged after a governed failure".into());
-        assert!(r.gate().unwrap_err().contains("diverged"));
-        r = clean;
-        r.cancelled = 0;
-        r.deadline_exceeded = 0;
-        r.memory_exceeded = 0;
-        assert!(r.gate().unwrap_err().contains("proved nothing"));
-    }
-
-    #[test]
-    fn orders_report_passes_its_own_gate() {
-        let r = run_orders(Scale(0.05));
-        assert_eq!(r.per_template.len(), 22 + 99, "every TPC-H and TPC-DS template");
-        r.gate().expect("orders acceptance gate");
-        let (off, on) = r.total_sorts();
-        assert!(on < off, "no enforcer eliminated: {on} vs {off}");
-        let table = format_orders_report(&r);
-        assert!(table.contains("total Sort nodes across 121 templates"), "{table}");
-    }
-
-    #[test]
-    fn orders_gate_catches_every_violation_class() {
-        let clean = OrdersReport {
-            per_template: vec![
-                OrdersMeasurement {
-                    workload: "TPC-H",
-                    name: "q1".into(),
-                    rows: 4,
-                    sorts_off: 2,
-                    sorts_on: 1,
-                    plans_costed_off: 100,
-                    plans_costed_on: 120,
-                    identical: true,
-                },
-                OrdersMeasurement {
-                    workload: "TPC-H",
-                    name: "q3".into(),
-                    rows: 10,
-                    sorts_off: 1,
-                    sorts_on: 1,
-                    plans_costed_off: 50,
-                    plans_costed_on: 60,
-                    identical: true,
-                },
-            ],
-        };
-        clean.gate().expect("clean report passes");
-        let mut r = clean.clone();
-        r.per_template[0].identical = false;
-        assert!(r.gate().unwrap_err().contains("diverged"));
-        r = clean.clone();
-        r.per_template[0].plans_costed_on = 157;
-        assert!(r.gate().unwrap_err().contains("1.5×"));
-        r = clean.clone();
-        r.per_template[1].sorts_on = 2;
-        assert!(r.gate().unwrap_err().contains("added Sort nodes"));
-        r = clean;
-        r.per_template[0].sorts_on = 2;
-        assert!(r.gate().unwrap_err().contains("no Sort enforcer was eliminated"));
-    }
-
-    #[test]
-    fn q17_case_study_matches_paper_shape() {
-        let cs = q17_case_study(Scale(0.05), 1);
-        // Listing 7's key features: the Orca EXPLAIN banner, a correlated
-        // materialization, and the derived table in the plan.
-        assert!(cs.orca_explain.starts_with("EXPLAIN (ORCA)"));
-        assert!(cs.orca_explain.contains("Materialize (invalidate on outer row)"));
-        assert!(cs.orca_explain.contains("derived"));
-    }
-
-    #[test]
-    fn q72_case_study_plan_shapes() {
-        let cs = q72_case_study(Scale(0.05), 1);
-        // MySQL: left-deep (Fig 4). Orca: at least as many hash joins and
-        // no more work than MySQL (Fig 5's better join methods).
-        assert!(cs.mysql_left_deep);
-        assert!(cs.orca_joins.1 >= cs.mysql_joins.1);
-        assert!(cs.orca_work <= cs.mysql_work);
     }
 }

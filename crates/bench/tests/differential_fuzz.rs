@@ -1,13 +1,13 @@
-//! The differential fuzzer's own regression suite: a bounded seeded run
-//! through all eight oracles, plus the minimized cross-plan repros the bug
-//! sweeps produced — each asserted across every plan path (native, Orca,
-//! parallel, plan-cache) so a regression in any one layer trips it.
+//! The differential fuzzer's regression suite: the minimized cross-plan
+//! repros the bug sweeps produced — each asserted across every plan path
+//! (native, Orca, parallel, plan-cache) so a regression in any one layer
+//! trips it. (The bounded seeded run through all nine oracles is the
+//! registry's table-driven gate test, `tests/registry.rs`.)
 
 use mylite::{Engine, MySqlOptimizer};
 use orcalite::OrcaConfig;
-use taurus_bench::fuzz::{self, build_adversarial_catalog};
+use taurus_bench::gates::fuzz::build_adversarial_catalog;
 use taurus_bridge::OrcaOptimizer;
-use taurus_workloads::Scale;
 
 fn engine() -> (Engine, OrcaOptimizer) {
     let e = Engine::new(build_adversarial_catalog());
@@ -48,18 +48,6 @@ fn assert_all_paths(e: &Engine, orca: &OrcaOptimizer, sql: &str, expect_rows: us
     for r in &results[1..] {
         assert_eq!(&results[0], r, "plan paths disagree for: {sql}");
     }
-}
-
-#[test]
-fn fuzz_gate_bounded_run() {
-    // The CI gate in miniature: two seeds through all eight oracles with a
-    // reduced budget. Any miscompare fails with the minimized repro.
-    let r = fuzz::run_fuzz(&[0, 1], 40, Scale(0.05));
-    for f in &r.failures {
-        eprintln!("{}", f.minimized);
-    }
-    r.gate().expect("bounded fuzz run found a miscompare");
-    assert_eq!(r.generated, 80);
 }
 
 #[test]

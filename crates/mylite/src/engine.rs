@@ -143,7 +143,7 @@ impl CostBasedOptimizer for MySqlOptimizer {
         bound: &BoundStatement,
         fb: &CardOverrides,
     ) -> Result<Skeleton> {
-        optimize_statement_feedback(catalog, bound, fb)
+        optimize_statement_feedback(catalog, bound, Some(fb))
     }
 }
 

@@ -39,8 +39,7 @@ pub mod cost {
 /// Entry point: optimize every block of the statement (derived tables
 /// bottom-up) into a skeleton plan.
 pub fn optimize_statement(catalog: &Catalog, bound: &BoundStatement) -> Result<Skeleton> {
-    let ctx = PlanCtx { catalog, bound, fb: None };
-    ctx.optimize_block(&bound.root, &BTreeSet::new())
+    optimize_statement_feedback(catalog, bound, None)
 }
 
 /// [`optimize_statement`] with observed-cardinality overrides from a prior
@@ -50,9 +49,9 @@ pub fn optimize_statement(catalog: &Catalog, bound: &BoundStatement) -> Result<S
 pub fn optimize_statement_feedback(
     catalog: &Catalog,
     bound: &BoundStatement,
-    fb: &CardOverrides,
+    fb: Option<&CardOverrides>,
 ) -> Result<Skeleton> {
-    let ctx = PlanCtx { catalog, bound, fb: Some(fb) };
+    let ctx = PlanCtx { catalog, bound, fb };
     ctx.optimize_block(&bound.root, &BTreeSet::new())
 }
 
@@ -65,14 +64,11 @@ pub fn optimize_statement_feedback(
 /// shape: fifteen stacked one-row derived tables estimated at ~70 rows
 /// each compound to a 10^28 q-error). Shared with the bridge so the Orca
 /// detour sees the same numbers.
-pub fn derived_output_rows(block: &BoundQuery, join_rows: f64) -> f64 {
-    derived_output_rows_fb(block, join_rows, None)
-}
-
-/// [`derived_output_rows`] consulting feedback overrides first: an observed
-/// grouped-aggregate output over the block's member set replaces the
-/// one-in-ten group guess — the guess that compounds into the worst
-/// q-errors when group counts are data-dependent.
+///
+/// Feedback overrides are consulted first: an observed grouped-aggregate
+/// output over the block's member set replaces the one-in-ten group guess
+/// — the guess that compounds into the worst q-errors when group counts
+/// are data-dependent.
 pub fn derived_output_rows_fb(
     block: &BoundQuery,
     join_rows: f64,

@@ -27,45 +27,19 @@ use taurus_common::error::{Error, Result};
 use taurus_common::{AggFunc, BinOp, Expr};
 use taurus_executor::{AggSpec, AggStrategy, Est, JoinKind, Plan, SortKey};
 
-/// Refine a whole statement's skeleton into an executable plan.
-pub fn refine_statement(
-    catalog: &Catalog,
-    bound: &BoundStatement,
-    skeleton: &Skeleton,
-) -> Result<Plan> {
-    refine_statement_parallel(catalog, bound, skeleton, &taurus_executor::ParallelOpts::default())
-}
-
-/// Refine and, when `opts.dop > 1`, place exchange operators for parallel
-/// execution. Exchange placement runs *before* cache-slot assignment so
-/// broadcast slots are numbered alongside materialize slots; it is also the
-/// one refinement step that is not optimizer-oblivious — the dop arrives
-/// from Orca's cost model (or the engine's knob) via the skeleton.
-pub fn refine_statement_parallel(
-    catalog: &Catalog,
-    bound: &BoundStatement,
-    skeleton: &Skeleton,
-    opts: &taurus_executor::ParallelOpts,
-) -> Result<Plan> {
-    refine_statement_feedback(catalog, bound, skeleton, opts, None)
-}
-
-/// [`refine_statement_parallel`] with observed-cardinality overrides: the
-/// estimates refinement stamps onto plan nodes (the numbers EXPLAIN ANALYZE
-/// compares against actuals) consult the same feedback table the join-order
-/// search used, so a re-optimized plan's annotations reflect the injected
-/// observations rather than the stale guesses.
-pub fn refine_statement_feedback(
-    catalog: &Catalog,
-    bound: &BoundStatement,
-    skeleton: &Skeleton,
-    opts: &taurus_executor::ParallelOpts,
-    fb: Option<&CardOverrides>,
-) -> Result<Plan> {
-    refine_statement_orders(catalog, bound, skeleton, opts, fb, true)
-}
-
-/// [`refine_statement_feedback`] with the order-optimization knob explicit.
+/// Refine a whole statement's skeleton into an executable plan and, when
+/// `opts.dop > 1`, place exchange operators for parallel execution.
+/// Exchange placement runs *before* cache-slot assignment so broadcast
+/// slots are numbered alongside materialize slots; it is also the one
+/// refinement step that is not optimizer-oblivious — the dop arrives from
+/// Orca's cost model (or the engine's knob) via the skeleton.
+///
+/// `fb` carries observed-cardinality overrides: the estimates refinement
+/// stamps onto plan nodes (the numbers EXPLAIN ANALYZE compares against
+/// actuals) consult the same feedback table the join-order search used, so
+/// a re-optimized plan's annotations reflect the injected observations
+/// rather than the stale guesses.
+///
 /// `order_opt = true` (every default path) drops `Sort` enforcers whose
 /// input already delivers their keys — a per-plan identity transform under
 /// the stable-sort rule (`crate::orders`), so the only difference from
