@@ -1,0 +1,303 @@
+//! The memo's diffable record and its search-space invariants.
+//!
+//! * `memo_plans_match_golden` plans all 22 TPC-H + 99 TPC-DS templates at
+//!   threshold 1 under GREEDY, EXHAUSTIVE and EXHAUSTIVE2 and holds, per
+//!   (template, strategy), the Fig 6 sketch (operator names with memo group
+//!   ids), the whole physical tree (keys, consumed conjuncts, residuals),
+//!   the root cost and rows as bit patterns, the EXPLAIN text and the three
+//!   search counters against `tests/golden/memo_plans.tsv`, together with a
+//!   budget sweep over a 10-member block. `BLESS=1 cargo test --test
+//!   memo_search` rewrites the file; a change to the memo that is meant to
+//!   keep the search as it is must pass without re-blessing.
+//! * `search_space_is_monotone` checks, block by block on every template
+//!   and on 200 seeded fuzzer queries, that a wider search never finds a
+//!   costlier winner and that the ordered-root decision never beats
+//!   `plain + sort` the wrong way.
+
+use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write;
+use taurus_bench::gates::fuzz::{build_adversarial_catalog, gen_spec, schema_of};
+use taurus_orca::bridge::plan_converter::to_skeleton;
+use taurus_orca::bridge::tree_converter::{convert_block, InnerEstimates};
+use taurus_orca::bridge::{FallbackReason, MySqlMdProvider, OrcaOptimizer};
+use taurus_orca::mylite::optimizer::derived_output_rows_fb;
+use taurus_orca::mylite::resolve::resolve_union_branches;
+use taurus_orca::mylite::{BoundQuery, BoundStatement, Engine, Skeleton, TableSource};
+use taurus_orca::orcalite::{
+    cost, optimize_block_cached, BlockDesc, JoinOrderStrategy, MdCache, OrcaConfig, OrcaPlan,
+    SearchBudget,
+};
+use taurus_orca::prelude::{Error, Result};
+use taurus_orca::sql::rewrite::rewrite_set_ops;
+use taurus_orca::sql::{parse, Statement};
+use taurus_orca::workloads::gen::SmallRng;
+use taurus_orca::workloads::{tpcds, tpch, Scale};
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/memo_plans.tsv");
+
+const STRATEGIES: [(&str, JoinOrderStrategy); 3] = [
+    ("GREEDY", JoinOrderStrategy::Greedy),
+    ("EXHAUSTIVE", JoinOrderStrategy::Exhaustive),
+    ("EXHAUSTIVE2", JoinOrderStrategy::Exhaustive2),
+];
+
+/// The 121 templates with the engine each runs on.
+fn templates() -> (Engine, Engine, Vec<(String, usize, String)>) {
+    let h = Engine::new(tpch::build_catalog(Scale(0.1)));
+    let ds = Engine::new(tpcds::build_catalog(Scale(0.1)));
+    let mut all = Vec::new();
+    for q in tpch::queries() {
+        all.push((format!("tpch.{}", q.name), 0, q.sql));
+    }
+    for q in tpcds::queries() {
+        all.push((format!("tpcds.{}", q.name), 1, q.sql));
+    }
+    (h, ds, all)
+}
+
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *hash = (*hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The router's block walk (`router.rs::optimize_block`): derived members'
+/// blocks first, then this block. `search` is handed every block's
+/// description and returns the plan whose estimates flow outward.
+fn walk_blocks(
+    bound: &BoundStatement,
+    provider: &MySqlMdProvider<'_>,
+    md: &MdCache<'_>,
+    block: &BoundQuery,
+    outer: &BTreeSet<usize>,
+    search: &mut dyn FnMut(&BlockDesc, &MdCache<'_>) -> Result<OrcaPlan>,
+) -> Result<Skeleton> {
+    let mut inner_estimates = InnerEstimates::new();
+    let mut inner_skeletons: HashMap<usize, Skeleton> = HashMap::new();
+    let mut inner_outer = outer.clone();
+    inner_outer.extend(block.member_qts());
+    for m in &block.members {
+        if let TableSource::Derived { query, .. } = &bound.table(m.qt).source {
+            let sk = walk_blocks(bound, provider, md, query, &inner_outer, search)?;
+            let rows = derived_output_rows_fb(query, sk.root.rows(), None);
+            inner_estimates.insert(m.qt, (rows, sk.root.cost()));
+            inner_skeletons.insert(m.qt, sk);
+        }
+    }
+    let (desc, _oids) = convert_block(bound, block, provider, &inner_estimates, outer)?;
+    let plan = search(&desc, md)?;
+    to_skeleton(&plan, block, &inner_skeletons)
+}
+
+/// Every block of every union branch of `sql`, through `search`.
+fn for_each_block(
+    engine: &Engine,
+    sql: &str,
+    search: &mut dyn FnMut(&BlockDesc, &MdCache<'_>) -> Result<OrcaPlan>,
+) -> Result<()> {
+    let Statement::Select(stmt) = parse(sql)? else {
+        return Err(Error::semantic("expected SELECT"));
+    };
+    let cat = engine.catalog();
+    for (bound, _all) in resolve_union_branches(&cat, &rewrite_set_ops(stmt)?)? {
+        let provider = MySqlMdProvider::new(&cat);
+        let md = MdCache::new(&provider);
+        walk_blocks(&bound, &provider, &md, &bound.root, &BTreeSet::new(), search)?;
+    }
+    Ok(())
+}
+
+/// One golden line for (template, strategy).
+fn plan_record(engine: &Engine, key: &str, sql: &str, name: &str, s: JoinOrderStrategy) -> String {
+    let cfg = OrcaConfig::with_strategy(s);
+    let (mut sketch, mut tree) = (FNV_SEED, FNV_SEED);
+    let (mut blocks, mut groups, mut splits, mut costed) = (0usize, 0usize, 0u64, 0u64);
+    let (mut root_cost, mut root_rows) = (0u64, 0u64);
+    for_each_block(engine, sql, &mut |desc, md| {
+        let plan = optimize_block_cached(desc, md, &cfg)?;
+        fnv(&mut sketch, plan.root.sketch().as_bytes());
+        fnv(&mut tree, format!("{:?}", plan.root).as_bytes());
+        blocks += 1;
+        groups += plan.stats.groups;
+        splits += plan.stats.splits_explored;
+        costed += plan.stats.plans_costed;
+        // The walk ends on the last branch's outermost block.
+        root_cost = plan.root.cost().to_bits();
+        root_rows = plan.root.rows().to_bits();
+        Ok(plan)
+    })
+    .unwrap_or_else(|e| panic!("{key} under {name}: {e}"));
+    // The same statement through the real router: its EXPLAIN text, and
+    // its counters, which the walk above must reproduce.
+    let orca = OrcaOptimizer::new(cfg, 1);
+    let explain = engine.explain(sql, &orca).unwrap_or_else(|e| panic!("{key}: {e}"));
+    let routed = orca.stats().search;
+    assert_eq!(
+        (routed.groups, routed.splits_explored, routed.plans_costed),
+        (groups, splits, costed),
+        "{key} under {name}: the test's block walk has drifted from the router's"
+    );
+    let mut text = FNV_SEED;
+    fnv(&mut text, explain.as_bytes());
+    format!(
+        "{key}\t{name}\t{blocks}\t{sketch:016x}\t{tree:016x}\t{root_cost:016x}\t{root_rows:016x}\t\
+         {text:016x}\t{groups}\t{splits}\t{costed}"
+    )
+}
+
+/// The 10-member block of the budget sweep: a TPC-DS store_sales star.
+const SWEEP_SQL: &str = "SELECT i_item_id, s_store_name, COUNT(*) \
+    FROM store_sales, date_dim, item, store, customer, customer_address, \
+         customer_demographics, household_demographics, promotion, store_returns \
+    WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk \
+      AND ss_store_sk = s_store_sk AND ss_customer_sk = c_customer_sk \
+      AND c_current_addr_sk = ca_address_sk AND ss_cdemo_sk = cd_demo_sk \
+      AND ss_hdemo_sk = hd_demo_sk AND ss_promo_sk = p_promo_sk \
+      AND sr_item_sk = ss_item_sk AND sr_ticket_number = ss_ticket_number \
+      AND d_year = 2000 AND ca_state = 'TX' \
+    GROUP BY i_item_id, s_store_name";
+
+/// Where the degradation ladder lands at one budget: the rung and strategy
+/// of the trace and what the search that succeeded there spent, or `native`
+/// once every rung is exhausted.
+fn sweep_record(engine: &Engine, which: &str, limit: u64) -> String {
+    let budget = match which {
+        "max_groups" => SearchBudget { max_groups: limit as usize, ..SearchBudget::UNLIMITED },
+        _ => SearchBudget { max_plans_costed: limit, ..SearchBudget::UNLIMITED },
+    };
+    let orca = OrcaOptimizer::new(OrcaConfig { budget, ..OrcaConfig::default() }, 1);
+    engine.plan(SWEEP_SQL, &orca).expect("the router never fails a plannable statement");
+    let landed = match orca.last_fallback() {
+        Some(reason) => {
+            assert_eq!(reason, FallbackReason::BudgetExhausted);
+            "native\t-\t-\t-".to_string()
+        }
+        None => {
+            let t = orca.last_search_trace().expect("a routed statement has a trace");
+            format!(
+                "rung{} {}\t{}\t{}\t{}",
+                t.rung, t.strategy, t.groups, t.group_exprs, t.plans_costed
+            )
+        }
+    };
+    format!("sweep.{which}\t{limit}\t{landed}")
+}
+
+fn golden_text() -> String {
+    let (h, ds, all) = templates();
+    let mut out = String::from(
+        "# template\tstrategy\tblocks\tsketch\ttree\troot_cost\troot_rows\texplain\t\
+         groups\tsplits_explored\tplans_costed\n",
+    );
+    for (key, side, sql) in &all {
+        let engine = if *side == 0 { &h } else { &ds };
+        for (name, s) in STRATEGIES {
+            let _ = writeln!(out, "{}", plan_record(engine, key, sql, name, s));
+        }
+    }
+    // The sweep: powers of two, plus the last few budgets below what each
+    // strategy spends unbudgeted — the exact points where a rung starts to
+    // fit. Budgets count created groups and costed plans.
+    out.push_str("# sweep\tlimit\tlanded\tgroups\tsplits_explored\tplans_costed\n");
+    let mut costed_limits: Vec<u64> = (4..24).map(|s| 1 << s).collect();
+    let mut group_limits: Vec<u64> = (1..14).map(|s| 1 << s).collect();
+    for (_, s) in STRATEGIES {
+        for_each_block(&ds, SWEEP_SQL, &mut |desc, md| {
+            assert_eq!(desc.members.len(), 10, "the sweep is over a 10-member block");
+            let plan = optimize_block_cached(desc, md, &OrcaConfig::with_strategy(s))?;
+            costed_limits.extend(plan.stats.plans_costed - 4..=plan.stats.plans_costed);
+            group_limits.extend(plan.stats.groups as u64 - 2..=plan.stats.groups as u64);
+            Ok(plan)
+        })
+        .expect("the sweep block plans");
+    }
+    for (which, mut limits) in [("max_plans_costed", costed_limits), ("max_groups", group_limits)] {
+        limits.sort_unstable();
+        limits.dedup();
+        for limit in limits {
+            let _ = writeln!(out, "{}", sweep_record(&ds, which, limit));
+        }
+    }
+    out
+}
+
+#[test]
+fn memo_plans_match_golden() {
+    let got = golden_text();
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(GOLDEN, &got).expect("write the golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(GOLDEN).expect("tests/golden/memo_plans.tsv (BLESS=1)");
+    let diffs: Vec<String> = want
+        .lines()
+        .zip(got.lines())
+        .filter(|(w, g)| w != g)
+        .map(|(w, g)| format!("- {w}\n+ {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && want.lines().count() == got.lines().count(),
+        "{} of {} records differ from {GOLDEN}:\n{}",
+        diffs.len(),
+        want.lines().count(),
+        diffs.join("\n")
+    );
+}
+
+/// Block-level invariants on one statement; returns how many blocks were
+/// checked. Every strategy sees the same block description, so the
+/// comparison is of search spaces alone.
+fn check_monotone(engine: &Engine, key: &str, sql: &str) -> Result<usize> {
+    let mut checked = 0;
+    for_each_block(engine, sql, &mut |desc, md| {
+        let plan = |s: JoinOrderStrategy, order_properties: bool| {
+            let cfg = OrcaConfig { order_properties, ..OrcaConfig::with_strategy(s) };
+            optimize_block_cached(desc, md, &cfg)
+        };
+        let [greedy, exh, exh2] = [
+            plan(JoinOrderStrategy::Greedy, false)?,
+            plan(JoinOrderStrategy::Exhaustive, false)?,
+            plan(JoinOrderStrategy::Exhaustive2, false)?,
+        ];
+        let (g, e, e2) = (greedy.root.cost(), exh.root.cost(), exh2.root.cost());
+        assert!(e2 <= e && e <= g, "{key}: EXHAUSTIVE2 {e2} ≤ EXHAUSTIVE {e} ≤ GREEDY {g}");
+        assert_eq!(exh2.root.rows().to_bits(), greedy.root.rows().to_bits(), "{key}: rows");
+        for (plain, s) in
+            [(&exh, JoinOrderStrategy::Exhaustive), (&exh2, JoinOrderStrategy::Exhaustive2)]
+        {
+            let ordered = plan(s, true)?;
+            let (oc, pc) = (ordered.root.cost(), plain.root.cost());
+            assert!(
+                oc == pc || oc < pc + cost::sort(plain.root.rows()),
+                "{key}: ordered root {oc} vs plain {pc} + sort"
+            );
+        }
+        checked += 1;
+        plan(JoinOrderStrategy::Exhaustive2, true)
+    })?;
+    Ok(checked)
+}
+
+#[test]
+fn search_space_is_monotone() {
+    let (h, ds, all) = templates();
+    for (key, side, sql) in &all {
+        let engine = if *side == 0 { &h } else { &ds };
+        check_monotone(engine, key, sql).unwrap_or_else(|e| panic!("{key}: {e}"));
+    }
+    // 200 fuzzer queries, rotated over the three schemas as the fuzz gate
+    // does. A generated query the detour cannot convert is skipped, not
+    // failed: the fuzz gate owns that verdict.
+    let engines = [h, ds, Engine::new(build_adversarial_catalog())];
+    let schemas: Vec<_> = engines.iter().map(schema_of).collect();
+    let mut structure = SmallRng::seed_from_u64(0x5ea2_c4);
+    let mut blocks = 0;
+    for i in 0..200u64 {
+        let which = i as usize % engines.len();
+        let mut literals = SmallRng::seed_from_u64(i);
+        let sql = gen_spec(&mut structure, &mut literals, &schemas[which]).render();
+        blocks += check_monotone(&engines[which], &sql, &sql).unwrap_or(0);
+    }
+    assert!(blocks >= 150, "only {blocks} fuzzer blocks were checked");
+}
