@@ -105,39 +105,142 @@ struct Member {
     /// side: the product of its ON-equality key-column NDVs (∞ when no
     /// bare-column equality exists).
     eq_ndv: f64,
+    /// Members a pool equality `expr(this) = expr(that)` ties this one to,
+    /// both sides single members: a hash key for any split separating them.
+    eq_nbrs: Bits,
+    /// The two sides' members of each cross ON equality: a hash key once
+    /// this member, as the lone right side, is split from the other side.
+    on_eq: Vec<(Bits, Bits)>,
+    /// The indexes a join can probe with this member as the lone right
+    /// side (base relations only; none under a NULL-aware anti join).
+    lookups: Vec<LookupIndex>,
 }
 
-/// A decided physical implementation of a join split.
-#[derive(Debug, Clone)]
-enum ImplChoice {
+/// One index of a lone-right member, as a lookup-join target.
+struct LookupIndex {
+    /// Host-side index position.
+    position: usize,
+    unique: bool,
+    /// Per leading key column, the equality conjuncts that can feed it, in
+    /// join-condition order; the first whose needs the left side covers is
+    /// used. Ends before the first column nothing can feed.
+    cols: Vec<Vec<LookupKey>>,
+    /// Selectivity of a probe on the first `k + 1` columns.
+    sel: Vec<f64>,
+}
+
+/// `col(member) = key(others)`: a conjunct that can key an index column.
+#[derive(Clone, Copy)]
+struct LookupKey {
+    /// Members the left side must hold: the key's, and for a pool conjunct
+    /// all of its others (it attaches at the join only then).
+    need: Bits,
+    /// The conjunct: `pool[at]`, or past the pool the member's `on_cross`.
+    at: usize,
+}
+
+/// How a split is implemented. With the right side's member set this is a
+/// whole decision: lookup keys, consumed conjuncts and hash keys are
+/// re-derived once, in `reconstruct`.
+#[derive(Clone, Copy, PartialEq)]
+enum Impl {
+    /// No winner.
+    None,
+    Leaf,
     /// Hash join, build on the right (Orca convention).
     Hash,
-    /// Index nested loop: probe the lone right member's index.
-    Lookup { index: usize, keys: Vec<Expr>, consumed: Vec<Expr>, rows_per_probe: f64 },
+    /// Index nested loop probing the lone right member's cheapest lookup.
+    Lookup,
     /// Plain nested loop / correlated apply.
     NestedLoop,
 }
 
-/// What a group decided to do.
-#[derive(Debug, Clone)]
-enum Decision {
-    Leaf,
-    Join { s1: Bits, s2: Bits, choice: ImplChoice },
+/// The cheapest decision seen for a group (left side = the group's set
+/// minus `s2`).
+#[derive(Clone, Copy)]
+struct Winner {
+    cost: f64,
+    s2: Bits,
+    imp: Impl,
 }
 
-/// One memo group: a plannable subset with derived properties and winner.
+impl Winner {
+    const NONE: Winner = Winner { cost: f64::INFINITY, s2: 0, imp: Impl::None };
+
+    fn cost(&self) -> Option<f64> {
+        (self.imp != Impl::None).then_some(self.cost)
+    }
+
+    /// Keep the cheaper decision; of equals, the first offered.
+    fn offer(&mut self, cost: f64, s2: Bits, imp: Impl) {
+        if self.imp == Impl::None || cost < self.cost {
+            *self = Winner { cost, s2, imp };
+        }
+    }
+}
+
+/// One memo group: a member subset with derived properties and winner.
+/// Its id is its position in the table.
 struct Group {
-    id: usize,
+    set: Bits,
     rows: f64,
-    winner: Option<(f64, Decision)>,
+    /// Union of the members' `eq_nbrs`.
+    eq_nbrs: Bits,
+    winner: Winner,
     /// Cheapest implementation that *also delivers the required order*:
     /// the anchor member's ordered access on the leftmost spine, carried
-    /// upward because every join implementation streams its left input in
-    /// order (nested loops iterate the outer side; hash joins build right
-    /// and emit probe rows in probe order). Compared against
+    /// upward by order-preserving joins (see `best`). Compared against
     /// `winner + sort(rows)` at the root; cost decides.
-    winner_ord: Option<(f64, Decision)>,
+    winner_ord: Winner,
     explored: bool,
+}
+
+/// The memo's groups in first-touch order, found by member set through an
+/// open-addressing index of positions (Fibonacci hashing, at most half
+/// full, doubling) — the same table for every strategy and member count.
+struct GroupTable {
+    groups: Vec<Group>,
+    /// `position + 1` of a group, or 0.
+    slots: Vec<u32>,
+    shift: u32,
+}
+
+impl GroupTable {
+    fn new() -> GroupTable {
+        GroupTable { groups: Vec::new(), slots: vec![0; 16], shift: 60 }
+    }
+
+    /// The slot holding `set`, or the empty one where it belongs.
+    fn slot(&self, set: Bits) -> usize {
+        let mut at = (set.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.slots[at] {
+                0 => return at,
+                g if self.groups[g as usize - 1].set == set => return at,
+                _ => at = (at + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    fn find(&self, set: Bits) -> Option<usize> {
+        (self.slots[self.slot(set)] as usize).checked_sub(1)
+    }
+
+    /// Append a group whose set is not in the table; returns its id.
+    fn push(&mut self, group: Group) -> usize {
+        if (self.groups.len() + 1) * 2 > self.slots.len() {
+            self.shift -= 1;
+            self.slots = vec![0; self.slots.len() * 2];
+            for id in 0..self.groups.len() {
+                let at = self.slot(self.groups[id].set);
+                self.slots[at] = id as u32 + 1;
+            }
+        }
+        let at = self.slot(group.set);
+        self.groups.push(group);
+        self.slots[at] = self.groups.len() as u32;
+        self.groups.len() - 1
+    }
 }
 
 struct Search<'a> {
@@ -150,15 +253,15 @@ struct Search<'a> {
     pool_mask: Vec<Bits>,
     /// Precomputed selectivity per pool conjunct.
     pool_sel: Vec<f64>,
-    /// For equality conjuncts: member masks of the two sides (for fast
-    /// hash-key availability checks).
-    pool_eq_sides: Vec<Option<(Bits, Bits)>>,
-    est: Estimator,
+    /// Pool equalities with several members on a side, as the two sides'
+    /// member masks (single-member pairs live in `Member::eq_nbrs`).
+    eq_wide: Vec<(Bits, Bits)>,
+    /// Members with dependencies (`dep_bits != 0`).
+    dependents: Bits,
     /// Observed-cardinality overrides from the metadata cache (feedback-
     /// driven re-optimization): exact-set hits replace derived group rows.
     fb: Option<Arc<CardOverrides>>,
-    groups: HashMap<Bits, Group>,
-    next_group: usize,
+    table: GroupTable,
     /// Effective effort cap (config budget, possibly fault-squeezed).
     budget: SearchBudget,
     pub stats: SearchStats,
@@ -229,20 +332,34 @@ impl<'a> Search<'a> {
         }
         let pool_mask: Vec<Bits> = pool.iter().map(member_mask).collect();
         let pool_sel: Vec<f64> = pool.iter().map(|p| est.selectivity(p)).collect();
-        let pool_eq_sides: Vec<Option<(Bits, Bits)>> = pool
-            .iter()
-            .map(|p| match p {
-                Expr::Binary { op: BinOp::Eq, left, right } => {
-                    let (la, rb) = (member_mask(left), member_mask(right));
-                    if la != 0 && rb != 0 && la & rb == 0 {
-                        Some((la, rb))
+        // Hash-key availability: a pool equality with each side on its own
+        // members is a key for any split that separates the two sides.
+        let mut eq_nbrs: Vec<Bits> = vec![0; desc.members.len()];
+        let mut eq_wide = Vec::new();
+        for p in &pool {
+            if let Expr::Binary { op: BinOp::Eq, left, right } = p {
+                let (la, rb) = (member_mask(left), member_mask(right));
+                if la != 0 && rb != 0 && la & rb == 0 {
+                    if la.count_ones() == 1 && rb.count_ones() == 1 {
+                        eq_nbrs[la.trailing_zeros() as usize] |= rb;
+                        eq_nbrs[rb.trailing_zeros() as usize] |= la;
                     } else {
-                        None
+                        eq_wide.push((la, rb));
                     }
                 }
-                _ => None,
-            })
-            .collect();
+            }
+        }
+        // The members an expression needs on top of the outer blocks'
+        // tables; `None` if it reaches a table that is neither.
+        let needs = |e: &Expr| -> Option<Bits> {
+            let mut mask = 0;
+            for t in e.referenced_tables() {
+                if !desc.outer.contains(&t) {
+                    mask |= 1 << qt_to_idx.get(&t)?;
+                }
+            }
+            Some(mask)
+        };
 
         // Build member infos.
         let mut members = Vec::with_capacity(desc.members.len());
@@ -288,23 +405,61 @@ impl<'a> Search<'a> {
                 None => (base_rows * sel).max(0.01),
             };
             let mut eq_ndv = f64::INFINITY;
-            for c in &on_cross {
-                if let Expr::Binary { op: BinOp::Eq, left, right } = c {
-                    for (a, b) in [(left, right), (right, left)] {
-                        if let Expr::Column(cr) = a.as_ref() {
-                            if cr.table == m.qt && !b.referenced_tables().contains(&m.qt) {
-                                let n = est.ndv(*cr).max(1.0);
-                                eq_ndv = if eq_ndv.is_finite() { eq_ndv * n } else { n };
-                                break;
-                            }
-                        }
-                    }
-                }
+            for (col, _) in on_cross.iter().filter_map(|c| eq_col_key(c, m.qt)) {
+                let n = est.ndv(ColRef { table: m.qt, col }).max(1.0);
+                eq_ndv = if eq_ndv.is_finite() { eq_ndv * n } else { n };
             }
             let mut dep_bits: Bits = 0;
             for d in &m.deps {
                 if let Some(&di) = qt_to_idx.get(d) {
                     dep_bits |= 1 << di;
+                }
+            }
+            let bit: Bits = 1 << i;
+            let on_eq = on_cross
+                .iter()
+                .filter_map(|c| match c {
+                    Expr::Binary { op: BinOp::Eq, left, right } => {
+                        Some((needs(left)?, needs(right)?)).filter(|&(l, r)| l != 0 && r != 0)
+                    }
+                    _ => None,
+                })
+                .collect();
+            // Lookup feasibility. NULL-aware anti joins cannot use plain
+            // lookups; deriveds have no indexes.
+            let mut lookups = Vec::new();
+            if matches!(m.source, RelSource::Base { .. })
+                && !matches!(m.entry, EntryDesc::Anti { null_aware: true, .. })
+            {
+                // `col(m) = key` conjuncts in join-condition order: the
+                // pool's, then m's own ON conjuncts.
+                let mut eq_cols: Vec<(usize, LookupKey)> = Vec::new();
+                for (at, c) in pool.iter().chain(&on_cross).enumerate() {
+                    let Some((col, key)) = eq_col_key(c, m.qt) else { continue };
+                    let Some(need) = needs(key) else { continue };
+                    let others = pool_mask.get(at).map_or(0, |mask| mask & !bit);
+                    eq_cols.push((col, LookupKey { need: need | others, at }));
+                }
+                for ix in &indexes {
+                    let (mut cols, mut sels, mut sel) = (Vec::new(), Vec::new(), 1.0f64);
+                    for &col in &ix.columns {
+                        let keys: Vec<LookupKey> =
+                            eq_cols.iter().filter(|(c, _)| *c == col).map(|(_, k)| *k).collect();
+                        if keys.is_empty() {
+                            break;
+                        }
+                        sel *= 1.0 / est.ndv(ColRef { table: m.qt, col }).max(1.0);
+                        cols.push(keys);
+                        sels.push(sel);
+                    }
+                    if !cols.is_empty() {
+                        lookups.push(LookupIndex {
+                            position: ix.position,
+                            unique: ix.unique,
+                            cols,
+                            sel: sels,
+                        });
+                    }
                 }
             }
             members.push(Member {
@@ -320,39 +475,33 @@ impl<'a> Search<'a> {
                 indexes,
                 dep_bits,
                 eq_ndv,
+                eq_nbrs: eq_nbrs[i],
+                on_eq,
+                lookups,
             });
         }
 
         // Trivially-placed dependents — ON-TRUE applies with no join
         // conditions and no dependencies (uncorrelated scalar subqueries) —
         // contribute nothing to join ordering: chain them to the end so the
-        // search space stays the interesting one.
-        let inner_bits: Bits = members
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.desc.is_dependent())
-            .map(|(i, _)| 1u64 << i)
-            .sum();
-        {
+        // search space stays the interesting one. Without apply-swap rules,
+        // *all* dependents then chain to the very end.
+        let mask_where = |members: &[Member], f: &dyn Fn(&Member) -> bool| -> Bits {
+            members.iter().enumerate().filter(|(_, m)| f(m)).map(|(i, _)| 1u64 << i).sum()
+        };
+        let inner_bits = mask_where(&members, &|m| !m.desc.is_dependent());
+        let mut chain_last = |which: &dyn Fn(&Member) -> bool| {
             let mut prev = inner_bits;
             for (i, m) in members.iter_mut().enumerate() {
-                let trivial = m.desc.is_dependent() && m.on_cross.is_empty() && m.dep_bits == 0;
-                if trivial {
+                if m.desc.is_dependent() && which(m) {
                     m.dep_bits |= prev & !(1 << i);
                     prev |= 1 << i;
                 }
             }
-        }
-
-        // Without apply-swap rules, *all* dependents chain to the very end.
+        };
+        chain_last(&|m| m.on_cross.is_empty() && m.dep_bits == 0);
         if !cfg.enable_apply_swaps {
-            let mut prev: Bits = inner_bits;
-            for (i, m) in members.iter_mut().enumerate() {
-                if m.desc.is_dependent() {
-                    m.dep_bits |= prev & !(1 << i);
-                    prev |= 1 << i;
-                }
-            }
+            chain_last(&|_| true);
         }
 
         // Interesting-order anchor: the required order can only enter the
@@ -384,15 +533,14 @@ impl<'a> Search<'a> {
         Ok(Search {
             desc,
             cfg,
-            members,
             pool,
             pool_mask,
             pool_sel,
-            pool_eq_sides,
-            est,
+            eq_wide,
+            dependents: mask_where(&members, &|m| m.dep_bits != 0),
+            members,
             fb,
-            groups: HashMap::new(),
-            next_group: 0,
+            table: GroupTable::new(),
             budget: cfg.faults.squeeze(FaultSite::OptimizeSearch).unwrap_or(cfg.budget),
             stats: SearchStats {
                 rules_applied,
@@ -405,9 +553,10 @@ impl<'a> Search<'a> {
 
     /// Budget gate for the exploration loops. Exhaustion is deterministic:
     /// the same block and config always trip the same check at the same
-    /// point, so the bridge's degradation ladder is reproducible.
+    /// point, so the bridge's degradation ladder is reproducible. Groups
+    /// count as created, never as table capacity.
     fn charge_budget(&self) -> Result<()> {
-        if self.groups.len() > self.budget.max_groups {
+        if self.table.groups.len() > self.budget.max_groups {
             return Err(Error::resource_exhausted("memo groups", self.budget.max_groups as u64));
         }
         if self.stats.plans_costed > self.budget.max_plans_costed {
@@ -418,70 +567,62 @@ impl<'a> Search<'a> {
 
     fn run(&mut self) -> Result<PhysNode> {
         let n = self.members.len();
-        let full: Bits = if n == 64 { !0 } else { (1 << n) - 1 };
-        let strategy = effective_strategy(self.cfg, n);
+        let full: Bits = (1 << n) - 1;
+        // EXHAUSTIVE2 degrades to left-deep DP above the bushy cap.
+        let strategy = match self.cfg.strategy {
+            JoinOrderStrategy::Exhaustive2 if n > self.cfg.bushy_member_cap => {
+                JoinOrderStrategy::Exhaustive
+            }
+            configured => configured,
+        };
+        self.stats.strategy = strategy;
         let mut ordered = false;
         match strategy {
             JoinOrderStrategy::Greedy => self.greedy(full)?,
             _ => {
-                self.best(full, strategy)?
+                let root = self.best(full, strategy)?;
+                let g = &self.table.groups[root];
+                let plain = g
+                    .winner
+                    .cost()
                     .ok_or_else(|| Error::semantic("no feasible join order (dependency cycle?)"))?;
                 // Root decision: deliver the required order from inside the
                 // plan, or keep the plain winner and let the host bolt a
                 // Sort enforcer on top — an honest costed comparison.
-                if let Some((oc, _)) = &self.groups[&full].winner_ord {
-                    let oc = *oc;
-                    let plain = self.group_cost(full);
-                    let rows = self.rows_of(full);
+                if let Some(oc) = g.winner_ord.cost() {
+                    ordered = oc < plain + cost::sort(g.rows);
                     self.stats.plans_costed += 1;
-                    ordered = oc < plain + cost::sort(rows);
                 }
             }
         }
-        self.stats.groups = self.groups.len();
+        self.stats.groups = self.table.groups.len();
         self.reconstruct(full, ordered)
     }
 
     // ------------------------------------------------------------- helpers
 
+    /// Every dependency of every member of `set` is inside it: one AND for
+    /// an all-independent set.
     fn plannable(&self, set: Bits) -> bool {
-        let mut rest = set;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            if self.members[i].dep_bits & !set != 0 {
-                return false;
-            }
-        }
-        true
+        bits(set & self.dependents).all(|i| self.members[i].dep_bits & !set == 0)
     }
 
-    /// Derived cardinality of a subset (a logical group property). An
-    /// exact-set observed cardinality from the metadata cache's feedback
-    /// overrides wins over the estimate — the group's logical property
-    /// becomes a measured fact rather than a derivation.
-    fn rows_of(&mut self, set: Bits) -> f64 {
-        if let Some(g) = self.groups.get(&set) {
-            return g.rows;
+    /// The group of a subset, created at first touch with its derived
+    /// cardinality (a logical group property). An exact-set observed
+    /// cardinality from the metadata cache's feedback overrides wins over
+    /// the estimate — the group's logical property becomes a measured fact
+    /// rather than a derivation.
+    fn group(&mut self, set: Bits) -> usize {
+        if let Some(g) = self.table.find(set) {
+            return g;
         }
-        if let Some(fb) = self.fb.clone() {
-            if let Some(observed) = fb.rel(&self.member_qts_set(set)) {
-                let rows = observed.max(0.01);
-                let id = self.next_group;
-                self.next_group += 1;
-                self.groups.insert(
-                    set,
-                    Group { id, rows, winner: None, winner_ord: None, explored: false },
-                );
-                return rows;
-            }
-        }
+        let observed =
+            self.fb.as_ref().and_then(|fb| fb.rel(&self.member_qts_set(set))).map(|r| r.max(0.01));
         let mut base = 1.0f64;
         let mut any_inner = false;
-        let mut rest = set;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
+        let mut eq_nbrs = 0;
+        for i in bits(set) {
+            eq_nbrs |= self.members[i].eq_nbrs;
             if self.members[i].desc.entry.is_inner() {
                 base *= self.members[i].filtered_rows;
                 any_inner = true;
@@ -498,11 +639,7 @@ impl<'a> Search<'a> {
         }
         base = base.max(0.01);
         // Dependent members' effects, in member order.
-        let mut rest = set;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let m = &self.members[i];
+        for m in bits(set).map(|i| &self.members[i]) {
             match &m.desc.entry {
                 EntryDesc::Inner => {}
                 EntryDesc::LeftOuter { .. } => {
@@ -523,67 +660,51 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        let rows = base.max(0.01);
-        let id = self.next_group;
-        self.next_group += 1;
-        self.groups
-            .insert(set, Group { id, rows, winner: None, winner_ord: None, explored: false });
-        rows
-    }
-
-    fn group_id(&mut self, set: Bits) -> usize {
-        self.rows_of(set);
-        self.groups[&set].id
-    }
-
-    fn group_cost(&self, set: Bits) -> f64 {
-        self.groups
-            .get(&set)
-            .and_then(|g| g.winner.as_ref())
-            .map(|(c, _)| *c)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// Pool-conjunct indexes attaching at the (s1, s2) join.
-    fn conds_at(&self, set: Bits, s1: Bits, s2: Bits) -> impl Iterator<Item = usize> + '_ {
-        self.pool_mask
-            .iter()
-            .enumerate()
-            .filter(move |(_, m)| **m != 0 && **m & !set == 0 && **m & s1 != 0 && **m & s2 != 0)
-            .map(|(k, _)| k)
+        let rows = observed.unwrap_or(base.max(0.01));
+        self.table.push(Group {
+            set,
+            rows,
+            eq_nbrs,
+            winner: Winner::NONE,
+            winner_ord: Winner::NONE,
+            explored: false,
+        })
     }
 
     // ------------------------------------------------------------ DP search
 
-    /// Returns the best cost to produce `set`, or `None` if infeasible.
-    fn best(&mut self, set: Bits, strategy: JoinOrderStrategy) -> Result<Option<f64>> {
+    /// Explores `set` and returns its group, whose winner (if the set is
+    /// feasible) is the cheapest way to produce it.
+    fn best(&mut self, set: Bits, strategy: JoinOrderStrategy) -> Result<usize> {
         self.charge_budget()?;
-        if let Some(g) = self.groups.get(&set) {
-            if g.explored {
-                return Ok(g.winner.as_ref().map(|(c, _)| *c));
+        if let Some(g) = self.table.find(set) {
+            if self.table.groups[g].explored {
+                return Ok(g);
             }
         }
         if set.count_ones() == 1 {
-            let i = set.trailing_zeros() as usize;
-            let cost = self.members[i].leaf_cost;
-            let ord = self.members[i].ord_leaf.as_ref().map(|(_, c)| (*c, Decision::Leaf));
-            // Invariant: rows_of inserts the group for `set` before returning,
-            // so the lookups below it cannot miss.
-            self.rows_of(set);
-            let g = self.groups.get_mut(&set).expect("rows_of created the group");
-            g.winner = Some((cost, Decision::Leaf));
-            g.winner_ord = ord;
-            g.explored = true;
-            return Ok(Some(cost));
+            let m = &self.members[set.trailing_zeros() as usize];
+            let winner = Winner { cost: m.leaf_cost, s2: 0, imp: Impl::Leaf };
+            let winner_ord = match &m.ord_leaf {
+                Some((_, cost)) => Winner { cost: *cost, ..winner },
+                None => Winner::NONE,
+            };
+            let g = self.group(set);
+            let group = &mut self.table.groups[g];
+            (group.winner, group.winner_ord, group.explored) = (winner, winner_ord, true);
+            return Ok(g);
         }
         if !self.plannable(set) {
-            self.rows_of(set);
-            self.groups.get_mut(&set).expect("rows_of created the group").explored = true;
-            return Ok(None);
+            let g = self.group(set);
+            self.table.groups[g].explored = true;
+            return Ok(g);
         }
 
-        let mut best: Option<(f64, Decision)> = None;
-        let mut best_ord: Option<(f64, Decision)> = None;
+        let mut best = Winner::NONE;
+        let mut best_ord = Winner::NONE;
+        // The set's own group is created by its first costed split (or
+        // below, if there is none), after the children that split explored.
+        let mut own: Option<usize> = None;
         // Enumerate splits: right side s2, left side s1 = set \ s2.
         let mut consider = |this: &mut Self, s2: Bits| -> Result<()> {
             let s1 = set & !s2;
@@ -594,41 +715,34 @@ impl<'a> Search<'a> {
             this.charge_budget()?;
             // Dependent members must be lone right children with their
             // dependencies covered by the left side; multi-member right
-            // subtrees must be standalone-plannable.
-            let mut dep: Option<usize> = None;
-            let feasible = if s2.count_ones() == 1 {
-                let i = s2.trailing_zeros() as usize;
-                let m = &this.members[i];
-                if !m.desc.entry.is_inner() || m.desc.is_correlated_derived() {
-                    dep = Some(i);
-                }
-                m.dep_bits & !s1 == 0
+            // subtrees must be standalone-plannable (self-contained).
+            let feasible = if s2 & (s2 - 1) == 0 {
+                this.members[s2.trailing_zeros() as usize].dep_bits & !s1 == 0
             } else {
-                // Dependents may not sit unresolved inside a multi-member
-                // right subtree unless the subtree is self-contained.
                 this.plannable(s2)
             };
             if !feasible || !this.plannable(s1) {
                 return Ok(());
             }
-            let Some(cost_l) = this.best(s1, strategy)? else { return Ok(()) };
-            let Some(cost_r) = this.best(s2, strategy)? else { return Ok(()) };
+            let left = this.best(s1, strategy)?;
+            let Some(cost_l) = this.table.groups[left].winner.cost() else { return Ok(()) };
+            let right = this.best(s2, strategy)?;
+            if this.table.groups[right].winner.cost().is_none() {
+                return Ok(());
+            }
+            let out = *own.get_or_insert_with(|| this.group(set));
             // An ordered left child makes the whole split ordered — every
             // join implementation streams its left input in order (nested
             // loops iterate the outer side; hash joins build right and emit
             // probe rows in probe order) — at a cost delta of exactly the
             // left child's ordered-vs-plain difference.
-            let ord_l = this.groups.get(&s1).and_then(|g| g.winner_ord.as_ref()).map(|(c, _)| *c);
-            for (cost, choice) in this.cost_split(set, s1, s2, dep, cost_l, cost_r)? {
+            let ord_l = this.table.groups[left].winner_ord.cost();
+            let (alts, n) = this.cost_split(out, left, right);
+            for &(cost, imp) in &alts[..n] {
                 if let Some(ol) = ord_l {
-                    let oc = cost - cost_l + ol;
-                    if best_ord.as_ref().is_none_or(|(bc, _)| oc < *bc) {
-                        best_ord = Some((oc, Decision::Join { s1, s2, choice: choice.clone() }));
-                    }
+                    best_ord.offer(cost - cost_l + ol, s2, imp);
                 }
-                if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                    best = Some((cost, Decision::Join { s1, s2, choice }));
-                }
+                best.offer(cost, s2, imp);
             }
             // One extra costed alternative per split with an ordered
             // variant (the implementations share their deltas, so a single
@@ -641,11 +755,8 @@ impl<'a> Search<'a> {
         match strategy {
             JoinOrderStrategy::Exhaustive => {
                 // Left-deep: right side is a single member.
-                let mut rest = set;
-                while rest != 0 {
-                    let bit = rest & rest.wrapping_neg();
-                    rest &= rest - 1;
-                    consider(self, bit)?;
+                for i in bits(set) {
+                    consider(self, 1 << i)?;
                 }
             }
             _ => {
@@ -657,156 +768,74 @@ impl<'a> Search<'a> {
                 }
             }
         }
-        self.rows_of(set);
-        let g = self.groups.get_mut(&set).expect("rows_of created the group");
-        g.winner = best.clone();
-        g.winner_ord = best_ord;
-        g.explored = true;
-        Ok(best.map(|(c, _)| c))
+        let g = own.unwrap_or_else(|| self.group(set));
+        let group = &mut self.table.groups[g];
+        (group.winner, group.winner_ord, group.explored) = (best, best_ord, true);
+        Ok(g)
     }
 
-    /// Cost the physical alternatives for a split; cheap — no plan nodes.
-    fn cost_split(
-        &mut self,
-        set: Bits,
-        s1: Bits,
-        s2: Bits,
-        dep: Option<usize>,
-        cost_l: f64,
-        cost_r: f64,
-    ) -> Result<Vec<(f64, ImplChoice)>> {
-        let rows_out = self.rows_of(set);
-        let rows_l = self.rows_of(s1);
-        let rows_r = self.rows_of(s2);
-        let correlated_right =
-            dep.map(|i| self.members[i].desc.is_correlated_derived()).unwrap_or(false);
-        let (_kind, null_aware) = self.split_kind(dep);
-
-        let mut out: Vec<(f64, ImplChoice)> = Vec::with_capacity(3);
+    /// Cost the physical alternatives for joining group `left` to group
+    /// `right` into group `out`, in tie-break order; cheap — bit tests on
+    /// the masks precomputed in `new`, no plan nodes, no allocation.
+    fn cost_split(&mut self, out: usize, left: usize, right: usize) -> ([(f64, Impl); 3], usize) {
+        let (l, r) = (&self.table.groups[left], &self.table.groups[right]);
+        let (s1, cost_l, rows_l) = (l.set, l.winner.cost, l.rows);
+        let (s2, cost_r, rows_r) = (r.set, r.winner.cost, r.rows);
+        let rows_out = self.table.groups[out].rows;
+        let lone = (s2 & (s2 - 1) == 0).then(|| &self.members[s2.trailing_zeros() as usize]);
+        let correlated_right = lone.is_some_and(|m| m.desc.is_correlated_derived());
+        let mut alts = [(0.0, Impl::None); 3];
+        let mut n = 0;
 
         // (a) Hash join (build right, Orca convention §7 item 2) — needs an
         // extractable equi-key and a non-rebinding right side.
-        let mut has_keys = self.conds_at(set, s1, s2).any(|k| match self.pool_eq_sides[k] {
-            Some((la, rb)) => (la & !s1 == 0 && rb & !s2 == 0) || (la & !s2 == 0 && rb & !s1 == 0),
-            None => false,
-        });
-        if let Some(i) = dep {
-            has_keys |= self.members[i].on_cross.iter().any(|c| {
-                eq_sides_ok(c, &self.member_qts_set(s1), &self.member_qts_set(s2), &self.desc.outer)
-            });
-        }
+        let splits = |&(a, b): &(Bits, Bits)| {
+            (a & !s1 == 0 && b & !s2 == 0) || (a & !s2 == 0 && b & !s1 == 0)
+        };
+        let has_keys = l.eq_nbrs & s2 != 0
+            || self.eq_wide.iter().any(splits)
+            || lone.is_some_and(|m| m.on_eq.iter().any(splits));
         if has_keys && !correlated_right {
-            self.stats.plans_costed += 1;
-            out.push((
-                cost_l + cost_r + cost::hash_join(rows_r, rows_l, rows_out),
-                ImplChoice::Hash,
-            ));
+            alts[n] = (cost_l + cost_r + cost::hash_join(rows_r, rows_l, rows_out), Impl::Hash);
+            n += 1;
         }
 
-        // (b) Index nested loop for a lone base right member. NULL-aware
-        // anti joins cannot use plain lookups.
-        if s2.count_ones() == 1
-            && !(null_aware && matches!(self.split_kind(dep).0, PhysJoinKind::AntiSemi))
-        {
-            let i = s2.trailing_zeros() as usize;
-            let on_exprs = self.join_cond_exprs(set, s1, s2, dep);
-            if let Some((index, keys, consumed, rows_per_probe)) =
-                self.find_lookup(i, s1, &on_exprs)
-            {
-                self.stats.plans_costed += 1;
-                out.push((
-                    cost_l + cost::lookups(rows_l, rows_per_probe),
-                    ImplChoice::Lookup { index, keys, consumed, rows_per_probe },
-                ));
-            }
+        // (b) Index nested loop for a lone base right member.
+        if let Some((_, rows_per_probe)) = lone.and_then(|m| m.lookup(s1)) {
+            alts[n] = (cost_l + cost::lookups(rows_l, rows_per_probe), Impl::Lookup);
+            n += 1;
         }
 
         // (c) Plain nested loop / correlated apply.
-        self.stats.plans_costed += 1;
         let nl_cost = if correlated_right {
             cost_l + cost::apply(rows_l, cost_r, rows_r)
         } else {
             cost_l + cost_r + cost::nl_join(rows_l, rows_r, rows_out)
         };
-        out.push((nl_cost, ImplChoice::NestedLoop));
-        Ok(out)
+        alts[n] = (nl_cost, Impl::NestedLoop);
+        self.stats.plans_costed += n as u64 + 1;
+        (alts, n + 1)
     }
 
-    fn split_kind(&self, dep: Option<usize>) -> (PhysJoinKind, bool) {
-        match dep {
-            Some(i) => match &self.members[i].desc.entry {
-                EntryDesc::Inner => (PhysJoinKind::Inner, false),
-                EntryDesc::LeftOuter { .. } => (PhysJoinKind::LeftOuter, false),
-                EntryDesc::Semi { .. } => (PhysJoinKind::Semi, false),
-                EntryDesc::Anti { null_aware, .. } => (PhysJoinKind::AntiSemi, *null_aware),
-            },
-            None => (PhysJoinKind::Inner, false),
-        }
+    /// The member a split joins by its own entry semantics, if any: a lone
+    /// right side that is semi/anti/outer-joined or a correlated derived.
+    fn applied_member(&self, s2: Bits) -> Option<&Member> {
+        let m = &self.members[s2.trailing_zeros() as usize];
+        (s2 & (s2 - 1) == 0 && (!m.desc.entry.is_inner() || m.desc.is_correlated_derived()))
+            .then_some(m)
     }
 
-    /// The actual join-condition expressions at a split (pool + dep ON).
-    fn join_cond_exprs(&self, set: Bits, s1: Bits, s2: Bits, dep: Option<usize>) -> Vec<Expr> {
-        let mut out: Vec<Expr> = self.conds_at(set, s1, s2).map(|k| self.pool[k].clone()).collect();
-        if let Some(i) = dep {
-            out.extend(self.members[i].on_cross.iter().cloned());
-        }
-        out
+    /// The join-condition expressions at a split: the pool conjuncts
+    /// attaching there, then an applied member's cross ON conjuncts.
+    fn join_cond_exprs(&self, set: Bits, s1: Bits, s2: Bits) -> Vec<Expr> {
+        let attaches = |m: Bits| m != 0 && m & !set == 0 && m & s1 != 0 && m & s2 != 0;
+        let pooled = self.pool.iter().zip(&self.pool_mask).filter(|(_, m)| attaches(**m));
+        let own = self.applied_member(s2).map_or(&[][..], |m| &m.on_cross);
+        pooled.map(|(c, _)| c).chain(own).cloned().collect()
     }
 
     fn member_qts_set(&self, set: Bits) -> BTreeSet<usize> {
-        let mut out = BTreeSet::new();
-        let mut rest = set;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            out.insert(self.members[i].desc.qt);
-        }
-        out
-    }
-
-    /// Index-lookup discovery for member `i` probed from the `s1` side.
-    fn find_lookup(
-        &self,
-        i: usize,
-        s1: Bits,
-        on: &[Expr],
-    ) -> Option<(usize, Vec<Expr>, Vec<Expr>, f64)> {
-        let m = &self.members[i];
-        if !matches!(m.desc.source, RelSource::Base { .. }) {
-            return None;
-        }
-        let qt = m.desc.qt;
-        let mut available = self.member_qts_set(s1);
-        available.extend(self.desc.outer.iter().copied());
-        let mut best: Option<(usize, Vec<Expr>, Vec<Expr>, f64)> = None;
-        for ix in &m.indexes {
-            let mut keys = Vec::new();
-            let mut consumed = Vec::new();
-            let mut sel = 1.0f64;
-            for &col in &ix.columns {
-                let mut hit = false;
-                for c in on {
-                    if let Some(other) = eq_key_for(c, qt, col, &available) {
-                        keys.push(other);
-                        consumed.push(c.clone());
-                        sel *= 1.0 / self.est.ndv(ColRef { table: qt, col }).max(1.0);
-                        hit = true;
-                        break;
-                    }
-                }
-                if !hit {
-                    break;
-                }
-            }
-            if keys.is_empty() {
-                continue;
-            }
-            let rows = (m.base_rows * sel).clamp(if ix.unique { 0.0 } else { 0.5 }, m.base_rows);
-            if best.as_ref().is_none_or(|(_, _, _, prev)| rows < *prev) {
-                best = Some((ix.position, keys, consumed, rows.max(0.5)));
-            }
-        }
-        best
+        bits(set).map(|i| self.members[i].desc.qt).collect()
     }
 
     // --------------------------------------------------------------- greedy
@@ -825,100 +854,77 @@ impl<'a> Search<'a> {
             })
             .ok_or_else(|| Error::semantic("no independent driving table"))?;
         placed |= 1 << first;
-        self.best(placed, JoinOrderStrategy::Exhaustive)?;
+        let mut left = self.best(placed, JoinOrderStrategy::Exhaustive)?;
         while placed != full {
             self.charge_budget()?;
-            let mut best_choice: Option<(f64, usize, ImplChoice)> = None;
+            let mut next = Winner::NONE;
             for i in 0..n {
                 let bit = 1u64 << i;
                 if placed & bit != 0 || self.members[i].dep_bits & !placed != 0 {
                     continue;
                 }
-                self.best(bit, JoinOrderStrategy::Exhaustive)?;
-                let cost_l = self.group_cost(placed);
-                let cost_r = self.group_cost(bit);
-                let dep = if !self.members[i].desc.entry.is_inner()
-                    || self.members[i].desc.is_correlated_derived()
-                {
-                    Some(i)
-                } else {
-                    None
-                };
-                for (c, choice) in
-                    self.cost_split(placed | bit, placed, bit, dep, cost_l, cost_r)?
-                {
-                    if best_choice.as_ref().is_none_or(|(bc, _, _)| c < *bc) {
-                        best_choice = Some((c, i, choice));
-                    }
+                let right = self.best(bit, JoinOrderStrategy::Exhaustive)?;
+                let out = self.group(placed | bit);
+                let (alts, n) = self.cost_split(out, left, right);
+                for &(cost, imp) in &alts[..n] {
+                    next.offer(cost, bit, imp);
                 }
             }
-            let (cost, i, choice) =
-                best_choice.ok_or_else(|| Error::semantic("greedy: no placeable member"))?;
-            let s1 = placed;
-            placed |= 1 << i;
-            self.rows_of(placed);
-            let g = self.groups.get_mut(&placed).expect("rows_of created the group");
-            g.winner = Some((cost, Decision::Join { s1, s2: 1 << i, choice }));
-            g.explored = true;
+            if next.imp == Impl::None {
+                return Err(Error::semantic("greedy: no placeable member"));
+            }
+            placed |= next.s2;
+            left = self.group(placed);
+            let group = &mut self.table.groups[left];
+            (group.winner, group.explored) = (next, true);
         }
         Ok(())
     }
 
     // -------------------------------------------------------- reconstruction
 
-    /// Build the winning physical tree for a group from its decision chain.
+    /// Build the winning physical tree for a group from its decision chain,
+    /// re-deriving what the slim decisions left out: join conditions, hash
+    /// keys, and a lookup's keys, consumed conjuncts and rows per probe.
     /// With `ordered`, the *order-delivering* winner is rebuilt instead:
     /// the same machinery, but following `winner_ord` decisions down the
     /// left spine until the anchor leaf's ordered access.
     fn reconstruct(&mut self, set: Bits, ordered: bool) -> Result<PhysNode> {
-        let (cost, decision) = self
-            .groups
-            .get(&set)
-            .and_then(|g| if ordered { g.winner_ord.clone() } else { g.winner.clone() })
-            .ok_or_else(|| Error::internal("reconstructing a group without a winner"))?;
-        match decision {
-            Decision::Leaf => {
-                let i = set.trailing_zeros() as usize;
-                if ordered {
-                    let (node, _) = self.members[i]
-                        .ord_leaf
-                        .clone()
-                        .ok_or_else(|| Error::internal("ordered winner without an ordered leaf"))?;
-                    Ok(node)
-                } else {
-                    Ok(self.members[i].leaf.clone())
-                }
+        let no_winner = || Error::internal("reconstructing a group without a winner");
+        let group = self.table.find(set).ok_or_else(no_winner)?;
+        let g = &self.table.groups[group];
+        let (rows, Winner { cost, s2, imp }) =
+            (g.rows, if ordered { g.winner_ord } else { g.winner });
+        match imp {
+            Impl::None => Err(no_winner()),
+            Impl::Leaf if ordered => {
+                let (node, _) = self.members[set.trailing_zeros() as usize]
+                    .ord_leaf
+                    .clone()
+                    .ok_or_else(|| Error::internal("ordered winner without an ordered leaf"))?;
+                Ok(node)
             }
-            Decision::Join { s1, s2, choice } => {
+            Impl::Leaf => Ok(self.members[set.trailing_zeros() as usize].leaf.clone()),
+            imp => {
                 // Order flows along the left spine only; the right child is
                 // always the plain winner.
+                let s1 = set & !s2;
                 let left = self.reconstruct(s1, ordered)?;
                 let right = self.reconstruct(s2, false)?;
-                let dep = if s2.count_ones() == 1 {
-                    let i = s2.trailing_zeros() as usize;
-                    let m = &self.members[i];
-                    if !m.desc.entry.is_inner() || m.desc.is_correlated_derived() {
-                        Some(i)
-                    } else {
-                        None
+                let (kind, null_aware) = match self.applied_member(s2).map(|m| &m.desc.entry) {
+                    Some(EntryDesc::LeftOuter { .. }) => (PhysJoinKind::LeftOuter, false),
+                    Some(EntryDesc::Semi { .. }) => (PhysJoinKind::Semi, false),
+                    Some(EntryDesc::Anti { null_aware, .. }) => {
+                        (PhysJoinKind::AntiSemi, *null_aware)
                     }
-                } else {
-                    None
+                    _ => (PhysJoinKind::Inner, false),
                 };
-                let (kind, null_aware) = self.split_kind(dep);
-                let on = self.join_cond_exprs(set, s1, s2, dep);
-                let rows = self.rows_of(set);
-                let group = self.group_id(set);
-                Ok(match choice {
-                    ImplChoice::Hash => {
+                let on = self.join_cond_exprs(set, s1, s2);
+                Ok(match imp {
+                    Impl::Hash => {
                         let lqts = self.member_qts_set(s1);
                         let rqts = self.member_qts_set(s2);
-                        let keys = split_keys(&on, &lqts, &rqts, &self.desc.outer);
-                        let residual: Vec<Expr> = on
-                            .iter()
-                            .filter(|c| !keys.iter().any(|(a, b)| is_eq_of(c, a, b)))
-                            .cloned()
-                            .collect();
+                        let (keys, residual) = split_keys(on, &lqts, &rqts, &self.desc.outer);
                         PhysNode::HashJoin {
                             kind,
                             null_aware,
@@ -931,54 +937,89 @@ impl<'a> Search<'a> {
                             group,
                         }
                     }
-                    ImplChoice::Lookup { index, keys, consumed, rows_per_probe } => {
-                        let i = s2.trailing_zeros() as usize;
-                        let m = &self.members[i];
-                        let remaining: Vec<Expr> =
-                            on.iter().filter(|c| !consumed.contains(c)).cloned().collect();
-                        let inner = PhysNode::IndexLookup {
-                            qt: m.desc.qt,
-                            index,
-                            keys,
-                            consumed,
-                            preds: m.local.clone(),
-                            rows: rows_per_probe,
-                            cost: cost::lookups(1.0, rows_per_probe),
-                            group: self.group_id(s2),
+                    imp => {
+                        let (inner, on) = if imp == Impl::Lookup {
+                            let m = &self.members[s2.trailing_zeros() as usize];
+                            let (ix, rows_per_probe) =
+                                m.lookup(s1).expect("a lookup winner has a usable index");
+                            let (mut keys, mut consumed) = (Vec::new(), Vec::new());
+                            for key in m.lookups[ix].usable(s1) {
+                                let own = || &m.on_cross[key.at - self.pool.len()];
+                                let c = self.pool.get(key.at).unwrap_or_else(own);
+                                let (_, other) = eq_col_key(c, m.desc.qt)
+                                    .expect("a lookup key is a column equality");
+                                keys.push(other.clone());
+                                consumed.push(c.clone());
+                            }
+                            let on = on.into_iter().filter(|c| !consumed.contains(c)).collect();
+                            let probe = PhysNode::IndexLookup {
+                                qt: m.desc.qt,
+                                index: m.lookups[ix].position,
+                                keys,
+                                consumed,
+                                preds: m.local.clone(),
+                                rows: rows_per_probe,
+                                cost: cost::lookups(1.0, rows_per_probe),
+                                group: self.group(s2),
+                            };
+                            (probe, on)
+                        } else {
+                            (right, on)
                         };
                         PhysNode::NLJoin {
                             kind,
                             null_aware,
                             outer: Box::new(left),
                             inner: Box::new(inner),
-                            on: remaining,
+                            on,
                             rows,
                             cost,
                             group,
                         }
                     }
-                    ImplChoice::NestedLoop => PhysNode::NLJoin {
-                        kind,
-                        null_aware,
-                        outer: Box::new(left),
-                        inner: Box::new(right),
-                        on,
-                        rows,
-                        cost,
-                        group,
-                    },
                 })
             }
         }
     }
 }
 
-/// EXHAUSTIVE2 degrades to left-deep DP above the bushy cap.
-fn effective_strategy(cfg: &OrcaConfig, n: usize) -> JoinOrderStrategy {
-    match cfg.strategy {
-        JoinOrderStrategy::Exhaustive2 if n > cfg.bushy_member_cap => JoinOrderStrategy::Exhaustive,
-        s => s,
+impl Member {
+    /// The cheapest index lookup into this member from a left side holding
+    /// `s1`: the position in `lookups` and the rows per probe.
+    fn lookup(&self, s1: Bits) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (ix, index) in self.lookups.iter().enumerate() {
+            let len = index.usable(s1).count();
+            if len == 0 {
+                continue;
+            }
+            let floor = if index.unique { 0.0 } else { 0.5 };
+            let rows = (self.base_rows * index.sel[len - 1]).clamp(floor, self.base_rows);
+            if best.is_none_or(|(_, prev)| rows < prev) {
+                best = Some((ix, rows.max(0.5)));
+            }
+        }
+        best
     }
+}
+
+impl LookupIndex {
+    /// The key conjunct per leading column a left side holding `s1` can
+    /// feed, up to the first column it cannot.
+    fn usable(&self, s1: Bits) -> impl Iterator<Item = &LookupKey> {
+        self.cols.iter().map_while(move |keys| keys.iter().find(|k| k.need & !s1 == 0))
+    }
+}
+
+/// The member indexes of a set, ascending.
+fn bits(mut set: Bits) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = set.trailing_zeros() as usize;
+        (set != 0).then(|| {
+            set &= set - 1;
+            i
+        })
+    })
 }
 
 /// The cheapest order-delivering standalone access for the anchor member.
@@ -1243,16 +1284,13 @@ fn is_non_null_const(e: &Expr) -> bool {
     e.is_const() && !matches!(e, Expr::Literal(v) if v.is_null())
 }
 
-/// `col(qt, col) = expr(available)` → the key expression.
-fn eq_key_for(p: &Expr, qt: usize, col: usize, available: &BTreeSet<usize>) -> Option<Expr> {
+/// `col(qt, c) = key` in either orientation, `key` free of `qt` → `(c, key)`.
+fn eq_col_key(p: &Expr, qt: usize) -> Option<(usize, &Expr)> {
     if let Expr::Binary { op: BinOp::Eq, left, right } = p {
         for (a, b) in [(left, right), (right, left)] {
             if let Expr::Column(c) = a.as_ref() {
-                if c.table == qt && c.col == col {
-                    let refs = b.referenced_tables();
-                    if !refs.contains(&qt) && refs.iter().all(|t| available.contains(t)) {
-                        return Some(b.as_ref().clone());
-                    }
+                if c.table == qt && !b.referenced_tables().contains(&qt) {
+                    return Some((c.col, b));
                 }
             }
         }
@@ -1260,41 +1298,14 @@ fn eq_key_for(p: &Expr, qt: usize, col: usize, available: &BTreeSet<usize>) -> O
     None
 }
 
-/// Whether an ON equality splits cleanly across (lqts, rqts).
-fn eq_sides_ok(
-    c: &Expr,
-    lqts: &BTreeSet<usize>,
-    rqts: &BTreeSet<usize>,
-    outer: &BTreeSet<usize>,
-) -> bool {
-    if let Expr::Binary { op: BinOp::Eq, left, right } = c {
-        let side = |e: &Expr| -> Option<bool> {
-            let local: Vec<usize> =
-                e.referenced_tables().into_iter().filter(|t| !outer.contains(t)).collect();
-            if local.is_empty() {
-                return None;
-            }
-            if local.iter().all(|t| lqts.contains(t)) {
-                Some(true)
-            } else if local.iter().all(|t| rqts.contains(t)) {
-                Some(false)
-            } else {
-                None
-            }
-        };
-        matches!((side(left), side(right)), (Some(true), Some(false)) | (Some(false), Some(true)))
-    } else {
-        false
-    }
-}
-
-/// Extract hash keys `(left expr, right expr)` from join conditions.
+/// Split join conditions into hash keys `(left expr, right expr)` — the
+/// equalities with one side on each input — and the residual.
 fn split_keys(
-    on: &[Expr],
+    on: Vec<Expr>,
     lqts: &BTreeSet<usize>,
     rqts: &BTreeSet<usize>,
     outer: &BTreeSet<usize>,
-) -> Vec<(Expr, Expr)> {
+) -> (Vec<(Expr, Expr)>, Vec<Expr>) {
     let side = |e: &Expr| -> Option<bool> {
         let local: Vec<usize> =
             e.referenced_tables().into_iter().filter(|t| !outer.contains(t)).collect();
@@ -1309,29 +1320,24 @@ fn split_keys(
             None
         }
     };
-    let mut keys = Vec::new();
+    let (mut keys, mut residual) = (Vec::new(), Vec::new());
     for c in on {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = c {
+        if let Expr::Binary { op: BinOp::Eq, left, right } = &c {
             match (side(left), side(right)) {
                 (Some(true), Some(false)) => {
-                    keys.push((left.as_ref().clone(), right.as_ref().clone()))
+                    keys.push((left.as_ref().clone(), right.as_ref().clone()));
+                    continue;
                 }
                 (Some(false), Some(true)) => {
-                    keys.push((right.as_ref().clone(), left.as_ref().clone()))
+                    keys.push((right.as_ref().clone(), left.as_ref().clone()));
+                    continue;
                 }
                 _ => {}
             }
         }
+        residual.push(c);
     }
-    keys
-}
-
-fn is_eq_of(c: &Expr, a: &Expr, b: &Expr) -> bool {
-    if let Expr::Binary { op: BinOp::Eq, left, right } = c {
-        (left.as_ref() == a && right.as_ref() == b) || (left.as_ref() == b && right.as_ref() == a)
-    } else {
-        false
-    }
+    (keys, residual)
 }
 
 #[cfg(test)]
@@ -1542,9 +1548,25 @@ mod tests {
 
     #[test]
     fn exhaustive2_caps_to_left_deep_beyond_member_cap() {
-        let cfg = OrcaConfig { bushy_member_cap: 2, ..OrcaConfig::default() };
-        assert_eq!(effective_strategy(&cfg, 3), JoinOrderStrategy::Exhaustive);
-        assert_eq!(effective_strategy(&cfg, 2), JoinOrderStrategy::Exhaustive2);
+        // Three members: a cap of 2 runs the block left-deep and says so in
+        // its stats; a cap of 3 leaves it bushy.
+        let (md, desc) = setup();
+        let run = |bushy_member_cap: usize, strategy: JoinOrderStrategy| {
+            let cfg = OrcaConfig { bushy_member_cap, ..OrcaConfig::with_strategy(strategy) };
+            optimize_block(&desc, &md, &cfg).unwrap().stats
+        };
+        let capped = run(2, JoinOrderStrategy::Exhaustive2);
+        assert_eq!(capped.strategy, JoinOrderStrategy::Exhaustive);
+        assert_eq!(
+            capped,
+            run(2, JoinOrderStrategy::Exhaustive),
+            "the capped search is EXHAUSTIVE"
+        );
+        let bushy = run(3, JoinOrderStrategy::Exhaustive2);
+        assert_eq!(bushy.strategy, JoinOrderStrategy::Exhaustive2);
+        assert!(bushy.splits_explored > capped.splits_explored);
+        // The cap only ever applies to EXHAUSTIVE2.
+        assert_eq!(run(2, JoinOrderStrategy::Greedy).strategy, JoinOrderStrategy::Greedy);
     }
 
     #[test]

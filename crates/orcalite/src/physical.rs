@@ -6,6 +6,7 @@
 //! converter never has to re-discover table identities (§4.1's
 //! `TABLE_LIST`-pointer trick).
 
+use crate::config::JoinOrderStrategy;
 use crate::desc::OrderKey;
 use std::fmt;
 use taurus_common::Expr;
@@ -284,6 +285,9 @@ pub struct SearchStats {
     pub rules_applied: u64,
     /// Rule applications that actually rewrote their input.
     pub rules_hit: u64,
+    /// The strategy the block's search ran under — not always the configured
+    /// one: EXHAUSTIVE2 runs as EXHAUSTIVE above `bushy_member_cap`.
+    pub strategy: JoinOrderStrategy,
 }
 
 /// The optimizer's output for one block.
