@@ -36,6 +36,7 @@ use orcalite::config::{FaultSite, JoinOrderStrategy, OrcaConfig};
 use orcalite::desc::BlockDesc;
 use orcalite::physical::{OrcaPlan, SearchStats};
 use orcalite::MdCache;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,11 +207,11 @@ impl DetourFail {
 
 /// Search-effort accumulator threaded through a statement's blocks: summed
 /// memo statistics plus the deepest degradation-ladder rung any block
-/// needed and the strategy that won there.
+/// needed and the strategy that won there, as it ran.
 struct TraceAcc {
     stats: SearchStats,
     rung: usize,
-    strategy: JoinOrderStrategy,
+    strategy: Cow<'static, str>,
 }
 
 impl TraceAcc {
@@ -230,7 +231,7 @@ impl TraceAcc {
             plans_costed: self.stats.plans_costed,
             budget_used,
             rung: self.rung,
-            strategy: strategy_name(self.strategy),
+            strategy: self.strategy,
         }
     }
 }
@@ -241,6 +242,16 @@ fn strategy_name(s: JoinOrderStrategy) -> &'static str {
         JoinOrderStrategy::Greedy => "GREEDY",
         JoinOrderStrategy::Exhaustive => "EXHAUSTIVE",
         JoinOrderStrategy::Exhaustive2 => "EXHAUSTIVE2",
+    }
+}
+
+/// A rung's strategy as the trace names it. The memo runs EXHAUSTIVE2 as
+/// left-deep DP above `bushy_member_cap`; such a block names both.
+fn ran_as(rung: JoinOrderStrategy, ran: JoinOrderStrategy, cap: usize) -> Cow<'static, str> {
+    if rung == ran {
+        Cow::Borrowed(strategy_name(rung))
+    } else {
+        Cow::Owned(format!("{}→{}(cap {cap})", strategy_name(rung), strategy_name(ran)))
     }
 }
 
@@ -383,8 +394,11 @@ impl OrcaOptimizer {
         if let Some(fb) = fb {
             md.set_overrides(Some(Arc::new(fb.clone())));
         }
-        let mut acc =
-            TraceAcc { stats: SearchStats::default(), rung: 0, strategy: self.config.strategy };
+        let mut acc = TraceAcc {
+            stats: SearchStats::default(),
+            rung: 0,
+            strategy: Cow::Borrowed(strategy_name(self.config.strategy)),
+        };
         let mut skeleton = self.optimize_block(
             bound,
             &provider,
@@ -482,10 +496,11 @@ impl OrcaOptimizer {
         acc.stats.plans_costed += plan.stats.plans_costed;
         acc.stats.rules_applied += plan.stats.rules_applied;
         acc.stats.rules_hit += plan.stats.rules_hit;
-        // The statement's trace reports the deepest rung any block needed.
-        if rung >= acc.rung {
+        // The statement's trace reports the deepest rung any block needed,
+        // and among its blocks a capped one.
+        if rung > acc.rung || (rung == acc.rung && plan.stats.strategy != strategy) {
             acc.rung = rung;
-            acc.strategy = strategy;
+            acc.strategy = ran_as(strategy, plan.stats.strategy, self.config.bushy_member_cap);
         }
         if plan.changed_block_structure {
             return Err(DetourFail {
@@ -903,6 +918,26 @@ mod tests {
         assert_eq!(lines.next(), Some("EXPLAIN (ORCA)"));
         let trace_line = lines.next().unwrap();
         assert!(trace_line.starts_with("[search: strategy=EXHAUSTIVE2 rung=0 "), "{trace_line}");
+        // Above `bushy_member_cap` EXHAUSTIVE2 runs as left-deep DP, and the
+        // trace names the strategy that ran, not only the configured rung.
+        let capped =
+            OrcaOptimizer::new(OrcaConfig { bushy_member_cap: 2, ..OrcaConfig::default() }, 1);
+        let text = e.explain(THREE_WAY, &capped).unwrap();
+        let trace_line = text.lines().nth(1).unwrap();
+        assert!(
+            trace_line.starts_with("[search: strategy=EXHAUSTIVE2→EXHAUSTIVE(cap 2) rung=0 "),
+            "{trace_line}"
+        );
+        let left_deep =
+            OrcaOptimizer::new(OrcaConfig::with_strategy(JoinOrderStrategy::Exhaustive), 1);
+        e.plan(THREE_WAY, &left_deep).unwrap();
+        let (capped, left_deep) =
+            (capped.last_search_trace().unwrap(), left_deep.last_search_trace().unwrap());
+        assert_eq!(capped.strategy, "EXHAUSTIVE2→EXHAUSTIVE(cap 2)");
+        assert_eq!(
+            capped.group_exprs, left_deep.group_exprs,
+            "the capped block searched left-deep"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! tree is primary and the best-position array is derived from it as the
 //! pre-order left-to-right leaf sequence.
 
+use std::borrow::Cow;
 use taurus_common::Expr;
 
 /// Join methods a skeleton records.
@@ -178,8 +179,10 @@ pub struct SearchTrace {
     /// Never-fail ladder rung that produced the plan (0 = the configured
     /// strategy succeeded outright).
     pub rung: usize,
-    /// Join-order strategy of the winning rung.
-    pub strategy: &'static str,
+    /// Join-order strategy of the winning rung, as it ran: a block whose
+    /// EXHAUSTIVE2 search was capped to left-deep DP reads
+    /// `EXHAUSTIVE2→EXHAUSTIVE(cap 13)`.
+    pub strategy: Cow<'static, str>,
 }
 
 impl SearchTrace {
@@ -307,7 +310,7 @@ mod tests {
             plans_costed: 99,
             budget_used: 0.25,
             rung: 1,
-            strategy: "EXHAUSTIVE",
+            strategy: "EXHAUSTIVE".into(),
         };
         assert_eq!(
             t.display(),

@@ -9,6 +9,9 @@
 //!   budget sweep over a 10-member block. `BLESS=1 cargo test --test
 //!   memo_search` rewrites the file; a change to the memo that is meant to
 //!   keep the search as it is must pass without re-blessing.
+//!   (One record has been re-blessed since: the EXPLAIN hash of TPC-DS q9
+//!   under EXHAUSTIVE2, when the trace began to name the strategy that ran —
+//!   see `capped_template_names_the_strategy_that_ran`.)
 //! * `search_space_is_monotone` checks, block by block on every template
 //!   and on 200 seeded fuzzer queries, that a wider search never finds a
 //!   costlier winner and that the ordered-root decision never beats
@@ -300,4 +303,19 @@ fn search_space_is_monotone() {
         blocks += check_monotone(&engines[which], &sql, &sql).unwrap_or(0);
     }
     assert!(blocks >= 150, "only {blocks} fuzzer blocks were checked");
+}
+
+/// TPC-DS q9 is the one shipped template over `bushy_member_cap`: its outer
+/// block joins a table to 15 scalar subqueries, so EXHAUSTIVE2 runs it
+/// left-deep, and its trace has to say so.
+#[test]
+fn capped_template_names_the_strategy_that_ran() {
+    let ds = Engine::new(tpcds::build_catalog(Scale(0.1)));
+    let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
+    let text = ds.explain(&tpcds::query(9).sql, &orca).expect("q9 explains");
+    let trace = text.lines().nth(1).expect("a trace line follows the banner");
+    assert!(
+        trace.starts_with("[search: strategy=EXHAUSTIVE2→EXHAUSTIVE(cap 13) rung=0 "),
+        "{trace}"
+    );
 }
