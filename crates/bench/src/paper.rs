@@ -21,7 +21,7 @@ use crate::registry::{Env, Outcome};
 use crate::Workload;
 use mylite::engine::CostBasedOptimizer;
 use mylite::{Engine, MySqlOptimizer};
-use orcalite::{JoinOrderStrategy, OrcaConfig};
+use orcalite::{JoinOrderStrategy, OrcaConfig, SearchStats};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
 use taurus_bridge::{FallbackReason, OrcaOptimizer, RouterStats};
@@ -154,36 +154,60 @@ pub fn fig12_report(env: &Env) -> Outcome {
 pub struct CompileTotal {
     pub compiler: &'static str,
     pub total: Duration,
-    /// Per-query compile times (to find the Q14/Q64-style outliers).
-    pub per_query: Vec<(String, Duration)>,
+    /// Per query: name, compile time, and what the memo search spent on it
+    /// (all zero for the native optimizer) — to find the Q14/Q64-style
+    /// outliers and read their cause off counts.
+    pub per_query: Vec<(String, Duration, SearchStats)>,
 }
 
 /// Table 1: total EXPLAIN times with the complex-query threshold at 1 so
-/// every query takes the Orca detour (§6.3).
-pub fn compile_totals(workload: Workload, scale: Scale) -> Vec<CompileTotal> {
+/// every query takes the Orca detour (§6.3). Each query's time is the
+/// median of `reps` compiles.
+pub fn compile_totals(workload: Workload, scale: Scale, reps: usize) -> Vec<CompileTotal> {
     let Testbed { engine, queries, .. } = Testbed::new(workload, scale);
-    let compile_with = |compiler, opt: &dyn CostBasedOptimizer| {
-        let per_query: Vec<(String, Duration)> = queries
+    let reps = reps.max(1);
+    // `searched` reads the optimizer's cumulative search counters (a router
+    // sums a statement's blocks and union branches into them).
+    let compile_with = |compiler,
+                        opt: &dyn CostBasedOptimizer,
+                        searched: &dyn Fn() -> SearchStats| {
+        let per_query: Vec<(String, Duration, SearchStats)> = queries
             .iter()
             .map(|q| {
-                let t = Instant::now();
-                engine.plan(&q.sql, opt).expect("workload query must plan");
-                (q.name.to_string(), t.elapsed())
+                let before = searched();
+                let time = median((0..reps).map(|_| {
+                    let t = Instant::now();
+                    engine.plan(&q.sql, opt).expect("workload query must plan");
+                    t.elapsed()
+                }))
+                .expect("at least one rep");
+                let after = searched();
+                // Every rep searches alike, so the sum divides evenly.
+                let search = SearchStats {
+                    groups: (after.groups - before.groups) / reps,
+                    splits_explored: (after.splits_explored - before.splits_explored) / reps as u64,
+                    plans_costed: (after.plans_costed - before.plans_costed) / reps as u64,
+                    ..SearchStats::default()
+                };
+                (q.name.to_string(), time, search)
             })
             .collect();
-        CompileTotal { compiler, total: per_query.iter().map(|(_, d)| *d).sum(), per_query }
+        CompileTotal { compiler, total: per_query.iter().map(|(_, d, _)| *d).sum(), per_query }
     };
-    let orca = |strategy| OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), 1);
+    let orca_row = |compiler, strategy| {
+        let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), 1);
+        compile_with(compiler, &orca, &|| orca.stats().search)
+    };
     vec![
-        compile_with("MySQL", &MySqlOptimizer),
-        compile_with("MySQL + Orca—EXHAUSTIVE", &orca(JoinOrderStrategy::Exhaustive)),
-        compile_with("MySQL + Orca—EXHAUSTIVE2", &orca(JoinOrderStrategy::Exhaustive2)),
+        compile_with("MySQL", &MySqlOptimizer, &SearchStats::default),
+        orca_row("MySQL + Orca—EXHAUSTIVE", JoinOrderStrategy::Exhaustive),
+        orca_row("MySQL + Orca—EXHAUSTIVE2", JoinOrderStrategy::Exhaustive2),
     ]
 }
 
 pub fn table1_report(env: &Env) -> Outcome {
-    let h = compile_totals(Workload::TpcH, env.scale);
-    let ds = compile_totals(Workload::TpcDs, env.scale);
+    let h = compile_totals(Workload::TpcH, env.scale, env.reps);
+    let ds = compile_totals(Workload::TpcDs, env.scale, env.reps);
     let mut s = md_table(
         "Compiler | TPC-H total EXPLAIN | TPC-DS total EXPLAIN",
         h.iter()
@@ -191,18 +215,35 @@ pub fn table1_report(env: &Env) -> Outcome {
             .map(|(h, ds)| format!("{} | {:.3?} | {:.3?}", h.compiler, h.total, ds.total)),
     );
     // The paper attributes the EXHAUSTIVE2 overhead almost entirely to the
-    // CTE-heavy multi-join queries Q14/Q64 (§6.3 obs. 3).
-    let mut deltas: Vec<(&str, f64)> = ds[2]
-        .per_query
-        .iter()
-        .zip(&ds[1].per_query)
-        .map(|((name, t2), (_, t1))| (name.as_str(), t2.as_secs_f64() - t1.as_secs_f64()))
-        .collect();
-    deltas.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let _ = writeln!(s, "\nlargest EXHAUSTIVE2-over-EXHAUSTIVE compile deltas (TPC-DS):");
-    for (name, d) in deltas.iter().take(4) {
-        let _ = writeln!(s, "  {name}: {d:+.3}s");
-    }
+    // CTE-heavy multi-join queries Q14/Q64 (§6.3 obs. 3). The counts say
+    // whether a delta is more splits or dearer splits.
+    let mut deltas: Vec<_> = ds[1].per_query.iter().zip(&ds[2].per_query).collect();
+    deltas.sort_by_key(|((_, t1, _), (_, t2, _))| std::cmp::Reverse(t2.saturating_sub(*t1)));
+    let total: Duration =
+        deltas.iter().map(|((_, t1, _), (_, t2, _))| t2.saturating_sub(*t1)).sum();
+    let _ = writeln!(
+        s,
+        "\nlargest EXHAUSTIVE2-over-EXHAUSTIVE compile deltas (TPC-DS; median of {} compiles; \
+         all {} queries: +{total:.3?}):\n",
+        env.reps.max(1),
+        deltas.len()
+    );
+    let cell = |(_, time, search): &(String, Duration, SearchStats)| {
+        let per_split = time.as_nanos() as f64 / search.splits_explored.max(1) as f64;
+        format!(
+            "{time:.3?} | {} | {} | {per_split:.0}",
+            search.splits_explored, search.plans_costed
+        )
+    };
+    s += &md_table(
+        "Query | Δ compile | EXHAUSTIVE compile | splits | plans costed | ns/split \
+         | EXHAUSTIVE2 compile | splits | plans costed | ns/split",
+        deltas.iter().take(4).map(|(e, e2)| {
+            format!("{} | +{:.3?} | {} | {}", e.0, e2.1.saturating_sub(e.1), cell(e), cell(e2))
+        }),
+    );
+    let _ =
+        writeln!(s, "\nns/split is the statement's whole compile time over its splits explored.");
     Outcome::report(s)
 }
 
@@ -471,12 +512,20 @@ mod tests {
 
     #[test]
     fn compile_totals_has_three_rows() {
-        let rows = compile_totals(Workload::TpcH, Scale(0.02));
+        let rows = compile_totals(Workload::TpcH, Scale(0.02), 3);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].compiler, "MySQL");
         // Orca compilation is slower than MySQL compilation (§6.3 obs. 1).
         assert!(rows[1].total > rows[0].total);
         assert_eq!(rows[0].per_query.len(), 22);
+        // Counts are per compile, not summed over the reps: the bushy search
+        // explores at least the left-deep one's splits, the native none.
+        let splits =
+            |row: usize| rows[row].per_query.iter().map(|q| q.2.splits_explored).sum::<u64>();
+        assert_eq!(splits(0), 0);
+        assert!(splits(2) >= splits(1) && splits(1) > 0);
+        let once = compile_totals(Workload::TpcH, Scale(0.02), 1);
+        assert_eq!(once[2].per_query[1].2, rows[2].per_query[1].2);
     }
 
     #[test]

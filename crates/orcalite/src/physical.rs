@@ -286,7 +286,8 @@ pub struct SearchStats {
     /// Rule applications that actually rewrote their input.
     pub rules_hit: u64,
     /// The strategy the block's search ran under — not always the configured
-    /// one: EXHAUSTIVE2 runs as EXHAUSTIVE above `bushy_member_cap`.
+    /// one: EXHAUSTIVE2 runs as EXHAUSTIVE above `bushy_member_cap`. Per
+    /// block only; sums over blocks leave it at the default.
     pub strategy: JoinOrderStrategy,
 }
 
