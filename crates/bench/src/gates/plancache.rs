@@ -3,9 +3,12 @@
 use crate::plumbing::{canon_rows, md_table, median, Testbed};
 use crate::registry::{Env, Outcome};
 use crate::Workload;
+use mylite::resolve::resolve_union_branches;
 use mylite::PlanCacheStats;
 use std::time::{Duration, Instant};
 use taurus_bridge::OrcaOptimizer;
+use taurus_sql::rewrite::rewrite_set_ops;
+use taurus_sql::{parse, Statement};
 use taurus_workloads::Scale;
 
 /// The repeated-statement mix for the plan-cache experiment: TPC-H
@@ -175,8 +178,8 @@ fn plan_cache_mix(instances: usize) -> Vec<(&'static str, Vec<String>)> {
     ]
 }
 
-/// Per-template paired timing: the same statement's cold-compile cost
-/// against its amortized cache-hit cost. Pairing cold and hit per template
+/// Per-template paired timing: the same statement's cold-compile cost and
+/// front-end cost against its amortized cache-hit cost. Pairing per template
 /// keeps the comparison honest — a cheap single-table statement is compared
 /// with its own hits, not with another statement's.
 #[derive(Debug, Clone)]
@@ -184,6 +187,9 @@ pub struct TemplateTiming {
     pub name: String,
     /// Best-of-3 full compile (parse + resolve + optimize), cache bypassed.
     pub cold: Duration,
+    /// Best-of-3 front end alone (parse + set-op rewrite + resolve): what
+    /// any compile pays before an optimizer sees the statement.
+    pub front_end: Duration,
     /// Hit-path cost (fingerprint + lookup + rebind), amortized over the
     /// template's whole hot batch so timer jitter averages out.
     pub hit: Duration,
@@ -192,6 +198,11 @@ pub struct TemplateTiming {
 impl TemplateTiming {
     pub fn speedup(&self) -> f64 {
         self.cold.as_secs_f64() / self.hit.as_secs_f64().max(1e-9)
+    }
+
+    /// Hit cost as a fraction of the statement's own front-end cost.
+    pub fn hit_over_front_end(&self) -> f64 {
+        self.hit.as_secs_f64() / self.front_end.as_secs_f64().max(1e-9)
     }
 }
 
@@ -226,6 +237,11 @@ impl PlanCacheReport {
         median(self.per_template.iter().map(|t| t.speedup())).unwrap_or(0.0)
     }
 
+    /// Median per-template hit cost as a fraction of the front-end cost.
+    pub fn hit_over_front_end(&self) -> f64 {
+        median(self.per_template.iter().map(|t| t.hit_over_front_end())).unwrap_or(f64::INFINITY)
+    }
+
     /// The CI gate: every acceptance property, or the first violation.
     pub fn gate(&self) -> std::result::Result<(), String> {
         if self.stats.hit_rate() < 0.95 {
@@ -238,16 +254,18 @@ impl PlanCacheReport {
                 self.optimizer_calls_hot
             ));
         }
-        // What this protects is the hit path doing no compile work: a hit
-        // that re-parsed and re-resolved would land near 2x. The bound was
-        // 10x while a cold compile of these templates cost 100–300 µs; since
-        // the memo's split went from ≈ 196 to ≈ 29 ns (PR 14) the typical
-        // template compiles in 50–100 µs against the same 7 µs hit.
-        if self.speedup() < 4.0 {
+        // A hit must do no compile work, and the reference for that is the
+        // statement's own front end, not its full compile: hit / front end
+        // does not move when the optimizer gets faster or slower (the
+        // cold/hit speedup in the table does, so it is reported, not gated).
+        // A hit costs ≈ 0.45 of the front end; parsing is about half the
+        // front end, so a hit that re-parsed would read ≈ 0.95 and one that
+        // also re-resolved ≈ 1.45.
+        if self.hit_over_front_end() > 0.75 {
             return Err(format!(
-                "median per-template speedup only {:.1}x (median cold {:?}, median hit {:?})",
-                self.speedup(),
-                self.cold_compile,
+                "median per-template hit path is {:.2} of the statement's front end \
+                 (bound 0.75; median hit {:?}): a hit is doing compile work",
+                self.hit_over_front_end(),
                 self.hit_path
             ));
         }
@@ -307,6 +325,26 @@ pub fn run_plan_cache(scale: Scale, instances: usize) -> PlanCacheReport {
         cold_times.push(cold);
     }
 
+    // The same statements through the front end only — no optimizer, so
+    // this reference does not move when compiles get faster or slower.
+    let front_end_times: Vec<Duration> = {
+        let cat = engine.catalog();
+        let front_end = |sql: &str| -> taurus_common::Result<()> {
+            let Statement::Select(stmt) = parse(sql)? else { unreachable!("the mix is SELECTs") };
+            resolve_union_branches(&cat, &rewrite_set_ops(stmt)?).map(drop)
+        };
+        mix.iter()
+            .map(|(name, stmts)| {
+                let best = (0..3).map(|_| {
+                    let t = Instant::now();
+                    front_end(&stmts[0]).expect(name);
+                    t.elapsed()
+                });
+                best.min().unwrap()
+            })
+            .collect()
+    };
+
     // Hot phase: every instantiation again — all hits, no optimizer calls.
     // Each template's batch is timed as one span so per-call timer jitter
     // amortizes over the whole batch.
@@ -336,8 +374,13 @@ pub fn run_plan_cache(scale: Scale, instances: usize) -> PlanCacheReport {
 
     let per_template: Vec<TemplateTiming> = mix
         .iter()
-        .zip(cold_times.iter().zip(&hit_times))
-        .map(|((name, _), (&cold, &hit))| TemplateTiming { name: name.to_string(), cold, hit })
+        .zip(cold_times.iter().zip(&front_end_times).zip(&hit_times))
+        .map(|((name, _), ((&cold, &front_end), &hit))| TemplateTiming {
+            name: name.to_string(),
+            cold,
+            front_end,
+            hit,
+        })
         .collect();
     PlanCacheReport {
         executions,
@@ -369,16 +412,25 @@ pub fn format_plan_cache_report(r: &PlanCacheReport) -> String {
             format!("median cold compile | {:.3?}", r.cold_compile),
             format!("median hit path | {:.3?}", r.hit_path),
             format!("median per-template speedup | {:.1}x", r.speedup()),
+            format!("median per-template hit / front end | {:.2}", r.hit_over_front_end()),
             format!("optimizer calls during hot phase | {}", r.optimizer_calls_hot),
             format!("entries invalidated by ANALYZE | {}", r.ddl_invalidations),
             format!("cached results match fresh compiles | {}", r.results_match),
         ],
     );
     let per_template = md_table(
-        "template | cold compile | hit path | speedup",
-        r.per_template
-            .iter()
-            .map(|t| format!("{} | {:.3?} | {:.3?} | {:.1}x", t.name, t.cold, t.hit, t.speedup())),
+        "template | cold compile | front end | hit path | speedup | hit / front end",
+        r.per_template.iter().map(|t| {
+            format!(
+                "{} | {:.3?} | {:.3?} | {:.3?} | {:.1}x | {:.2}",
+                t.name,
+                t.cold,
+                t.front_end,
+                t.hit,
+                t.speedup(),
+                t.hit_over_front_end()
+            )
+        }),
     );
     format!("{summary}\n{per_template}")
 }
@@ -405,5 +457,25 @@ mod tests {
         let table = format_plan_cache_report(&r);
         assert!(table.contains("| cache hit rate |"), "{table}");
         assert!(table.contains("| optimizer calls during hot phase | 0 |"), "{table}");
+        assert!(table.contains("| median per-template hit / front end |"), "{table}");
+    }
+
+    /// The timing bound follows the front end, not the optimizer: a compile
+    /// that costs barely more than its front end (speedup ≈ 2x) still
+    /// passes, a hit as dear as the front end fails whatever the compile
+    /// costs.
+    #[test]
+    fn gate_bounds_the_hit_against_the_front_end_not_the_compile() {
+        let mut r = run_plan_cache(Scale(0.02), 25);
+        let us = Duration::from_micros;
+        for t in &mut r.per_template {
+            (t.cold, t.front_end, t.hit) = (us(22), us(20), us(9));
+        }
+        assert_eq!(r.gate(), Ok(()), "speedup {:.1}x", r.speedup());
+        for t in &mut r.per_template {
+            (t.cold, t.front_end, t.hit) = (us(2000), us(20), us(19));
+        }
+        let err = r.gate().unwrap_err();
+        assert!(err.contains("0.95 of the statement's front end"), "{err}");
     }
 }

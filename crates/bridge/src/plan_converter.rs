@@ -161,7 +161,7 @@ fn fill_positions(node: &PhysNode, inner_skeletons: &HashMap<usize, Skeleton>) -
 mod tests {
     use super::*;
     use mylite::bound::{BlockTable, JoinEntry};
-    use orcalite::physical::SearchStats;
+    use orcalite::{JoinOrderStrategy, SearchStats};
     use taurus_common::Expr;
 
     fn block_with_qts(qts: &[usize]) -> BoundQuery {
@@ -185,7 +185,13 @@ mod tests {
     }
 
     fn plan(root: PhysNode) -> OrcaPlan {
-        OrcaPlan { root, stats: SearchStats::default(), changed_block_structure: false, dop: 1 }
+        OrcaPlan {
+            root,
+            strategy: JoinOrderStrategy::Exhaustive2,
+            stats: SearchStats::default(),
+            changed_block_structure: false,
+            dop: 1,
+        }
     }
 
     #[test]
@@ -233,12 +239,7 @@ mod tests {
 
     #[test]
     fn changed_block_structure_falls_back() {
-        let p = OrcaPlan {
-            root: scan(0),
-            stats: SearchStats::default(),
-            changed_block_structure: true,
-            dop: 1,
-        };
+        let p = OrcaPlan { changed_block_structure: true, ..plan(scan(0)) };
         let err = to_skeleton(&p, &block_with_qts(&[0]), &HashMap::new()).unwrap_err();
         assert!(matches!(err, Error::OrcaFallback(_)));
     }

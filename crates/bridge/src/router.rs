@@ -498,9 +498,9 @@ impl OrcaOptimizer {
         acc.stats.rules_hit += plan.stats.rules_hit;
         // The statement's trace reports the deepest rung any block needed,
         // and among its blocks a capped one.
-        if rung > acc.rung || (rung == acc.rung && plan.stats.strategy != strategy) {
+        if rung > acc.rung || (rung == acc.rung && plan.strategy != strategy) {
             acc.rung = rung;
-            acc.strategy = ran_as(strategy, plan.stats.strategy, self.config.bushy_member_cap);
+            acc.strategy = ran_as(strategy, plan.strategy, self.config.bushy_member_cap);
         }
         if plan.changed_block_structure {
             return Err(DetourFail {

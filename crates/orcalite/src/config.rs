@@ -6,7 +6,7 @@ use taurus_common::error::{Error, Result};
 
 /// Join-order search strategy (paper §6: "Orca's join-order search
 /// algorithm was set to EXHAUSTIVE2 — its most thorough setting").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinOrderStrategy {
     /// Linear greedy chain (cheap, comparable to MySQL's search).
     Greedy,
@@ -14,7 +14,6 @@ pub enum JoinOrderStrategy {
     Exhaustive,
     /// Full bushy dynamic programming — every partition of every plannable
     /// subset is considered.
-    #[default]
     Exhaustive2,
 }
 

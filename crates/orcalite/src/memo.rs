@@ -71,7 +71,7 @@ pub fn optimize_block_cached(
 ) -> Result<OrcaPlan> {
     cfg.faults.fire(FaultSite::OptimizeSearch)?;
     let mut search = Search::new(desc, cache, cfg)?;
-    let root = search.run()?;
+    let (root, strategy) = search.run()?;
     // The GbAgg-below-join rule (disabled for the MySQL target, §7 item 5):
     // when enabled on an aggregating multi-join block it would produce a
     // plan whose query-block structure MySQL cannot express, and the host
@@ -81,7 +81,7 @@ pub fn optimize_block_cached(
     // DOP-adjusted alternatives (per-worker tuple cost + exchange transfer
     // cost). dop stays 1 unless parallelism is genuinely cheaper.
     let dop = if cfg.dop > 1 { cost::choose_dop(root.cost(), root.rows(), cfg.dop) } else { 1 };
-    Ok(OrcaPlan { root, stats: search.stats, changed_block_structure: changed, dop })
+    Ok(OrcaPlan { root, strategy, stats: search.stats, changed_block_structure: changed, dop })
 }
 
 type Bits = u64;
@@ -567,7 +567,7 @@ impl<'a> Search<'a> {
         Ok(())
     }
 
-    fn run(&mut self) -> Result<PhysNode> {
+    fn run(&mut self) -> Result<(PhysNode, JoinOrderStrategy)> {
         let n = self.members.len();
         let full: Bits = (1 << n) - 1;
         // EXHAUSTIVE2 degrades to left-deep DP above the bushy cap.
@@ -577,7 +577,6 @@ impl<'a> Search<'a> {
             }
             configured => configured,
         };
-        self.stats.strategy = strategy;
         let mut ordered = false;
         match strategy {
             JoinOrderStrategy::Greedy => self.greedy(full)?,
@@ -598,7 +597,7 @@ impl<'a> Search<'a> {
             }
         }
         self.stats.groups = self.table.groups.len();
-        self.reconstruct(full, ordered)
+        Ok((self.reconstruct(full, ordered)?, strategy))
     }
 
     // ------------------------------------------------------------- helpers
@@ -1545,20 +1544,21 @@ mod tests {
         let (md, desc) = setup();
         let run = |bushy_member_cap: usize, strategy: JoinOrderStrategy| {
             let cfg = OrcaConfig { bushy_member_cap, ..OrcaConfig::with_strategy(strategy) };
-            optimize_block(&desc, &md, &cfg).unwrap().stats
+            let plan = optimize_block(&desc, &md, &cfg).unwrap();
+            (plan.strategy, plan.stats)
         };
         let capped = run(2, JoinOrderStrategy::Exhaustive2);
-        assert_eq!(capped.strategy, JoinOrderStrategy::Exhaustive);
+        assert_eq!(capped.0, JoinOrderStrategy::Exhaustive);
         assert_eq!(
             capped,
             run(2, JoinOrderStrategy::Exhaustive),
             "the capped search is EXHAUSTIVE"
         );
         let bushy = run(3, JoinOrderStrategy::Exhaustive2);
-        assert_eq!(bushy.strategy, JoinOrderStrategy::Exhaustive2);
-        assert!(bushy.splits_explored > capped.splits_explored);
+        assert_eq!(bushy.0, JoinOrderStrategy::Exhaustive2);
+        assert!(bushy.1.splits_explored > capped.1.splits_explored);
         // The cap only ever applies to EXHAUSTIVE2.
-        assert_eq!(run(2, JoinOrderStrategy::Greedy).strategy, JoinOrderStrategy::Greedy);
+        assert_eq!(run(2, JoinOrderStrategy::Greedy).0, JoinOrderStrategy::Greedy);
     }
 
     #[test]

@@ -285,16 +285,15 @@ pub struct SearchStats {
     pub rules_applied: u64,
     /// Rule applications that actually rewrote their input.
     pub rules_hit: u64,
-    /// The strategy the block's search ran under — not always the configured
-    /// one: EXHAUSTIVE2 runs as EXHAUSTIVE above `bushy_member_cap`. Per
-    /// block only; sums over blocks leave it at the default.
-    pub strategy: JoinOrderStrategy,
 }
 
 /// The optimizer's output for one block.
 #[derive(Debug, Clone)]
 pub struct OrcaPlan {
     pub root: PhysNode,
+    /// The strategy the search ran under — not always the configured one:
+    /// EXHAUSTIVE2 runs as EXHAUSTIVE above `bushy_member_cap`.
+    pub strategy: JoinOrderStrategy,
     pub stats: SearchStats,
     /// Set when an enabled rule changed the query-block structure (e.g.
     /// GbAgg pushed below a join) — the host must fall back to its own
