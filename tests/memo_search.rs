@@ -4,6 +4,8 @@
 //!   threshold 1 under GREEDY, EXHAUSTIVE and EXHAUSTIVE2 and holds, per
 //!   (template, strategy), the Fig 6 sketch (operator names with memo group
 //!   ids), the whole physical tree (keys, consumed conjuncts, residuals),
+//!   its id-free `shape` (join order, sides, implementations, index
+//!   positions, keys — the column that moves only when a plan does),
 //!   the root cost and rows as bit patterns, the EXPLAIN text and the three
 //!   search counters against `tests/golden/memo_plans.tsv`, together with a
 //!   budget sweep over a 10-member block. `BLESS=1 cargo test --test
@@ -28,7 +30,7 @@ use taurus_orca::mylite::resolve::resolve_union_branches;
 use taurus_orca::mylite::{BoundQuery, BoundStatement, Engine, Skeleton, TableSource};
 use taurus_orca::orcalite::{
     cost, optimize_block_cached, BlockDesc, JoinOrderStrategy, MdCache, OrcaConfig, OrcaPlan,
-    SearchBudget,
+    PhysNode, SearchBudget,
 };
 use taurus_orca::prelude::{Error, Result};
 use taurus_orca::sql::rewrite::rewrite_set_ops;
@@ -111,16 +113,56 @@ fn for_each_block(
     Ok(())
 }
 
+/// A plan without memo group ids, rows or costs: join order, sides,
+/// implementation, index positions and keys. Group ids move whenever the
+/// search creates fewer groups; this column moves only when the plan does.
+fn shape(n: &PhysNode, out: &mut String) {
+    let _ = match n {
+        PhysNode::Scan { qt, .. } => write!(out, "scan({qt})"),
+        PhysNode::IndexRange { qt, index, .. } => write!(out, "range({qt},{index})"),
+        PhysNode::IndexScan { qt, index, .. } => write!(out, "ordered({qt},{index})"),
+        PhysNode::InListProbes { qt, index, keys, .. } => {
+            write!(out, "probes({qt},{index},{})", keys.len())
+        }
+        PhysNode::IndexLookup { qt, index, keys, .. } => {
+            write!(out, "lookup({qt},{index},{keys:?})")
+        }
+        PhysNode::DerivedScan { qt, .. } => write!(out, "derived({qt})"),
+        PhysNode::NLJoin { kind, null_aware, outer, inner, .. } => {
+            let _ = write!(out, "nl:{}{}(", kind.name(), if *null_aware { ":na" } else { "" });
+            shape(outer, out);
+            out.push(',');
+            shape(inner, out);
+            write!(out, ")")
+        }
+        PhysNode::HashJoin { kind, null_aware, left, right, keys, .. } => {
+            let _ = write!(out, "hash:{}{}(", kind.name(), if *null_aware { ":na" } else { "" });
+            shape(left, out);
+            out.push(',');
+            shape(right, out);
+            write!(out, ",{keys:?})")
+        }
+        PhysNode::Sort { input, keys, .. } => {
+            let _ = write!(out, "sort{keys:?}(");
+            shape(input, out);
+            write!(out, ")")
+        }
+    };
+}
+
 /// One golden line for (template, strategy).
 fn plan_record(engine: &Engine, key: &str, sql: &str, name: &str, s: JoinOrderStrategy) -> String {
     let cfg = OrcaConfig::with_strategy(s);
-    let (mut sketch, mut tree) = (FNV_SEED, FNV_SEED);
+    let (mut sketch, mut tree, mut shapes) = (FNV_SEED, FNV_SEED, FNV_SEED);
     let (mut blocks, mut groups, mut splits, mut costed) = (0usize, 0usize, 0u64, 0u64);
     let (mut root_cost, mut root_rows) = (0u64, 0u64);
     for_each_block(engine, sql, &mut |desc, md| {
         let plan = optimize_block_cached(desc, md, &cfg)?;
         fnv(&mut sketch, plan.root.sketch().as_bytes());
         fnv(&mut tree, format!("{:?}", plan.root).as_bytes());
+        let mut text = String::new();
+        shape(&plan.root, &mut text);
+        fnv(&mut shapes, text.as_bytes());
         blocks += 1;
         groups += plan.stats.groups;
         splits += plan.stats.splits_explored;
@@ -144,8 +186,8 @@ fn plan_record(engine: &Engine, key: &str, sql: &str, name: &str, s: JoinOrderSt
     let mut text = FNV_SEED;
     fnv(&mut text, explain.as_bytes());
     format!(
-        "{key}\t{name}\t{blocks}\t{sketch:016x}\t{tree:016x}\t{root_cost:016x}\t{root_rows:016x}\t\
-         {text:016x}\t{groups}\t{splits}\t{costed}"
+        "{key}\t{name}\t{blocks}\t{sketch:016x}\t{tree:016x}\t{shapes:016x}\t{root_cost:016x}\t\
+         {root_rows:016x}\t{text:016x}\t{groups}\t{splits}\t{costed}"
     )
 }
 
@@ -190,7 +232,7 @@ fn sweep_record(engine: &Engine, which: &str, limit: u64) -> String {
 fn golden_text() -> String {
     let (h, ds, all) = templates();
     let mut out = String::from(
-        "# template\tstrategy\tblocks\tsketch\ttree\troot_cost\troot_rows\texplain\t\
+        "# template\tstrategy\tblocks\tsketch\ttree\tshape\troot_cost\troot_rows\texplain\t\
          groups\tsplits_explored\tplans_costed\n",
     );
     for (key, side, sql) in &all {
