@@ -146,8 +146,8 @@ struct LookupKey {
 }
 
 /// How a split is implemented; with the right side's member set, a whole
-/// decision.
-#[derive(Clone, Copy, PartialEq)]
+/// decision. Declared in tie-break order.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 enum Impl {
     None,
     Leaf,
@@ -175,9 +175,12 @@ impl Winner {
         (self.imp != Impl::None).then_some(self.cost)
     }
 
-    /// Keep the cheaper decision; of equals, the first offered.
+    /// Keep the cheaper decision; of equal costs the larger right side,
+    /// then hash before lookup before nested loop — so a winner is a
+    /// function of the alternatives offered, not of the order they come in.
     fn offer(&mut self, cost: f64, s2: Bits, imp: Impl) {
-        if self.imp == Impl::None || cost < self.cost {
+        let tie_won = || s2 > self.s2 || (s2 == self.s2 && imp < self.imp);
+        if self.imp == Impl::None || cost < self.cost || (cost == self.cost && tie_won()) {
             *self = Winner { cost, s2, imp };
         }
     }
@@ -262,6 +265,14 @@ struct Search<'a> {
     eq_wide: Vec<(Bits, Bits)>,
     /// Members with dependencies (`dep_bits != 0`).
     dependents: Bits,
+    /// The dependents `chain_last` pinned to the end of the join order, in
+    /// member order: nothing about them is left to search.
+    chained: Bits,
+    /// The join graph, one adjacency mask per member: what every strategy
+    /// enumerates along (see `new`).
+    nbrs: Vec<Bits>,
+    /// Scratch stack of right sides, one frame per `best` in progress.
+    splits: Vec<Bits>,
     /// Observed-cardinality overrides from the metadata cache (feedback-
     /// driven re-optimization): exact-set hits replace derived group rows.
     fb: Option<Arc<CardOverrides>>,
@@ -492,18 +503,51 @@ impl<'a> Search<'a> {
             members.iter().enumerate().filter(|(_, m)| f(m)).map(|(i, _)| 1u64 << i).sum()
         };
         let inner_bits = mask_where(&members, &|m| !m.desc.is_dependent());
+        let mut chained: Bits = 0;
         let mut chain_last = |which: &dyn Fn(&Member) -> bool| {
             let mut prev = inner_bits;
             for (i, m) in members.iter_mut().enumerate() {
                 if m.desc.is_dependent() && which(m) {
                     m.dep_bits |= prev & !(1 << i);
                     prev |= 1 << i;
+                    chained |= 1 << i;
                 }
             }
         };
         chain_last(&|m| m.on_cross.is_empty() && m.dep_bits == 0);
         if !cfg.enable_apply_swaps {
             chain_last(&|_| true);
+        }
+
+        // The join graph. A spanning conjunct links every pair of the members
+        // it mentions (for three or more a clique: a superset of what a
+        // hypergraph walk would admit), a cross ON conjunct likewise, and a
+        // dependent is linked to each of its dependencies.
+        let mut edges = pool_mask.clone();
+        for (i, m) in members.iter().enumerate() {
+            edges.extend(m.on_cross.iter().map(|c| member_mask(c) | 1 << i));
+            edges.extend(bits(m.dep_bits).map(|d| 1 << d | 1 << i));
+        }
+        let mut nbrs: Vec<Bits> = vec![0; members.len()];
+        for mask in edges {
+            for i in bits(mask) {
+                nbrs[i] |= mask & !(1 << i);
+            }
+        }
+        // Where the query offers no predicate, and only there, a cross
+        // product: the components of the members free to lead a join order
+        // are chained through their lowest members. Every dependent reaches
+        // that core along its dependencies, so the block is connected.
+        let dependents = mask_where(&members, &|m| m.dep_bits != 0);
+        let free = ((1 << members.len()) - 1) & !dependents;
+        let (mut rest, mut prev) = (free, None);
+        while rest != 0 {
+            let low = rest.trailing_zeros() as usize;
+            rest &= !component(&nbrs, free, 1 << low);
+            if let Some(p) = prev.replace(low) {
+                nbrs[p] |= 1 << low;
+                nbrs[low] |= 1 << p;
+            }
         }
 
         // Interesting-order anchor: the required order can only enter the
@@ -539,7 +583,10 @@ impl<'a> Search<'a> {
             pool_mask,
             pool_sel,
             eq_wide,
-            dependents: mask_where(&members, &|m| m.dep_bits != 0),
+            dependents,
+            chained,
+            nbrs,
+            splits: Vec::new(),
             members,
             fb,
             table: GroupTable::new(),
@@ -570,9 +617,11 @@ impl<'a> Search<'a> {
     fn run(&mut self) -> Result<(PhysNode, JoinOrderStrategy)> {
         let n = self.members.len();
         let full: Bits = (1 << n) - 1;
-        // EXHAUSTIVE2 degrades to left-deep DP above the bushy cap.
+        // EXHAUSTIVE2 degrades to left-deep DP above the bushy cap, which
+        // counts the members there is an order to search for.
+        let orderable = (full & !self.chained).count_ones() as usize;
         let strategy = match self.cfg.strategy {
-            JoinOrderStrategy::Exhaustive2 if n > self.cfg.bushy_member_cap => {
+            JoinOrderStrategy::Exhaustive2 if orderable > self.cfg.bushy_member_cap => {
                 JoinOrderStrategy::Exhaustive
             }
             configured => configured,
@@ -606,6 +655,42 @@ impl<'a> Search<'a> {
     /// an all-independent set.
     fn plannable(&self, set: Bits) -> bool {
         bits(set & self.dependents).all(|i| self.members[i].dep_bits & !set == 0)
+    }
+
+    /// Whether the join graph connects `set` (non-empty): the admissibility
+    /// rule every side of every split obeys, under every strategy.
+    fn connected(&self, set: Bits) -> bool {
+        component(&self.nbrs, set, set & set.wrapping_neg()) == set
+    }
+
+    /// Pushes the far side of every split of the connected `set` into two
+    /// connected sides whose near side holds `near` (connected, with
+    /// `set`'s lowest member) and none of `barred`. Whatever `near` leaves
+    /// falls into components, and a connected far side lies within one of
+    /// them: the others join the near side, which then grows into that
+    /// component one neighbour at a time, each neighbour barred from the
+    /// branches after its own so that no split is reached twice.
+    fn grow(&mut self, set: Bits, near: Bits, barred: Bits) {
+        let mut rest = set & !near;
+        while rest != 0 {
+            let far = component(&self.nbrs, rest, rest & rest.wrapping_neg());
+            rest &= !far;
+            if barred & !far != 0 {
+                continue;
+            }
+            self.splits.push(far);
+            if far & (far - 1) == 0 {
+                continue;
+            }
+            let near = set & !far;
+            let mut barred = barred;
+            for v in bits(far & !barred) {
+                if self.nbrs[v] & near != 0 {
+                    self.grow(set, near | 1 << v, barred);
+                    barred |= 1 << v;
+                }
+            }
+        }
     }
 
     /// The group of a subset, created at first touch with its derived
@@ -703,12 +788,9 @@ impl<'a> Search<'a> {
         // The set's own group is created by its first costed split (or
         // below, if there is none), after the children that split explored.
         let mut own: Option<usize> = None;
-        // Enumerate splits: right side s2, left side s1 = set \ s2.
+        // One split: right side s2, left side s1 = set \ s2.
         let mut consider = |this: &mut Self, s2: Bits| -> Result<()> {
             let s1 = set & !s2;
-            if s1 == 0 || s2 == 0 {
-                return Ok(());
-            }
             this.stats.splits_explored += 1;
             this.charge_budget()?;
             // Dependent members must be lone right children with their
@@ -750,21 +832,32 @@ impl<'a> Search<'a> {
             }
             Ok(())
         };
-        match strategy {
-            JoinOrderStrategy::Exhaustive => {
-                // Left-deep: right side is a single member.
-                for i in bits(set) {
+        let pinned = set & self.chained;
+        if pinned != 0 {
+            // Chained members leave last first, as lone right sides; only a
+            // dependent the apply-swap rules place may leave before them.
+            let last = 1 << (63 - pinned.leading_zeros());
+            for i in bits(set & self.dependents & !pinned | last) {
+                consider(self, 1 << i)?;
+            }
+        } else if strategy == JoinOrderStrategy::Exhaustive {
+            // Left-deep: the right side is a single member.
+            for i in bits(set) {
+                if self.connected(set & !(1 << i)) {
                     consider(self, 1 << i)?;
                 }
             }
-            _ => {
-                // All proper non-empty submasks as the right side.
-                let mut s2 = (set - 1) & set;
-                while s2 != 0 {
-                    consider(self, s2)?;
-                    s2 = (s2 - 1) & set;
-                }
+        } else {
+            // Bushy: either side of every split into two connected sides.
+            debug_assert!(self.connected(set), "best({set:#b}) off the join graph");
+            let frame = self.splits.len();
+            self.grow(set, set & set.wrapping_neg(), 0);
+            for k in frame..self.splits.len() {
+                let far = self.splits[k];
+                consider(self, far)?;
+                consider(self, set & !far)?;
             }
+            self.splits.truncate(frame);
         }
         let g = own.unwrap_or_else(|| self.group(set));
         let group = &mut self.table.groups[g];
@@ -858,7 +951,11 @@ impl<'a> Search<'a> {
             let mut next = Winner::NONE;
             for i in 0..n {
                 let bit = 1u64 << i;
-                if placed & bit != 0 || self.members[i].dep_bits & !placed != 0 {
+                // The chain grows along an edge of the join graph.
+                if placed & bit != 0
+                    || self.nbrs[i] & placed == 0
+                    || self.members[i].dep_bits & !placed != 0
+                {
                     continue;
                 }
                 let right = self.best(bit, JoinOrderStrategy::Exhaustive)?;
@@ -1004,6 +1101,17 @@ impl LookupIndex {
     fn usable(&self, s1: Bits) -> impl Iterator<Item = &LookupKey> {
         self.cols.iter().map_while(move |(keys, _)| keys.iter().find(|k| k.need & !s1 == 0))
     }
+}
+
+/// The members of `within` the join graph connects to `seed`, `seed` included.
+fn component(nbrs: &[Bits], within: Bits, seed: Bits) -> Bits {
+    let (mut reached, mut frontier) = (seed, seed);
+    while frontier != 0 {
+        let next = bits(frontier).fold(0, |n, i| n | nbrs[i]);
+        frontier = next & within & !reached;
+        reached |= frontier;
+    }
+    reached
 }
 
 /// The member indexes of a set, ascending.
@@ -1559,6 +1667,137 @@ mod tests {
         assert!(bushy.1.splits_explored > capped.1.splits_explored);
         // The cap only ever applies to EXHAUSTIVE2.
         assert_eq!(run(2, JoinOrderStrategy::Greedy).0, JoinOrderStrategy::Greedy);
+    }
+
+    /// `n` inner members of 1 000 rows with one equality per edge: a block
+    /// that is its join graph and nothing else.
+    fn graph_block(n: usize, edges: &[(usize, usize)]) -> (InMemoryAccessor, BlockDesc) {
+        let mut md = InMemoryAccessor::default();
+        let col = || Some(ColView { ndv: 100.0, null_frac: 0.0, hist: None });
+        let mut members = Vec::new();
+        for qt in 0..n {
+            let oid = Oid(qt as u64 + 1);
+            md.insert(
+                oid,
+                MdRelation { name: format!("t{qt}"), rows: 1_000.0, num_columns: 1 },
+                Some(RelView { rows: 1_000.0, cols: vec![col()] }),
+                vec![],
+            );
+            members.push(MemberDesc {
+                qt,
+                source: RelSource::Base { oid },
+                entry: EntryDesc::Inner,
+                deps: BTreeSet::new(),
+            });
+        }
+        let desc = BlockDesc {
+            num_tables: n,
+            members,
+            predicates: edges
+                .iter()
+                .map(|&(a, b)| Expr::eq(Expr::col(a, 0), Expr::col(b, 0)))
+                .collect(),
+            outer: BTreeSet::new(),
+            has_aggregation: false,
+            required_order: vec![],
+        };
+        (md, desc)
+    }
+
+    #[test]
+    fn splits_explored_is_the_graphs_own_count() {
+        let splits = |n: usize, edges: &[(usize, usize)], s: JoinOrderStrategy| {
+            let (md, desc) = graph_block(n, edges);
+            optimize_block(&desc, &md, &OrcaConfig::with_strategy(s)).unwrap().stats.splits_explored
+        };
+        use JoinOrderStrategy::{Exhaustive, Exhaustive2};
+        // A centre and k = 9 leaves: a set of the centre and j leaves splits
+        // only by shedding a leaf — k·2^k either way round — and left-deep
+        // by shedding a leaf, or the centre from its last one.
+        let star: Vec<_> = (1..=9).map(|leaf| (0, leaf)).collect();
+        assert_eq!(splits(10, &star, Exhaustive2), 9 << 9);
+        assert_eq!(splits(10, &star, Exhaustive), (9 << 8) + 9);
+        // The same star with the centre numbered last.
+        let star_last: Vec<_> = (0..9).map(|leaf| (9, leaf)).collect();
+        assert_eq!(splits(10, &star_last, Exhaustive2), 9 << 9);
+        // A chain of 8: an interval of m members splits at its m − 1 edges.
+        let chain: Vec<_> = (0..7).map(|i| (i, i + 1)).collect();
+        assert_eq!(splits(8, &chain, Exhaustive2), (8 * 8 * 8 - 8) / 3);
+        // A 6-clique keeps the whole subset lattice: 3^6 − 2^7 + 1.
+        let clique: Vec<_> = (0..6).flat_map(|a| (a + 1..6).map(move |b| (a, b))).collect();
+        assert_eq!(splits(6, &clique, Exhaustive2), 602);
+        // No predicate at all: the three components chain 0 — 1 — 2.
+        assert_eq!(splits(3, &[], Exhaustive2), splits(3, &[(0, 1), (1, 2)], Exhaustive2));
+    }
+
+    #[test]
+    fn grow_reaches_each_split_into_connected_sides_once() {
+        // Random connected graphs, every connected subset of each: what
+        // `grow` pushes is what a filtered scan of the submasks finds.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        for _ in 0..40 {
+            let n = 2 + draw(7);
+            let mut edges: Vec<_> = (1..n).map(|b| (draw(b), b)).collect();
+            for _ in 0..draw(n) {
+                let (a, b) = (draw(n), draw(n));
+                if a != b {
+                    edges.push((a, b));
+                }
+            }
+            let (md, desc) = graph_block(n, &edges);
+            let (cache, cfg) = (MdCache::new(&md), OrcaConfig::default());
+            let mut search = Search::new(&desc, &cache, &cfg).unwrap();
+            for set in (1..1u64 << n).filter(|set| set.count_ones() > 1) {
+                if !search.connected(set) {
+                    continue;
+                }
+                let lowest = set & set.wrapping_neg();
+                let mut want: Vec<Bits> = (1..set)
+                    .filter(|far| far & !set == 0 && far & lowest == 0)
+                    .filter(|far| search.connected(*far) && search.connected(set & !far))
+                    .collect();
+                search.grow(set, lowest, 0);
+                let mut got = std::mem::take(&mut search.splits);
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "{edges:?} over {set:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_costs_tie_break_the_same_in_any_order() {
+        let alts = [
+            (5.0, 0b0010, Impl::Hash),
+            (5.0, 0b0100, Impl::NestedLoop),
+            (7.0, 0b1000, Impl::Hash),
+            (5.0, 0b0100, Impl::Lookup),
+            (5.0, 0b0001, Impl::Hash),
+        ];
+        for turn in 0..alts.len() {
+            for reversed in [false, true] {
+                let mut order = alts;
+                order.rotate_left(turn);
+                if reversed {
+                    order.reverse();
+                }
+                let mut winner = Winner::NONE;
+                for (cost, s2, imp) in order {
+                    winner.offer(cost, s2, imp);
+                }
+                // The larger right side, then lookup before nested loop.
+                assert!(
+                    (winner.cost, winner.s2, winner.imp) == (5.0, 0b0100, Impl::Lookup),
+                    "rotated {turn}, reversed {reversed}"
+                );
+            }
+        }
     }
 
     #[test]
