@@ -8,12 +8,14 @@ use taurus_common::error::{Error, Result};
 /// algorithm was set to EXHAUSTIVE2 — its most thorough setting").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinOrderStrategy {
-    /// Linear greedy chain (cheap, comparable to MySQL's search).
+    /// Linear greedy chain along the block's join graph (cheap, comparable
+    /// to MySQL's search).
     Greedy,
-    /// Left-deep dynamic programming over the memo.
+    /// Left-deep dynamic programming over the memo: of every connected
+    /// member set, the splits that shed one member.
     Exhaustive,
-    /// Full bushy dynamic programming — every partition of every plannable
-    /// subset is considered.
+    /// Bushy dynamic programming: of every connected member set, every
+    /// split into two connected sides.
     Exhaustive2,
 }
 
@@ -195,12 +197,10 @@ pub struct OrcaConfig {
     /// Enabling it makes Orca report a changed query-block structure, which
     /// triggers the bridge's fallback to MySQL optimization (§4.2.1).
     pub enable_gbagg_below_join: bool,
-    /// §7 item 7: accept "replicated distribution required AND replication
-    /// prohibited" plans — invalid on MPP, valid single-node. Disabling
-    /// mimics un-nudged Orca, which would prune some single-node plans.
-    pub mysql_distribution_nudges: bool,
-    /// Bushy DP is 3^n in the member count; above this cap EXHAUSTIVE2
-    /// degrades to left-deep DP so compile time stays bounded.
+    /// Bushy DP over a dense join graph is 3^n in the members it is free to
+    /// order (a clique keeps the whole subset lattice); above this cap
+    /// EXHAUSTIVE2 degrades to left-deep DP so compile time stays bounded.
+    /// Dependents chained to the end of the join order do not count.
     pub bushy_member_cap: usize,
     /// Deterministic cap on per-block search effort (memo groups / plans
     /// costed). Exhaustion surfaces as [`Error::ResourceExhausted`] and
@@ -229,7 +229,6 @@ impl Default for OrcaConfig {
             enable_or_factorization: true,
             enable_apply_swaps: true,
             enable_gbagg_below_join: false,
-            mysql_distribution_nudges: true,
             bushy_member_cap: 13,
             budget: SearchBudget::UNLIMITED,
             dop: 1,
@@ -256,7 +255,6 @@ mod tests {
         assert!(c.enable_or_factorization);
         assert!(c.enable_apply_swaps);
         assert!(!c.enable_gbagg_below_join, "disabled for the MySQL target (§7)");
-        assert!(c.mysql_distribution_nudges);
         assert!(c.budget.is_unlimited(), "budget off by default");
         assert_eq!(c.dop, 1, "serial-only unless the engine raises dop");
         assert!(c.order_properties, "interesting-order propagation on by default");

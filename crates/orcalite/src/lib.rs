@@ -21,13 +21,14 @@
 //! * [`cost`] — Orca's cost model ("relatively high index lookup and hash
 //!   join costs", §9).
 //! * [`memo`] — the memo: groups of logically equivalent expressions,
-//!   explored under three join-order search strategies — GREEDY,
-//!   EXHAUSTIVE (left-deep dynamic programming) and EXHAUSTIVE2 (full bushy
-//!   dynamic programming, the "most thorough setting", §6).
+//!   explored along the block's join graph under three join-order search
+//!   strategies — GREEDY, EXHAUSTIVE (left-deep dynamic programming) and
+//!   EXHAUSTIVE2 (bushy dynamic programming, the "most thorough setting",
+//!   §6).
 //! * [`physical`] — Orca physical plans and search statistics.
 //! * [`config`] — the knobs the paper tweaks: rule enable/disable flags
-//!   (GbAgg-below-join disabled for the MySQL target, §7 item 5), the
-//!   MySQL-target distribution nudges (§7 item 7), and search strategy.
+//!   (GbAgg-below-join disabled for the MySQL target, §7 item 5) and the
+//!   search strategy.
 
 pub mod config;
 pub mod cost;

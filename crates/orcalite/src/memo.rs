@@ -1,22 +1,45 @@
 //! The memo and the join-order search.
 //!
 //! Groups are sets of logically equivalent expressions — here, the
-//! dynamic-programming groups over *plannable member subsets*, each holding
-//! its derived logical properties (cardinality) and the winning physical
-//! implementation per group, in classic Cascades fashion. Exploration
-//! enumerates group expressions (subset splits) under the configured
+//! dynamic-programming groups over *connected, plannable member subsets*,
+//! each holding its derived logical properties (cardinality) and the winning
+//! physical implementation per group, in classic Cascades fashion.
+//! Exploration enumerates group expressions (splits of a subset into a left
+//! and a right side) along the block's **join graph** under the configured
 //! strategy:
 //!
-//! * `GREEDY` — linear chain construction;
-//! * `EXHAUSTIVE` — left-deep DP (splits whose right side is one member);
-//! * `EXHAUSTIVE2` — full bushy DP (every partition of every subset), the
-//!   paper's "most thorough setting".
+//! * `GREEDY` — linear chain construction, each step along an edge;
+//! * `EXHAUSTIVE` — left-deep DP: of every connected set, the splits that
+//!   shed one member and leave the rest connected;
+//! * `EXHAUSTIVE2` — bushy DP: of every connected set, every split into two
+//!   connected sides — the paper's "most thorough setting".
+//!
+//! One admissibility rule serves all three — both sides of a split are
+//! connected in the graph — so GREEDY's chain lies inside EXHAUSTIVE's space
+//! and EXHAUSTIVE's inside EXHAUSTIVE2's, and a star of a centre and k
+//! leaves costs k·2^k bushy splits where the subset lattice has 3^(k+1).
+//!
+//! ## The join graph
+//!
+//! `Search::new` derives one adjacency mask per member: every spanning pool
+//! conjunct and every cross ON conjunct links the members it mentions (a
+//! conjunct over three or more links all of them — a clique, which admits a
+//! superset of the splits a hypergraph walk would), and every dependent is
+//! linked to each of its dependencies. Where that leaves the members free
+//! to lead a join order in several components, the components are chained
+//! through their lowest members in member order: a cross product is admitted
+//! exactly where the query offers no predicate, one per missing edge, and
+//! nowhere else. A plan that crosses two tables the query never relates is
+//! outside this space.
 //!
 //! Dependent members (semi/anti/outer-joined tables, correlated deriveds)
 //! carry dependency edges; with `enable_apply_swaps` (§7 item 1) they may
 //! be placed at *any* point where their dependencies are satisfied — the
 //! closure of the paper's 11 apply/join swap rules — otherwise they are
-//! forced to the end of the join order, mimicking pre-rule Orca.
+//! forced to the end of the join order, mimicking pre-rule Orca. Members
+//! chained to the end (all dependents then; uncorrelated ON-TRUE applies
+//! always) are not searched at all: a set holding some sheds the last of
+//! them, one split each, and they do not count toward `bushy_member_cap`.
 //!
 //! ## Search mechanics
 //!
@@ -30,10 +53,10 @@
 //! strategy and member count. A group records *decisions* (the right side's
 //! set plus an implementation tag, 24 bytes), not plan trees; the winning
 //! tree, with its join conditions, hash keys and lookup keys, is derived
-//! once at the end by `reconstruct`. Measured on `perf`'s `compile_cold`
-//! (1.44 M splits a pass): ≈ 29 ns per split, down from ≈ 196 ns with a
-//! SipHash map and per-split expression walks — which keeps Table 1's
-//! EXHAUSTIVE-vs-EXHAUSTIVE2 comparison about search spaces.
+//! once at the end by `reconstruct`. Of equally cheap decisions the one with
+//! the larger right-side mask wins, then hash before lookup before nested
+//! loop (`Winner::offer`): winners are a function of the search space, not
+//! of the order it is walked in.
 
 use crate::config::{FaultSite, JoinOrderStrategy, OrcaConfig, SearchBudget};
 use crate::cost;
@@ -523,16 +546,12 @@ impl<'a> Search<'a> {
         // it mentions (for three or more a clique: a superset of what a
         // hypergraph walk would admit), a cross ON conjunct likewise, and a
         // dependent is linked to each of its dependencies.
-        let mut edges = pool_mask.clone();
-        for (i, m) in members.iter().enumerate() {
-            edges.extend(m.on_cross.iter().map(|c| member_mask(c) | 1 << i));
-            edges.extend(bits(m.dep_bits).map(|d| 1 << d | 1 << i));
-        }
         let mut nbrs: Vec<Bits> = vec![0; members.len()];
-        for mask in edges {
-            for i in bits(mask) {
-                nbrs[i] |= mask & !(1 << i);
-            }
+        let mut link = |mask: Bits| bits(mask).for_each(|i| nbrs[i] |= mask & !(1 << i));
+        pool_mask.iter().for_each(|mask| link(*mask));
+        for (i, m) in members.iter().enumerate() {
+            m.on_cross.iter().for_each(|c| link(member_mask(c) | 1 << i));
+            bits(m.dep_bits).for_each(|d| link(1 << d | 1 << i));
         }
         // Where the query offers no predicate, and only there, a cross
         // product: the components of the members free to lead a join order
@@ -543,7 +562,7 @@ impl<'a> Search<'a> {
         let (mut rest, mut prev) = (free, None);
         while rest != 0 {
             let low = rest.trailing_zeros() as usize;
-            rest &= !component(&nbrs, free, 1 << low);
+            rest &= !component(&nbrs, rest);
             if let Some(p) = prev.replace(low) {
                 nbrs[p] |= 1 << low;
                 nbrs[low] |= 1 << p;
@@ -660,7 +679,7 @@ impl<'a> Search<'a> {
     /// Whether the join graph connects `set` (non-empty): the admissibility
     /// rule every side of every split obeys, under every strategy.
     fn connected(&self, set: Bits) -> bool {
-        component(&self.nbrs, set, set & set.wrapping_neg()) == set
+        component(&self.nbrs, set) == set
     }
 
     /// Pushes the far side of every split of the connected `set` into two
@@ -673,7 +692,7 @@ impl<'a> Search<'a> {
     fn grow(&mut self, set: Bits, near: Bits, barred: Bits) {
         let mut rest = set & !near;
         while rest != 0 {
-            let far = component(&self.nbrs, rest, rest & rest.wrapping_neg());
+            let far = component(&self.nbrs, rest);
             rest &= !far;
             if barred & !far != 0 {
                 continue;
@@ -1103,8 +1122,10 @@ impl LookupIndex {
     }
 }
 
-/// The members of `within` the join graph connects to `seed`, `seed` included.
-fn component(nbrs: &[Bits], within: Bits, seed: Bits) -> Bits {
+/// The lowest member of `within` (non-empty) and the members of `within` the
+/// join graph connects it to.
+fn component(nbrs: &[Bits], within: Bits) -> Bits {
+    let seed = within & within.wrapping_neg();
     let (mut reached, mut frontier) = (seed, seed);
     while frontier != 0 {
         let next = bits(frontier).fold(0, |n, i| n | nbrs[i]);
@@ -1728,6 +1749,12 @@ mod tests {
         assert_eq!(splits(6, &clique, Exhaustive2), 602);
         // No predicate at all: the three components chain 0 — 1 — 2.
         assert_eq!(splits(3, &[], Exhaustive2), splits(3, &[(0, 1), (1, 2)], Exhaustive2));
+        // One conjunct over three members links every pair of them.
+        let (md, mut desc) = graph_block(3, &[]);
+        let sum = Expr::binary(BinOp::Add, Expr::col(0, 0), Expr::col(1, 0));
+        desc.predicates = vec![Expr::eq(sum, Expr::col(2, 0))];
+        let wide = optimize_block(&desc, &md, &OrcaConfig::default()).unwrap().stats;
+        assert_eq!(wide.splits_explored, splits(3, &[(0, 1), (1, 2), (0, 2)], Exhaustive2));
     }
 
     #[test]
