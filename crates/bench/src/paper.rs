@@ -11,7 +11,9 @@
 //! | §6.2 Q41 | [`q41_case_study`] | OR-factorization speedup |
 //! | §7 lessons | [`ablations`] | rule on/off comparisons |
 //!
-//! plus the never-fail-detour routing table. Timings are medians over
+//! plus the never-fail-detour routing table and the hot-statement table
+//! ([`hot_statements`]: where a warm pass over all 121 templates spends its
+//! time). Timings are medians over
 //! `reps` runs; work units (rows processed, probes, lookups) accompany
 //! every timing so shapes are machine-independent. The `*_report`
 //! functions are the registry's `run` entries (see [`crate::registry`]).
@@ -20,7 +22,7 @@ use crate::plumbing::{md_table, median, testbeds, time_query, Testbed};
 use crate::registry::{Env, Outcome};
 use crate::Workload;
 use mylite::engine::CostBasedOptimizer;
-use mylite::{Engine, MySqlOptimizer};
+use mylite::{Engine, MySqlOptimizer, SessionOpts};
 use orcalite::{JoinOrderStrategy, OrcaConfig, SearchStats};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
@@ -507,6 +509,88 @@ pub fn routing_report(env: &Env) -> Outcome {
         .map(|bed| format_routing_table(&run_routing(bed)) + "\n")
         .collect();
     Outcome::report(tables.concat())
+}
+
+/// One template's warm serve: its median `query_cached_opts` time and the
+/// path its compile took through the router.
+#[derive(Debug, Clone)]
+pub struct HotStatement {
+    pub name: String,
+    pub warm: Duration,
+    pub route: &'static str,
+}
+
+/// Every template of both workloads served warm from the plan cache behind
+/// the paper's thresholds, slowest first — one pass of the benchmark's
+/// `analytic_hot` workload, per statement.
+pub fn hot_statements(scale: Scale, reps: usize) -> Vec<HotStatement> {
+    let session = SessionOpts::default();
+    let mut out = Vec::new();
+    for bed in testbeds(scale) {
+        for q in &bed.queries {
+            let serve = || {
+                let t = Instant::now();
+                bed.engine
+                    .query_cached_opts(&q.sql, &bed.orca, &session)
+                    .expect("workload query must run");
+                t.elapsed()
+            };
+            // An uncached compile names the statement's path through the
+            // router (sibling templates share cache entries, so the warming
+            // serve below may not compile at all).
+            let before = bed.orca.stats();
+            bed.engine.plan(&q.sql, &bed.orca).expect("workload query must plan");
+            let after = bed.orca.stats();
+            let route = if after.fallbacks > before.fallbacks {
+                "fallback"
+            } else if after.routed > before.routed {
+                "routed"
+            } else {
+                "below"
+            };
+            serve();
+            let warm = median((0..reps.max(1)).map(|_| serve())).expect("at least one rep");
+            out.push(HotStatement {
+                name: format!("{}/{}", bed.workload.name(), q.name),
+                warm,
+                route,
+            });
+        }
+    }
+    out.sort_by_key(|h| std::cmp::Reverse(h.warm));
+    out
+}
+
+/// The hot-statement table at the benchmark's own scale, whatever `SCALE`
+/// says: the point is to read `analytic_hot`'s pass.
+pub fn hot_report(env: &Env) -> Outcome {
+    let hot = hot_statements(Scale(1.0), env.reps);
+    let pass: f64 = hot.iter().map(|h| h.warm.as_secs_f64()).sum();
+    let mut cumulative = 0.0;
+    let mut s = md_table(
+        "statement | warm median | share of pass | cumulative | route",
+        hot.iter().map(|h| {
+            let share = h.warm.as_secs_f64() / pass;
+            cumulative += share;
+            format!(
+                "{} | {:.3?} | {:.1}% | {:.1}% | {}",
+                h.name,
+                h.warm,
+                share * 100.0,
+                cumulative * 100.0,
+                h.route
+            )
+        }),
+    );
+    let _ = writeln!(
+        s,
+        "\none pass: {pass:.3}s over {} statements (median of {} warm serves each); \
+         route is the compile's path — routed to Orca, below the complex-query threshold, or \
+         fallback to MySQL",
+        hot.len(),
+        env.reps.max(1)
+    );
+    Outcome::report(s)
 }
 
 #[cfg(test)]

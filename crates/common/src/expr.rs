@@ -15,6 +15,8 @@ use crate::datetime;
 use crate::error::{Error, Result};
 use crate::row::Layout;
 use crate::value::Value;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -51,11 +53,11 @@ impl BinOp {
     pub const CMP: [BinOp; 6] = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq, BinOp::Ne];
 
     pub fn is_comparison(self) -> bool {
-        BinOp::CMP.contains(&self)
+        matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne)
     }
 
     pub fn is_arithmetic(self) -> bool {
-        BinOp::ARITH.contains(&self)
+        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
     }
 
     /// Commuted operator: `a op b` ≡ `b op' a` (§5.3). `None` when the
@@ -256,16 +258,61 @@ pub enum Expr {
     },
 }
 
-/// Evaluation context: the current concatenated row plus its layout.
+/// Evaluation context: a *view* of the current concatenated row plus its
+/// layout. The row is up to three borrowed segments laid end to end — an
+/// outer binding's prefix, a left row and a right row — so a join can test
+/// `(left, right)` under a correlated binding without first building the
+/// concatenation. A slot is an offset into the concatenation, exactly as if
+/// the segments had been copied into one row.
 #[derive(Clone, Copy)]
 pub struct EvalCtx<'a> {
-    pub row: &'a [Value],
+    segs: [&'a [Value]; 3],
     pub layout: &'a Layout,
 }
 
 impl<'a> EvalCtx<'a> {
+    /// The one-segment case: a contiguous row.
     pub fn new(row: &'a [Value], layout: &'a Layout) -> Self {
-        EvalCtx { row, layout }
+        EvalCtx { segs: [row, &[], &[]], layout }
+    }
+
+    /// A view of `prefix ++ left ++ right`; any segment may be empty.
+    pub fn split(
+        prefix: &'a [Value],
+        left: &'a [Value],
+        right: &'a [Value],
+        layout: &'a Layout,
+    ) -> Self {
+        EvalCtx { segs: [prefix, left, right], layout }
+    }
+
+    /// The value at `slot` of the concatenated row. Panics when the slot is
+    /// past the end, as indexing the concatenation would.
+    #[inline]
+    pub fn value(&self, slot: usize) -> &'a Value {
+        let [a, b, c] = self.segs;
+        if slot < a.len() {
+            return &a[slot];
+        }
+        let slot = slot - a.len();
+        if slot < b.len() {
+            &b[slot]
+        } else {
+            &c[slot - b.len()]
+        }
+    }
+
+    #[inline]
+    fn column(&self, c: ColRef) -> Result<&'a Value> {
+        match self.layout.slot(c.table, c.col) {
+            Some(slot) => Ok(self.value(slot)),
+            None => Err(Error::internal(format!(
+                "column t{}.c{} not covered by layout (width {})",
+                c.table,
+                c.col,
+                self.layout.width()
+            ))),
+        }
     }
 }
 
@@ -568,43 +615,33 @@ impl Expr {
     // ------------------------------------------------------------------
 
     /// Evaluate against a row. `Expr::Agg` is an error here — aggregation is
-    /// an operator concern, not a scalar one.
+    /// an operator concern, not a scalar one. Every node kind that yields a
+    /// truth value is answered by [`Expr::truth`]; the three-valued rules
+    /// live there and nowhere else.
     pub fn eval(&self, ctx: EvalCtx<'_>) -> Result<Value> {
         match self {
-            Expr::Column(c) => {
-                let slot = ctx.layout.slot(c.table, c.col).ok_or_else(|| {
-                    Error::internal(format!(
-                        "column t{}.c{} not covered by layout (width {})",
-                        c.table,
-                        c.col,
-                        ctx.layout.width()
-                    ))
-                })?;
-                Ok(ctx.row[slot].clone())
+            Expr::Column(_) | Expr::Slot(_) | Expr::Literal(_) | Expr::Param { .. } => {
+                Ok(self.operand(ctx)?.into_owned())
             }
-            Expr::Slot(i) => Ok(ctx.row[*i].clone()),
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param { value, .. } => Ok(value.clone()),
-            Expr::Binary { op, left, right } => eval_binary(*op, left, right, ctx),
-            Expr::Unary { op, input } => {
-                let v = input.eval(ctx)?;
+            Expr::Binary { op, left, right } if op.is_arithmetic() => {
+                let l = left.operand(ctx)?;
+                let r = right.operand(ctx)?;
                 match op {
-                    UnOp::Not => Ok(match v.truth() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Null,
-                    }),
-                    UnOp::Neg => v.neg(),
-                    UnOp::IsNull => Ok(Value::Bool(v.is_null())),
-                    UnOp::IsNotNull => Ok(Value::Bool(!v.is_null())),
+                    BinOp::Add => l.add(&r),
+                    BinOp::Sub => l.sub(&r),
+                    BinOp::Mul => l.mul(&r),
+                    BinOp::Div => l.div(&r),
+                    _ => l.rem(&r),
                 }
             }
+            Expr::Unary { op: UnOp::Neg, input } => input.operand(ctx)?.neg(),
             Expr::Func { func, args } => eval_func(*func, args, ctx),
             Expr::Case { operand, branches, else_ } => {
-                let op_val = operand.as_ref().map(|o| o.eval(ctx)).transpose()?;
+                let op_val = operand.as_ref().map(|o| o.operand(ctx)).transpose()?;
                 for (when, then) in branches {
                     let hit = match &op_val {
-                        Some(v) => v.sql_eq(&when.eval(ctx)?).is_true(),
-                        None => when.eval(ctx)?.is_true(),
+                        Some(v) => v.sql_cmp(&*when.operand(ctx)?) == Some(Ordering::Equal),
+                        None => when.truth(ctx)? == Some(true),
                     };
                     if hit {
                         return then.eval(ctx);
@@ -615,54 +652,107 @@ impl Expr {
                     None => Ok(Value::Null),
                 }
             }
-            Expr::InList { expr, list, negated } => {
-                let v = expr.eval(ctx)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    let iv = item.eval(ctx)?;
-                    match v.sql_eq(&iv) {
-                        Value::Bool(true) => {
-                            return Ok(Value::Bool(!negated));
-                        }
-                        Value::Null => saw_null = true,
-                        _ => {}
-                    }
-                }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
-            Expr::Like { expr, pattern, negated } => {
-                let v = expr.eval(ctx)?;
-                let p = pattern.eval(ctx)?;
-                match (v.as_str(), p.as_str()) {
-                    (Some(s), Some(pat)) => {
-                        let m = like_match(s.as_bytes(), pat.as_bytes());
-                        Ok(Value::Bool(m != *negated))
-                    }
-                    _ => Ok(Value::Null),
-                }
-            }
-            Expr::Between { expr, low, high, negated } => {
-                let v = expr.eval(ctx)?;
-                let lo = low.eval(ctx)?;
-                let hi = high.eval(ctx)?;
-                let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-                let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-                match (ge, le) {
-                    (Some(a), Some(b)) => Ok(Value::Bool((a && b) != *negated)),
-                    _ => Ok(Value::Null),
-                }
-            }
+            Expr::Binary { .. }
+            | Expr::Unary { .. }
+            | Expr::InList { .. }
+            | Expr::Like { .. }
+            | Expr::Between { .. } => Ok(match self.truth(ctx)? {
+                Some(b) => Value::Bool(b),
+                None => Value::Null,
+            }),
             Expr::Agg { func, .. } => Err(Error::internal(format!(
                 "aggregate {} evaluated as a scalar; refinement should have replaced it",
                 func.name()
             ))),
+        }
+    }
+
+    /// Three-valued truth of the expression against a row — `Some(true)`,
+    /// `Some(false)`, or `None` for UNKNOWN — equal to `eval(ctx)?.truth()`
+    /// but without materialising a [`Value`]: AND / OR / NOT / comparisons /
+    /// BETWEEN / IN / LIKE / IS NULL are decided here, over operands read by
+    /// reference. This is what every predicate site calls.
+    pub fn truth(&self, ctx: EvalCtx<'_>) -> Result<Option<bool>> {
+        match self {
+            Expr::Binary { op: BinOp::And, left, right } => {
+                let l = left.truth(ctx)?;
+                if l == Some(false) {
+                    return Ok(Some(false));
+                }
+                Ok(and3(l, right.truth(ctx)?))
+            }
+            Expr::Binary { op: BinOp::Or, left, right } => {
+                let l = left.truth(ctx)?;
+                if l == Some(true) {
+                    return Ok(Some(true));
+                }
+                Ok(or3(l, right.truth(ctx)?))
+            }
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                let l = left.operand(ctx)?;
+                let r = right.operand(ctx)?;
+                Ok(l.sql_cmp(&r).map(|ord| match op {
+                    BinOp::Eq => ord == Ordering::Equal,
+                    BinOp::Ne => ord != Ordering::Equal,
+                    BinOp::Lt => ord == Ordering::Less,
+                    BinOp::Le => ord != Ordering::Greater,
+                    BinOp::Gt => ord == Ordering::Greater,
+                    _ => ord != Ordering::Less,
+                }))
+            }
+            Expr::Unary { op: UnOp::Not, input } => Ok(not3(input.truth(ctx)?)),
+            Expr::Unary { op: UnOp::IsNull, input } => Ok(Some(input.operand(ctx)?.is_null())),
+            Expr::Unary { op: UnOp::IsNotNull, input } => Ok(Some(!input.operand(ctx)?.is_null())),
+            Expr::InList { expr, list, negated } => {
+                let v = expr.operand(ctx)?;
+                if v.is_null() {
+                    return Ok(None);
+                }
+                let mut saw_null = false;
+                for item in list {
+                    match v.sql_cmp(&*item.operand(ctx)?) {
+                        Some(Ordering::Equal) => return Ok(Some(!negated)),
+                        None => saw_null = true,
+                        Some(_) => {}
+                    }
+                }
+                Ok(if saw_null { None } else { Some(*negated) })
+            }
+            Expr::Like { expr, pattern, negated } => {
+                let v = expr.operand(ctx)?;
+                let p = pattern.operand(ctx)?;
+                Ok(match (v.as_str(), p.as_str()) {
+                    (Some(s), Some(pat)) => {
+                        Some(like_match(s.as_bytes(), pat.as_bytes()) != *negated)
+                    }
+                    _ => None,
+                })
+            }
+            // `x BETWEEN lo AND hi` is `x >= lo AND x <= hi`: one decided
+            // FALSE side decides the whole, whatever the other bound is.
+            Expr::Between { expr, low, high, negated } => {
+                let v = expr.operand(ctx)?;
+                let lo = low.operand(ctx)?;
+                let hi = high.operand(ctx)?;
+                let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
+                let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
+                let within = and3(ge, le);
+                Ok(if *negated { not3(within) } else { within })
+            }
+            // Everything else yields a value; its truth is the value's.
+            _ => Ok(self.operand(ctx)?.truth()),
+        }
+    }
+
+    /// The expression's value, borrowed when the node is a `Column` / `Slot`
+    /// / `Literal` / `Param` leaf and computed otherwise.
+    #[inline]
+    fn operand<'a>(&'a self, ctx: EvalCtx<'a>) -> Result<Cow<'a, Value>> {
+        match self {
+            Expr::Column(c) => ctx.column(*c).map(Cow::Borrowed),
+            Expr::Slot(i) => Ok(Cow::Borrowed(ctx.value(*i))),
+            Expr::Literal(v) | Expr::Param { value: v, .. } => Ok(Cow::Borrowed(v)),
+            other => other.eval(ctx).map(Cow::Owned),
         }
     }
 
@@ -791,59 +881,30 @@ impl fmt::Display for Expr {
     }
 }
 
-fn eval_binary(op: BinOp, left: &Expr, right: &Expr, ctx: EvalCtx<'_>) -> Result<Value> {
-    // AND/OR need short-circuit three-valued logic.
-    match op {
-        BinOp::And => {
-            let l = left.eval(ctx)?.truth();
-            if l == Some(false) {
-                return Ok(Value::Bool(false));
-            }
-            let r = right.eval(ctx)?.truth();
-            return Ok(match (l, r) {
-                (Some(true), Some(true)) => Value::Bool(true),
-                (_, Some(false)) => Value::Bool(false),
-                _ => Value::Null,
-            });
-        }
-        BinOp::Or => {
-            let l = left.eval(ctx)?.truth();
-            if l == Some(true) {
-                return Ok(Value::Bool(true));
-            }
-            let r = right.eval(ctx)?.truth();
-            return Ok(match (l, r) {
-                (Some(false), Some(false)) => Value::Bool(false),
-                (_, Some(true)) => Value::Bool(true),
-                _ => Value::Null,
-            });
-        }
-        _ => {}
+/// Three-valued AND: FALSE dominates, then UNKNOWN.
+#[inline]
+fn and3(l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (l, r) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
     }
-    let l = left.eval(ctx)?;
-    let r = right.eval(ctx)?;
-    match op {
-        BinOp::Add => l.add(&r),
-        BinOp::Sub => l.sub(&r),
-        BinOp::Mul => l.mul(&r),
-        BinOp::Div => l.div(&r),
-        BinOp::Mod => l.rem(&r),
-        cmp => {
-            use std::cmp::Ordering::*;
-            Ok(match l.sql_cmp(&r) {
-                None => Value::Null,
-                Some(ord) => Value::Bool(match cmp {
-                    BinOp::Eq => ord == Equal,
-                    BinOp::Ne => ord != Equal,
-                    BinOp::Lt => ord == Less,
-                    BinOp::Le => ord != Greater,
-                    BinOp::Gt => ord == Greater,
-                    BinOp::Ge => ord != Less,
-                    _ => unreachable!("logical ops handled above"),
-                }),
-            })
-        }
+}
+
+/// Three-valued OR: TRUE dominates, then UNKNOWN.
+#[inline]
+fn or3(l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (l, r) {
+        (Some(true), _) | (_, Some(true)) => Some(true),
+        (Some(false), Some(false)) => Some(false),
+        _ => None,
     }
+}
+
+/// Three-valued NOT: UNKNOWN stays UNKNOWN.
+#[inline]
+fn not3(v: Option<bool>) -> Option<bool> {
+    v.map(|b| !b)
 }
 
 fn eval_func(func: ScalarFunc, args: &[Expr], ctx: EvalCtx<'_>) -> Result<Value> {
@@ -1123,6 +1184,30 @@ mod tests {
             negated: false,
         };
         assert!(btw.eval(ctx).unwrap().is_true());
+        // `25 BETWEEN lo AND hi` is `25 >= lo AND 25 <= hi` in three-valued
+        // logic: a NULL bound leaves the whole UNKNOWN only while the other
+        // side holds; a side decided FALSE decides it, and NOT follows.
+        let null = || Expr::lit(Value::Null);
+        let table = [
+            // (lo, hi, BETWEEN, NOT BETWEEN)
+            (null(), Expr::int(40), None, None), // lo NULL, 25 <= 40 holds: undecided
+            (null(), Expr::int(10), Some(false), Some(true)), // lo NULL, 25 <= 10 fails
+            (Expr::int(21), null(), None, None), // hi NULL, 25 >= 21 holds: undecided
+            (Expr::int(30), null(), Some(false), Some(true)), // hi NULL, 25 >= 30 fails
+            (null(), null(), None, None),
+        ];
+        for (lo, hi, plain, negated) in table {
+            for (neg, want) in [(false, plain), (true, negated)] {
+                let e = Expr::Between {
+                    expr: Box::new(Expr::col(0, 0)),
+                    low: Box::new(lo.clone()),
+                    high: Box::new(hi.clone()),
+                    negated: neg,
+                };
+                assert_eq!(e.truth(ctx).unwrap(), want, "{e}");
+                assert_eq!(e.eval(ctx).unwrap().truth(), want, "{e}");
+            }
+        }
         // The TPC-DS Q9-style bucket CASE.
         let case = Expr::Case {
             operand: None,

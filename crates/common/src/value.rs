@@ -265,7 +265,9 @@ impl Hash for Value {
             // Hash every numeric through its f64 bits so Int(2) and
             // Double(2.0) — which compare equal — hash identically.
             Value::Int(i) => (*i as f64).to_bits().hash(state),
-            Value::Double(d) => d.to_bits().hash(state),
+            // `-0.0 + 0.0` is `+0.0`: the two zeros compare equal, so they
+            // must not hash by their (different) bit patterns.
+            Value::Double(d) => (d + 0.0).to_bits().hash(state),
             Value::Str(s) => s.hash(state),
             // Dates participate in numeric coercion (`as_f64`), so they must
             // hash like numerics to uphold the Eq/Hash contract.
@@ -364,9 +366,27 @@ mod tests {
             v.hash(&mut s);
             s.finish()
         }
-        // Int/Double that compare equal must hash equal (hash-join keys).
-        assert_eq!(h(&Value::Int(42)), h(&Value::Double(42.0)));
-        assert_eq!(Value::Int(42), Value::Double(42.0));
+        // Values that compare equal must hash equal (hash-join, hash-aggregate
+        // and UNION DISTINCT keys) — across numeric types and across the two
+        // zeros, `-0.0` being what `0 * -1.0` computes.
+        let classes = [
+            vec![Value::Int(42), Value::Double(42.0), Value::Date(42)],
+            vec![Value::Int(1), Value::Double(1.0), Value::Date(1), Value::Bool(true)],
+            vec![
+                Value::Int(0),
+                Value::Double(0.0),
+                Value::Double(-0.0),
+                Value::Int(0).mul(&Value::Double(-1.0)).unwrap(),
+                Value::Date(0),
+                Value::Bool(false),
+            ],
+        ];
+        for class in &classes {
+            for v in class {
+                assert_eq!(v, &class[0], "{v:?} == {:?}", class[0]);
+                assert_eq!(h(v), h(&class[0]), "hash of {v:?} vs {:?}", class[0]);
+            }
+        }
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub(crate) fn pred_passes_row(pred: &Pred<'_>, row: &[Value], env: &Env) -> Resu
     match pred {
         Pred::CmpConst { col, op, lit } => Ok(cmp_holds(row[*col].sql_cmp(lit), *op)),
         Pred::IsNull { col, negated } => Ok(row[*col].is_null() != *negated),
-        Pred::General(e) => Ok(env.eval(e, row)?.is_true()),
+        Pred::General(e) => env.holds(e, row),
     }
 }
 
@@ -143,7 +143,7 @@ pub(crate) fn refine(
                 for i in 0..n {
                     let p = phys(i);
                     batch.write_row(p, scratch);
-                    if env.eval(e, scratch)?.is_true() {
+                    if env.holds(e, scratch)? {
                         out.push(p as u32);
                     }
                 }
@@ -287,10 +287,9 @@ mod tests {
         RowSpace::Tables(Layout::single(1, 0, 2))
     }
 
-    fn env_for(space: &RowSpace) -> Env {
-        let layout = Layout::empty(1);
-        let row: Vec<Value> = Vec::new();
-        Env::new(Binding { row: &row, layout: &layout }, space, 1)
+    /// An unbound environment; `unbound` is the empty binding's layout.
+    fn env_for<'a>(space: &RowSpace, unbound: &'a Layout) -> Env<'a> {
+        Env::new(Binding { row: &[], layout: unbound }, space, 1)
     }
 
     fn sample() -> Vec<Row> {
@@ -309,7 +308,8 @@ mod tests {
     #[test]
     fn typed_cmp_refine_excludes_nulls() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         let e = Expr::binary(BinOp::Ge, Expr::col(0, 0), Expr::int(3));
         let pred = compile_pred(&e, &space);
@@ -321,7 +321,8 @@ mod tests {
     #[test]
     fn mirrored_literal_comparison_commutes() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         // 3 > col ≡ col < 3.
         let e = Expr::binary(BinOp::Gt, Expr::int(3), Expr::col(0, 0));
@@ -334,7 +335,8 @@ mod tests {
     #[test]
     fn mixed_int_double_comparison_coerces() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         let e = Expr::binary(BinOp::Gt, Expr::col(0, 0), Expr::lit(Value::Double(2.5)));
         let pred = compile_pred(&e, &space);
@@ -345,7 +347,8 @@ mod tests {
     #[test]
     fn is_null_scans_validity() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         let e = Expr::Unary { op: UnOp::IsNull, input: Box::new(Expr::col(0, 1)) };
         let pred = compile_pred(&e, &space);
@@ -356,7 +359,8 @@ mod tests {
     #[test]
     fn refine_composes_over_existing_selection() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         batch.sel = Some(vec![0, 2, 3]);
         let e = Expr::binary(BinOp::Le, Expr::col(0, 0), Expr::int(3));
@@ -368,7 +372,8 @@ mod tests {
     #[test]
     fn null_literal_filters_everything() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         let e = Expr::binary(BinOp::Eq, Expr::col(0, 0), Expr::lit(Value::Null));
         let pred = compile_pred(&e, &space);
@@ -379,7 +384,8 @@ mod tests {
     #[test]
     fn general_predicate_matches_interpreter() {
         let space = table_space();
-        let env = env_for(&space);
+        let unbound = Layout::empty(1);
+        let env = env_for(&space, &unbound);
         let mut batch = rows_to_batch(&sample(), 2);
         // col0 + 1 >= 4 is not a compiled shape: scratch-row fallback.
         let e = Expr::binary(

@@ -22,10 +22,10 @@ use taurus_common::error::Result;
 use taurus_common::{Expr, Row, Value};
 
 use crate::agg::Accumulator;
-use crate::exec::{self, build_table, Binding, Env, ExecContext, ExecStats};
+use crate::exec::{self, build_table, concat, null_padded, Binding, Env, ExecContext, ExecStats};
 use crate::governor::rows_bytes;
 use crate::parallel::exchange::BuildTable;
-use crate::plan::{AggSpec, AggStrategy, ExchangeKind, JoinKind, Plan, RowSpace};
+use crate::plan::{AggSpec, AggStrategy, ExchangeKind, JoinKind, Plan};
 
 use super::kernels::{col_of, collect_refs, compile_pred, pred_passes_row, refine, Pred};
 use super::{rows_to_batch, Batch, Batches, Bitmap, Col, ColBuilder, BATCH_ROWS};
@@ -94,18 +94,13 @@ fn batch_exec(
             let t = ctx.catalog.table(*table)?;
             let Some(ix) = t.indexes.get(*index) else { return Ok(None) };
             // Bounds evaluate against the (empty) binding: constants.
-            let bind_env = Env::new(binding, &RowSpace::Slots(0), ctx.num_tables);
             let lo_v = lo
                 .as_ref()
-                .map(|(e, inc)| {
-                    Ok::<_, taurus_common::error::Error>((bind_env.eval(e, binding.row)?, *inc))
-                })
+                .map(|(e, inc)| Ok::<_, taurus_common::error::Error>((binding.eval(e)?, *inc)))
                 .transpose()?;
             let hi_v = hi
                 .as_ref()
-                .map(|(e, inc)| {
-                    Ok::<_, taurus_common::error::Error>((bind_env.eval(e, binding.row)?, *inc))
-                })
+                .map(|(e, inc)| Ok::<_, taurus_common::error::Error>((binding.eval(e)?, *inc)))
                 .transpose()?;
             // Same two guards as the row path: a NULL bound matches nothing,
             // and an unbounded-below range starts after the NULL prefix.
@@ -531,13 +526,13 @@ fn hash_join_op(
     let built: Arc<BuildTable> = match build_plan {
         Plan::Exchange { kind: ExchangeKind::Broadcast { slot }, input, .. } => {
             ctx.shared_build(*slot, || {
-                let rows = exec::exec(input, ctx, binding)?;
+                let rows = exec::exec(input, ctx, binding)?.into_owned();
                 ctx.record(build_plan, rows.len() as u64);
                 build_table(rows, &build_keys, &build_env, ctx)
             })?
         }
         _ => {
-            let rows = exec::exec(build_plan, ctx, binding)?;
+            let rows = exec::exec(build_plan, ctx, binding)?.into_owned();
             Arc::new(build_table(rows, &build_keys, &build_env, ctx)?)
         }
     };
@@ -545,13 +540,6 @@ fn hash_join_op(
 
     let probe_b = batch_input(probe_plan, ctx, binding, probe_needed.as_deref())?;
     let key_cols: Vec<Option<usize>> = probe_keys.iter().map(|k| col_of(k, &probe_space)).collect();
-
-    let joined = |lrow: &[Value], rrow: &[Value]| -> Row {
-        let mut j = Vec::with_capacity(lrow.len() + rrow.len());
-        j.extend_from_slice(lrow);
-        j.extend_from_slice(rrow);
-        j
-    };
 
     let mut out = Batches::new();
     let mut pending: Vec<Row> = Vec::new();
@@ -581,8 +569,11 @@ fn hash_join_op(
                 any_null |= v.is_null();
                 kv.push(v);
             }
-            let matches: &[usize] =
-                if any_null { &[] } else { table.get(&kv).map(|v| v.as_slice()).unwrap_or(&[]) };
+            let matches: &[usize] = if any_null {
+                &[]
+            } else {
+                table.get(kv.as_slice()).map(|v| v.as_slice()).unwrap_or(&[])
+            };
 
             let mut matched = false;
             for &bi in matches {
@@ -593,11 +584,12 @@ fn hash_join_op(
                     b.write_row(p, &mut prow);
                     prow_filled = true;
                 }
-                let j = if build_is_left { joined(brow, &prow) } else { joined(&prow, brow) };
-                if join_env.passes(residual, &j)? {
+                let (lrow, rrow): (&[Value], &[Value]) =
+                    if build_is_left { (brow, &prow) } else { (&prow, brow) };
+                if join_env.pair_passes(residual, lrow, rrow)? {
                     matched = true;
                     match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => pending.push(j),
+                        JoinKind::Inner | JoinKind::LeftOuter => pending.push(concat(lrow, rrow)),
                         JoinKind::Semi => {
                             pending.push(prow.clone());
                             break;
@@ -612,10 +604,7 @@ fn hash_join_op(
                         if !prow_filled {
                             b.write_row(p, &mut prow);
                         }
-                        let mut j = Vec::with_capacity(prow.len() + right_width);
-                        j.extend_from_slice(&prow);
-                        j.extend(std::iter::repeat_n(Value::Null, right_width));
-                        pending.push(j);
+                        pending.push(null_padded(&prow, right_width));
                     }
                     JoinKind::AntiSemi => {
                         // Same NULL-aware membership rule as the row path:

@@ -6,6 +6,11 @@
 //! to the binding, so correlated index lookups, correlated derived tables,
 //! and re-materialization ("invalidation") all fall out of one mechanism.
 //!
+//! Rows are tested before they are built: every predicate is an
+//! [`Expr::truth`] over a borrowed row view ([`Env`]), joins evaluate their
+//! conditions over `(left, right)` and concatenate only the pairs that pass,
+//! and a cached `Materialize` hands its rows out by pointer ([`Rows`]).
+//!
 //! Work-unit counters in [`ExecStats`] make benchmark comparisons
 //! machine-independent: the paper's run-time ratios are driven by rows
 //! flowing through operators and index lookups performed, both of which are
@@ -328,72 +333,176 @@ pub(crate) struct Binding<'a> {
     pub(crate) layout: &'a Layout,
 }
 
-/// Execute a plan to completion with no outer binding.
-pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
-    let empty_layout = Layout::empty(ctx.num_tables);
-    let empty_row: Vec<Value> = Vec::new();
-    exec(plan, ctx, Binding { row: &empty_row, layout: &empty_layout })
+impl Binding<'_> {
+    /// Evaluate an expression that reads the binding only (index-lookup
+    /// keys, range bounds).
+    pub(crate) fn eval(&self, e: &Expr) -> Result<Value> {
+        e.eval(EvalCtx::new(self.row, self.layout))
+    }
 }
 
-/// Evaluation environment combining the binding with an operator's own rows.
-pub(crate) struct Env {
-    layout: Layout,
-    prefix: Vec<Value>,
-    /// Scratch buffer reused across rows.
-    buf: RefCell<Vec<Value>>,
+/// An operator's result: rows it owns, or rows a cached `Materialize` slot
+/// shares by pointer. Reads go through the slice; only a consumer that
+/// moves rows out pays for a copy of shared ones.
+pub(crate) enum Rows {
+    Owned(Vec<Row>),
+    Shared(Arc<Vec<Row>>),
 }
 
-impl Env {
-    pub(crate) fn new(binding: Binding<'_>, input_space: &RowSpace, num_tables: usize) -> Env {
-        match input_space {
-            RowSpace::Tables(l) => {
-                if binding.layout.width() == 0 {
-                    Env { layout: l.clone(), prefix: Vec::new(), buf: RefCell::new(Vec::new()) }
-                } else {
-                    Env {
-                        layout: binding.layout.join(l),
-                        prefix: binding.row.to_vec(),
-                        buf: RefCell::new(Vec::new()),
+impl std::ops::Deref for Rows {
+    type Target = [Row];
+
+    fn deref(&self) -> &[Row] {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(a) => a,
+        }
+    }
+}
+
+impl Rows {
+    pub(crate) fn into_owned(self) -> Vec<Row> {
+        match self {
+            Rows::Owned(v) => v,
+            Rows::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| a.as_ref().clone()),
+        }
+    }
+
+    /// The rows `keep` accepts, in order: moved when owned, cloned (the
+    /// survivors only) when shared.
+    fn filtered(self, mut keep: impl FnMut(&Row) -> Result<bool>) -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        match self {
+            Rows::Owned(v) => {
+                for row in v {
+                    if keep(&row)? {
+                        out.push(row);
                     }
                 }
             }
+            Rows::Shared(a) => {
+                for row in a.iter() {
+                    if keep(row)? {
+                        out.push(row.clone());
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The first `n` rows.
+    fn truncated(self, n: usize) -> Vec<Row> {
+        match self {
+            Rows::Owned(mut v) => {
+                v.truncate(n);
+                v
+            }
+            Rows::Shared(a) => a[..n.min(a.len())].to_vec(),
+        }
+    }
+}
+
+/// Execute a plan to completion with no outer binding.
+pub fn execute(plan: &Plan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
+    let empty_layout = Layout::empty(ctx.num_tables);
+    exec(plan, ctx, Binding { row: &[], layout: &empty_layout }).map(Rows::into_owned)
+}
+
+/// Evaluation environment: the (borrowed) binding row as a prefix of an
+/// operator's own rows, under the joined layout. Nothing is copied per row —
+/// expressions read the binding, the row, or a `(left, right)` pair in place
+/// through an [`EvalCtx`] view.
+pub(crate) struct Env<'b> {
+    layout: Layout,
+    prefix: &'b [Value],
+}
+
+impl<'b> Env<'b> {
+    pub(crate) fn new(binding: Binding<'b>, input_space: &RowSpace, num_tables: usize) -> Env<'b> {
+        match input_space {
+            RowSpace::Tables(l) if binding.layout.width() == 0 => {
+                Env { layout: l.clone(), prefix: &[] }
+            }
+            RowSpace::Tables(l) => Env { layout: binding.layout.join(l), prefix: binding.row },
             // Slot-space rows are addressed by Expr::Slot; the binding never
             // reaches above a projection/aggregation boundary.
-            RowSpace::Slots(_) => Env {
-                layout: Layout::empty(num_tables),
-                prefix: Vec::new(),
-                buf: RefCell::new(Vec::new()),
-            },
+            RowSpace::Slots(_) => Env { layout: Layout::empty(num_tables), prefix: &[] },
         }
+    }
+
+    /// The view of `binding ++ left ++ right` (`right` empty for one row).
+    #[inline]
+    fn view<'a>(&'a self, left: &'a [Value], right: &'a [Value]) -> EvalCtx<'a> {
+        EvalCtx::split(self.prefix, left, right, &self.layout)
     }
 
     pub(crate) fn eval(&self, e: &Expr, row: &[Value]) -> Result<Value> {
-        if self.prefix.is_empty() {
-            e.eval(EvalCtx::new(row, &self.layout))
-        } else {
-            let mut buf = self.buf.borrow_mut();
-            buf.clear();
-            buf.extend_from_slice(&self.prefix);
-            buf.extend_from_slice(row);
-            e.eval(EvalCtx::new(&buf, &self.layout))
-        }
+        e.eval(self.view(row, &[]))
     }
 
+    /// Whether the predicate is TRUE (not FALSE, not UNKNOWN) for `row`.
+    pub(crate) fn holds(&self, e: &Expr, row: &[Value]) -> Result<bool> {
+        self.passes(std::slice::from_ref(e), row)
+    }
+
+    /// Whether every conjunct is TRUE for `row`.
     pub(crate) fn passes(&self, filters: &[Expr], row: &[Value]) -> Result<bool> {
+        self.pair_passes(filters, row, &[])
+    }
+
+    /// Whether every conjunct is TRUE for the pair `left ++ right`, without
+    /// building it. Stops at the first conjunct that is not.
+    pub(crate) fn pair_passes(
+        &self,
+        filters: &[Expr],
+        left: &[Value],
+        right: &[Value],
+    ) -> Result<bool> {
+        let view = self.view(left, right);
         for f in filters {
-            if !self.eval(f, row)?.is_true() {
+            if f.truth(view)? != Some(true) {
                 return Ok(false);
             }
         }
         Ok(true)
     }
+
+    /// Three-valued conjunction over the pair: FALSE short-circuits, any
+    /// UNKNOWN without a FALSE leaves the pair's membership unknown — which
+    /// matters for NULL-aware anti joins (NOT IN).
+    fn pair_verdict(
+        &self,
+        filters: &[Expr],
+        left: &[Value],
+        right: &[Value],
+    ) -> Result<Option<bool>> {
+        let view = self.view(left, right);
+        let mut verdict = Some(true);
+        for f in filters {
+            match f.truth(view)? {
+                Some(true) => {}
+                Some(false) => return Ok(Some(false)),
+                None => verdict = None,
+            }
+        }
+        Ok(verdict)
+    }
+}
+
+/// `left ++ right` as one owned row.
+pub(crate) fn concat(left: &[Value], right: &[Value]) -> Row {
+    let mut joined = Vec::with_capacity(left.len() + right.len());
+    joined.extend_from_slice(left);
+    joined.extend_from_slice(right);
+    joined
 }
 
 /// Execute one node and record its observation (when an observer is
 /// installed). All recursion goes through here, so every node of the tree —
 /// including exchanges, which bypass the work-unit accounting below — gets
 /// its actual rows and loop count credited.
-pub(crate) fn exec(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result<Vec<Row>> {
+pub(crate) fn exec(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result<Rows> {
     // The batch-boundary governance check: every operator opening (and every
     // correlated re-opening) passes through here, so a cancelled or
     // out-of-time query unwinds within one operator batch.
@@ -405,7 +514,7 @@ pub(crate) fn exec(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> 
     // recursion.
     if ctx.vectorized && !ctx.observing() && binding.row.is_empty() {
         if let Some(rows) = crate::batch::try_exec_rows(plan, ctx, binding)? {
-            return Ok(rows);
+            return Ok(Rows::Owned(rows));
         }
     }
     let out = exec_node(plan, ctx, binding)?;
@@ -413,65 +522,41 @@ pub(crate) fn exec(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> 
     Ok(out)
 }
 
-fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result<Vec<Row>> {
-    let out = match plan {
+fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result<Rows> {
+    let out: Vec<Row> = match plan {
         Plan::TableScan { table, qt, filter, .. } => {
             let t = ctx.catalog.table(*table)?;
-            let env = Env::new(binding, &plan.space(ctx.num_tables), ctx.num_tables);
-            let mut out = Vec::new();
             // Inside a parallel worker the driving scan only visits its
             // morsel's slice of the heap order.
             let (skip, take) = scan_window(ctx.morsel_range(*qt));
-            for (_, row) in t.data.scan().skip(skip).take(take) {
-                ExecStats::bump(&ctx.stats.rows_scanned, 1);
-                if env.passes(filter, row)? {
-                    out.push(row.clone());
-                }
-            }
-            out
+            let rows = t.data.scan().skip(skip).take(take).map(|(_, row)| row);
+            scan_rows(plan, filter, rows, ctx, binding)?
         }
         Plan::IndexScan { table, qt, index, filter, .. } => {
             let t = ctx.catalog.table(*table)?;
             let ix = t.indexes.get(*index).ok_or_else(|| Error::internal("bad index id"))?;
-            let env = Env::new(binding, &plan.space(ctx.num_tables), ctx.num_tables);
-            let mut out = Vec::new();
             // Morsels over an index scan slice its *key order* positions.
             let (skip, take) = scan_window(ctx.morsel_range(*qt));
-            for rid in ix.scan_ordered().skip(skip).take(take) {
-                ExecStats::bump(&ctx.stats.rows_scanned, 1);
-                let row = t.data.row(rid);
-                if env.passes(filter, row)? {
-                    out.push(row.clone());
-                }
-            }
-            out
+            let rows = ix.scan_ordered().skip(skip).take(take).map(|rid| t.data.row(rid));
+            scan_rows(plan, filter, rows, ctx, binding)?
         }
         Plan::IndexRange { table, index, lo, hi, filter, .. } => {
             let t = ctx.catalog.table(*table)?;
             let ix = t.indexes.get(*index).ok_or_else(|| Error::internal("bad index id"))?;
             // Bounds evaluate against the binding only (usually constants).
-            let bind_env = Env {
-                layout: binding.layout.clone(),
-                prefix: Vec::new(),
-                buf: RefCell::new(Vec::new()),
-            };
-            let lo_v = lo
-                .as_ref()
-                .map(|(e, inc)| Ok::<_, Error>((bind_env.eval(e, binding.row)?, *inc)))
-                .transpose()?;
-            let hi_v = hi
-                .as_ref()
-                .map(|(e, inc)| Ok::<_, Error>((bind_env.eval(e, binding.row)?, *inc)))
-                .transpose()?;
-            let mut out = Vec::new();
+            let lo_v =
+                lo.as_ref().map(|(e, inc)| Ok::<_, Error>((binding.eval(e)?, *inc))).transpose()?;
+            let hi_v =
+                hi.as_ref().map(|(e, inc)| Ok::<_, Error>((binding.eval(e)?, *inc))).transpose()?;
             // A NULL bound makes the consumed comparison UNKNOWN for every
             // row: the range matches nothing. (NULL sorts first in the
             // index's total order, so [NULL, ∞) would otherwise cover the
             // whole table.)
             let null_bound = lo_v.as_ref().is_some_and(|(v, _)| v.is_null())
                 || hi_v.as_ref().is_some_and(|(v, _)| v.is_null());
-            if !null_bound {
-                let env = Env::new(binding, &plan.space(ctx.num_tables), ctx.num_tables);
+            if null_bound {
+                Vec::new()
+            } else {
                 // An unbounded-below range must still start *after* the
                 // index's NULL prefix: the range comes from a comparison
                 // predicate, which is UNKNOWN for a NULL key, yet NULL
@@ -482,45 +567,28 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
                     Some((v, i)) => Some((v, *i)),
                     None => Some((&Value::Null, false)),
                 };
-                for rid in ix.range(lo_arg, hi_v.as_ref().map(|(v, i)| (v, *i))) {
-                    ExecStats::bump(&ctx.stats.rows_scanned, 1);
-                    let row = t.data.row(rid);
-                    if env.passes(filter, row)? {
-                        out.push(row.clone());
-                    }
-                }
+                let rids = ix.range(lo_arg, hi_v.as_ref().map(|(v, i)| (v, *i)));
+                scan_rows(plan, filter, rids.map(|rid| t.data.row(rid)), ctx, binding)?
             }
-            out
         }
         Plan::IndexLookup { table, index, keys, filter, .. } => {
             let t = ctx.catalog.table(*table)?;
             let ix = t.indexes.get(*index).ok_or_else(|| Error::internal("bad index id"))?;
-            let bind_env = Env {
-                layout: binding.layout.clone(),
-                prefix: Vec::new(),
-                buf: RefCell::new(Vec::new()),
-            };
             let mut key_vals = Vec::with_capacity(keys.len());
             let mut any_null = false;
             for k in keys {
-                let v = bind_env.eval(k, binding.row)?;
+                let v = binding.eval(k)?;
                 any_null |= v.is_null();
                 key_vals.push(v);
             }
             ExecStats::bump(&ctx.stats.index_lookups, 1);
-            let mut out = Vec::new();
             // A NULL key never matches anything under `=` semantics.
-            if !any_null {
-                let env = Env::new(binding, &plan.space(ctx.num_tables), ctx.num_tables);
-                for rid in ix.lookup(&key_vals) {
-                    ExecStats::bump(&ctx.stats.rows_scanned, 1);
-                    let row = t.data.row(rid);
-                    if env.passes(filter, row)? {
-                        out.push(row.clone());
-                    }
-                }
+            if any_null {
+                Vec::new()
+            } else {
+                let rows = ix.lookup(&key_vals).map(|rid| t.data.row(rid));
+                scan_rows(plan, filter, rows, ctx, binding)?
             }
-            out
         }
         Plan::NestedLoop { kind, left, right, on, null_aware, .. } => {
             exec_nested_loop(*kind, left, right, on, *null_aware, ctx, binding)?
@@ -541,21 +609,17 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
         Plan::Filter { input, predicate, .. } => {
             let rows = exec(input, ctx, binding)?;
             let env = Env::new(binding, &input.space(ctx.num_tables), ctx.num_tables);
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if env.passes(predicate, &row)? {
-                    out.push(row);
-                }
-            }
-            out
+            rows.filtered(|row| env.passes(predicate, row))?
         }
-        Plan::Derived { input, .. } => exec(input, ctx, binding)?,
+        // Pass-throughs hand their input's rows on untouched (a cached
+        // slot's stay shared); only the emit count is theirs.
+        Plan::Derived { input, .. } => return emitted(exec(input, ctx, binding)?, ctx),
         Plan::Materialize { input, rebind, cache_slot, .. } => {
             if *rebind {
                 // Correlated: re-materialize under the current binding
                 // (MySQL's "invalidate on row from ...").
                 ExecStats::bump(&ctx.stats.materializations, 1);
-                exec(input, ctx, binding)?
+                return emitted(exec(input, ctx, binding)?, ctx);
             } else {
                 // Compute-under-lock: concurrent workers wanting the same
                 // slot wait for the first one instead of duplicating work.
@@ -566,28 +630,32 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
                     .get(*cache_slot)
                     .ok_or_else(|| Error::internal("materialize cache slot out of range"))?;
                 let mut slot = lock(slot);
-                match &*slot {
-                    Some(rows) => rows.as_ref().clone(),
+                let rows = match &*slot {
+                    Some(rows) => rows.clone(),
                     None => {
                         ExecStats::bump(&ctx.stats.materializations, 1);
-                        let rows = Arc::new(exec(input, ctx, binding)?);
+                        let rows = match exec(input, ctx, binding)? {
+                            Rows::Owned(v) => Arc::new(v),
+                            Rows::Shared(a) => a,
+                        };
                         // The slot outlives this operator (it is shared by
                         // every worker), so its charge is never released.
                         ctx.charge_mem(rows_bytes(&rows))?;
                         *slot = Some(rows.clone());
-                        rows.as_ref().clone()
+                        rows
                     }
-                }
+                };
+                return emitted(Rows::Shared(rows), ctx);
             }
         }
         Plan::Project { input, exprs, .. } => {
             let rows = exec(input, ctx, binding)?;
             let env = Env::new(binding, &input.space(ctx.num_tables), ctx.num_tables);
             let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
+            for row in rows.iter() {
                 let mut prow = Vec::with_capacity(exprs.len());
                 for e in exprs {
-                    prow.push(env.eval(e, &row)?);
+                    prow.push(env.eval(e, row)?);
                 }
                 out.push(prow);
             }
@@ -620,7 +688,7 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
             }
         }
         Plan::Sort { input, keys, .. } => {
-            let rows = exec(input, ctx, binding)?;
+            let rows = exec(input, ctx, binding)?.into_owned();
             let env = Env::new(binding, &input.space(ctx.num_tables), ctx.num_tables);
             // The keyed sort buffer roughly doubles the input's footprint
             // while the sort runs; released once the rows are re-emitted.
@@ -639,15 +707,11 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
             ctx.uncharge_mem(sort_bytes);
             out
         }
-        Plan::Limit { input, n, .. } => {
-            let mut rows = exec(input, ctx, binding)?;
-            rows.truncate(*n as usize);
-            rows
-        }
+        Plan::Limit { input, n, .. } => exec(input, ctx, binding)?.truncated(*n as usize),
         Plan::Union { inputs, distinct, .. } => {
             let mut out = Vec::new();
             for p in inputs {
-                out.extend(exec(p, ctx, binding)?);
+                out.extend(exec(p, ctx, binding)?.into_owned());
             }
             if *distinct {
                 let mut seen = std::collections::HashSet::new();
@@ -665,7 +729,7 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
         Plan::Exchange { kind, input, dop, .. } => {
             return match kind {
                 ExchangeKind::Gather | ExchangeKind::GatherMerge => {
-                    exchange::exec_gather(kind, input, *dop, ctx, binding)
+                    exchange::exec_gather(kind, input, *dop, ctx, binding).map(Rows::Owned)
                 }
                 // Repartition is consumed by the Aggregate arm above;
                 // Broadcast by the hash-join build path. Reached directly
@@ -677,7 +741,40 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
             };
         }
     };
-    ExecStats::bump(&ctx.stats.rows_emitted, out.len() as u64);
+    emitted(Rows::Owned(out), ctx)
+}
+
+/// Count an operator's output rows as emitted work.
+fn emitted(rows: Rows, ctx: &ExecContext<'_>) -> Result<Rows> {
+    ExecStats::bump(&ctx.stats.rows_emitted, rows.len() as u64);
+    Ok(rows)
+}
+
+/// What every leaf scan does with the rows its access path yields: count
+/// each as scanned and keep a copy of those the pushed-down filter passes.
+/// With no filter there is nothing to evaluate, so no environment (a layout
+/// per `num_tables`) is built — the usual shape of a correlated index
+/// lookup, which is re-opened once per outer row.
+fn scan_rows<'r>(
+    plan: &Plan,
+    filter: &[Expr],
+    rows: impl Iterator<Item = &'r Row>,
+    ctx: &ExecContext<'_>,
+    binding: Binding<'_>,
+) -> Result<Vec<Row>> {
+    let env = (!filter.is_empty())
+        .then(|| Env::new(binding, &plan.space(ctx.num_tables), ctx.num_tables));
+    let mut out = Vec::new();
+    for row in rows {
+        ExecStats::bump(&ctx.stats.rows_scanned, 1);
+        let keep = match &env {
+            Some(env) => env.passes(filter, row)?,
+            None => true,
+        };
+        if keep {
+            out.push(row.clone());
+        }
+    }
     Ok(out)
 }
 
@@ -700,51 +797,34 @@ fn exec_nested_loop(
     binding: Binding<'_>,
 ) -> Result<Vec<Row>> {
     let left_rows = exec(left, ctx, binding)?;
-    let left_space = left.space(ctx.num_tables);
-    let left_layout = match &left_space {
-        RowSpace::Tables(l) => l.clone(),
-        RowSpace::Slots(_) => return Err(Error::internal("NLJ left side must be in table space")),
+    let (RowSpace::Tables(left_layout), RowSpace::Tables(right_layout)) =
+        (left.space(ctx.num_tables), right.space(ctx.num_tables))
+    else {
+        return Err(Error::internal("join children must be in table space"));
     };
-    let right_width = right.space(ctx.num_tables).width();
-    // Environment for the ON condition: binding + left + right.
-    let on_env_space = whole_join_space(ctx.num_tables, left, right)?;
-    let on_env = Env::new(binding, &on_env_space, ctx.num_tables);
-
+    let right_width = right_layout.width();
+    // The right subtree opens under binding + left; the ON condition sees
+    // binding + left + right. Each child's space is worked out once per open.
     let inner_layout = binding.layout.join(&left_layout);
+    let on_env = Env { layout: inner_layout.join(&right_layout), prefix: binding.row };
     let mut out = Vec::new();
-    for lrow in &left_rows {
-        // Extend the binding with the left row for the right subtree.
-        let mut bound_row = Vec::with_capacity(binding.row.len() + lrow.len());
-        bound_row.extend_from_slice(binding.row);
+    // The binding for the right subtree is `binding ++ lrow`; the buffer is
+    // reused across left rows.
+    let mut bound_row = binding.row.to_vec();
+    for lrow in left_rows.iter() {
+        bound_row.truncate(binding.row.len());
         bound_row.extend_from_slice(lrow);
         let inner_binding = Binding { row: &bound_row, layout: &inner_layout };
         let right_rows = exec(right, ctx, inner_binding)?;
 
         let mut matched = false;
         let mut saw_unknown = false;
-        for rrow in &right_rows {
-            let mut joined = Vec::with_capacity(lrow.len() + rrow.len());
-            joined.extend_from_slice(lrow);
-            joined.extend_from_slice(rrow);
-            // Three-valued conjunction: FALSE short-circuits, any UNKNOWN
-            // without a FALSE leaves the row's membership unknown — which
-            // matters for NULL-aware anti joins (NOT IN).
-            let mut verdict = Some(true);
-            for c in on {
-                match on_env.eval(c, &joined)?.truth() {
-                    Some(true) => {}
-                    Some(false) => {
-                        verdict = Some(false);
-                        break;
-                    }
-                    None => verdict = None,
-                }
-            }
-            match verdict {
+        for rrow in right_rows.iter() {
+            match on_env.pair_verdict(on, lrow, rrow)? {
                 Some(true) => {
                     matched = true;
                     match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => out.push(joined),
+                        JoinKind::Inner | JoinKind::LeftOuter => out.push(concat(lrow, rrow)),
                         JoinKind::Semi => {
                             out.push(lrow.clone());
                             break;
@@ -758,12 +838,7 @@ fn exec_nested_loop(
         }
         if !matched {
             match kind {
-                JoinKind::LeftOuter => {
-                    let mut joined = Vec::with_capacity(lrow.len() + right_width);
-                    joined.extend_from_slice(lrow);
-                    joined.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(joined);
-                }
+                JoinKind::LeftOuter => out.push(null_padded(lrow, right_width)),
                 JoinKind::AntiSemi if !(null_aware && saw_unknown) => {
                     out.push(lrow.clone());
                 }
@@ -772,6 +847,14 @@ fn exec_nested_loop(
         }
     }
     Ok(out)
+}
+
+/// `row` followed by `pad` NULLs: an outer join's unmatched left row.
+pub(crate) fn null_padded(row: &[Value], pad: usize) -> Row {
+    let mut joined = Vec::with_capacity(row.len() + pad);
+    joined.extend_from_slice(row);
+    joined.extend(std::iter::repeat_n(Value::Null, pad));
+    joined
 }
 
 /// Row space the ON/residual conditions see: left ++ right (even for
@@ -832,7 +915,7 @@ fn exec_hash_join(
     let built: Arc<BuildTable> = match build_plan {
         Plan::Exchange { kind: ExchangeKind::Broadcast { slot }, input, .. } => {
             ctx.shared_build(*slot, || {
-                let rows = exec(input, ctx, binding)?;
+                let rows = exec(input, ctx, binding)?.into_owned();
                 // The broadcast node itself is never routed through `exec`,
                 // so credit it here — only on the one actual build, not on
                 // cache-served accesses.
@@ -841,44 +924,42 @@ fn exec_hash_join(
             })?
         }
         _ => {
-            let rows = exec(build_plan, ctx, binding)?;
+            let rows = exec(build_plan, ctx, binding)?.into_owned();
             Arc::new(build_table(rows, &build_keys, &build_env, ctx)?)
         }
     };
     let probe_rows = exec(probe_plan, ctx, binding)?;
     let (table, build_rows, build_has_null_key) = (&built.index, &built.rows, built.has_null_key);
 
-    let joined = |lrow: &Row, rrow: &Row| -> Row {
-        let mut j = Vec::with_capacity(lrow.len() + rrow.len());
-        j.extend_from_slice(lrow);
-        j.extend_from_slice(rrow);
-        j
-    };
-
     let right_width = right.space(ctx.num_tables).width();
     let mut out = Vec::new();
-    for prow in &probe_rows {
+    // One key buffer for every probe; the table is looked up by slice.
+    let mut kv: Vec<Value> = Vec::with_capacity(probe_keys.len());
+    for prow in probe_rows.iter() {
         ExecStats::bump(&ctx.stats.hash_probes, 1);
-        let mut kv = Vec::with_capacity(probe_keys.len());
+        kv.clear();
         let mut any_null = false;
         for k in &probe_keys {
             let v = probe_env.eval(k, prow)?;
             any_null |= v.is_null();
             kv.push(v);
         }
-        let matches: &[usize] =
-            if any_null { &[] } else { table.get(&kv).map(|v| v.as_slice()).unwrap_or(&[]) };
+        let matches: &[usize] = if any_null {
+            &[]
+        } else {
+            table.get(kv.as_slice()).map(|v| v.as_slice()).unwrap_or(&[])
+        };
 
         let mut matched = false;
         for &bi in matches {
             let brow = build_rows
                 .get(bi)
                 .ok_or_else(|| Error::internal("hash-join build index out of range"))?;
-            let j = if build_is_left { joined(brow, prow) } else { joined(prow, brow) };
-            if join_env.passes(residual, &j)? {
+            let (lrow, rrow) = if build_is_left { (brow, prow) } else { (prow, brow) };
+            if join_env.pair_passes(residual, lrow, rrow)? {
                 matched = true;
                 match kind {
-                    JoinKind::Inner | JoinKind::LeftOuter => out.push(j),
+                    JoinKind::Inner | JoinKind::LeftOuter => out.push(concat(lrow, rrow)),
                     JoinKind::Semi => {
                         out.push(prow.clone());
                         break;
@@ -889,13 +970,8 @@ fn exec_hash_join(
         }
         if !matched {
             match kind {
-                JoinKind::LeftOuter => {
-                    // Probe is the left side for outer joins (asserted above).
-                    let mut j = Vec::with_capacity(prow.len() + right_width);
-                    j.extend_from_slice(prow);
-                    j.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(j);
-                }
+                // Probe is the left side for outer joins (asserted above).
+                JoinKind::LeftOuter => out.push(null_padded(prow, right_width)),
                 JoinKind::AntiSemi => {
                     // NULL-aware anti join (NOT IN): a NULL probe key, or any
                     // NULL key on the build side, makes membership UNKNOWN —
@@ -1223,6 +1299,41 @@ mod tests {
     }
 
     #[test]
+    fn hash_join_on_a_computed_negative_zero_agrees_with_the_nested_loop() {
+        let cat = setup();
+        // (emp.id - 1) * -1.0 = dept.id - 10: emp 1 computes -0.0, dept 10
+        // computes 0 — equal under `=`, so they must meet in the hash table.
+        let lkey = Expr::binary(
+            BinOp::Mul,
+            Expr::binary(BinOp::Sub, Expr::col(0, 0), Expr::int(1)),
+            Expr::lit(Value::Double(-1.0)),
+        );
+        let rkey = Expr::binary(BinOp::Sub, Expr::col(1, 0), Expr::int(10));
+        let nested = Plan::NestedLoop {
+            kind: JoinKind::Inner,
+            left: Box::new(emp_scan(vec![])),
+            right: Box::new(dept_scan()),
+            on: vec![Expr::eq(lkey.clone(), rkey.clone())],
+            null_aware: false,
+            est: Est::default(),
+        };
+        let hashed = Plan::HashJoin {
+            kind: JoinKind::Inner,
+            build_left: false,
+            left: Box::new(emp_scan(vec![])),
+            right: Box::new(dept_scan()),
+            keys: vec![(lkey, rkey)],
+            residual: vec![],
+            null_aware: false,
+            est: Est::default(),
+        };
+        let (want, _) = run(&nested, &cat);
+        assert_eq!(want.len(), 1);
+        assert_eq!((&want[0][0], &want[0][3]), (&Value::Int(1), &Value::Int(10)));
+        assert_eq!(run(&hashed, &cat).0, want);
+    }
+
+    #[test]
     fn null_aware_anti_join_not_in_semantics() {
         let cat = setup();
         // emp.dept_id NOT IN (SELECT id FROM dept): emp 4's NULL key makes
@@ -1334,6 +1445,16 @@ mod tests {
         let slots = p.assign_cache_slots();
         let ctx = ExecContext::new(&cat, 2, slots);
         execute(&p, &ctx).unwrap();
+        assert_eq!(ctx.stats.materializations.get(), 1);
+        // Re-opens of the filled slot hand out the same allocation, not
+        // copies of it.
+        let Plan::NestedLoop { right: slot_node, .. } = &p else { unreachable!() };
+        let unbound = Layout::empty(2);
+        let reopen = || exec(slot_node, &ctx, Binding { row: &[], layout: &unbound }).unwrap();
+        match (reopen(), reopen()) {
+            (Rows::Shared(a), Rows::Shared(b)) => assert!(Arc::ptr_eq(&a, &b)),
+            _ => panic!("a cached Materialize shares its rows"),
+        }
         assert_eq!(ctx.stats.materializations.get(), 1);
 
         // rebind=true re-materializes per outer row (the Q17 invalidation).

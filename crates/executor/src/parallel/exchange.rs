@@ -7,7 +7,7 @@
 //! time. Whatever the pool's scheduling, dop, or morsel size, the bytes out
 //! of an exchange equal the bytes of the serial execution.
 
-use crate::exec::{exec, exec_aggregate, Binding, Env, ExecContext};
+use crate::exec::{exec, exec_aggregate, Binding, Env, ExecContext, Rows};
 use crate::governor;
 use crate::parallel::bridge::find_driving_scan;
 use crate::parallel::{morsel, morsel::MorselSpec, pool};
@@ -65,13 +65,13 @@ pub(crate) fn exec_gather(
     binding: Binding<'_>,
 ) -> Result<Vec<Row>> {
     let Some(morsels) = plan_morsels(input, dop, ctx, binding) else {
-        return exec(input, ctx, binding);
+        return exec(input, ctx, binding).map(Rows::into_owned);
     };
     let buffers: Vec<Vec<Row>> = pool::run_units(ctx, dop, morsels.len(), |wctx, i| {
         wctx.set_morsel(Some(morsels[i]));
         let rows = exec(input, wctx, binding);
         wctx.set_morsel(None);
-        rows
+        rows.map(Rows::into_owned)
     })?;
     // A fragment topped by `Sort` produced per-morsel sorted runs: merge
     // them on the sort keys even under a plain `Gather` (e.g. a hand-built
@@ -191,7 +191,7 @@ pub(crate) fn exec_partitioned_agg(
         wctx.set_morsel(Some(morsels[i]));
         let rows = exec(input, wctx, binding);
         wctx.set_morsel(None);
-        let rows = rows?;
+        let rows = rows?.into_owned();
         let env = Env::new(binding, &space, wctx.num_tables);
         let mut parts: Vec<Vec<Row>> = (0..nparts).map(|_| Vec::new()).collect();
         for row in rows {

@@ -6,7 +6,7 @@
 
 use taurus_orca::bridge::OrcaOptimizer;
 use taurus_orca::common::Value;
-use taurus_orca::mylite::{Engine, MySqlOptimizer};
+use taurus_orca::mylite::{Engine, MySqlOptimizer, SessionOpts};
 use taurus_orca::orcalite::{JoinOrderStrategy, OrcaConfig};
 use taurus_orca::workloads::{tpcds, tpch, Scale};
 
@@ -71,6 +71,41 @@ fn tpcds_agrees_under_every_search_strategy() {
         for n in [1, 6, 17, 41, 72, 81, 92, 5, 10, 25] {
             let q = tpcds::query(n);
             assert_agree(&engine, &orca, q.name, &q.sql);
+        }
+    }
+}
+
+#[test]
+fn between_with_a_null_bound_is_three_valued_in_every_engine() {
+    // `x BETWEEN lo AND hi` is `x >= lo AND x <= hi`: with `x < lo` decided
+    // FALSE, a NULL `hi` cannot make the whole UNKNOWN, so NOT BETWEEN is
+    // TRUE for all 25 nations — as the spelled-out form (and MySQL) says.
+    let engine = Engine::new(tpch::build_catalog(Scale(0.02)));
+    let engines = [
+        ("row", SessionOpts::default()),
+        ("batch", SessionOpts { vectorized: Some(true), ..SessionOpts::default() }),
+        (
+            "dop 4",
+            SessionOpts {
+                dop: Some(4),
+                parallel_threshold: Some(1),
+                morsel_rows: Some(4),
+                ..SessionOpts::default()
+            },
+        ),
+    ];
+    let cases = [
+        ("SELECT COUNT(*) FROM nation WHERE n_nationkey NOT BETWEEN 100 AND NULL", 25),
+        ("SELECT COUNT(*) FROM nation WHERE NOT (n_nationkey >= 100 AND n_nationkey <= NULL)", 25),
+        ("SELECT COUNT(*) FROM nation WHERE n_nationkey NOT BETWEEN NULL AND -1", 25),
+        // Undecided: the known side holds, so the NULL bound leaves UNKNOWN.
+        ("SELECT COUNT(*) FROM nation WHERE n_nationkey NOT BETWEEN 0 AND NULL", 0),
+        ("SELECT COUNT(*) FROM nation WHERE n_nationkey BETWEEN 0 AND NULL", 0),
+    ];
+    for (name, opts) in &engines {
+        for (sql, want) in cases {
+            let (out, _) = engine.query_cached_opts(sql, &MySqlOptimizer, opts).unwrap();
+            assert_eq!(out.rows, vec![vec![Value::Int(want)]], "{name} engine: {sql}");
         }
     }
 }

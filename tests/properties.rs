@@ -3,6 +3,8 @@
 //!
 //! * rewrites (`factor_or`, `push_not`) preserve three-valued semantics on
 //!   arbitrary expressions and rows;
+//! * `Expr::truth` is `Expr::eval`'s truth, and a row view split at any
+//!   boundaries evaluates like the contiguous row, errors included;
 //! * the metadata provider's OID cubes are bijective and commutation /
 //!   inversion are involutions (§5.2–5.3);
 //! * histogram selectivities are probabilities that partition correctly;
@@ -15,6 +17,7 @@ use taurus_orca::bridge::OrcaOptimizer;
 use taurus_orca::catalog::encode_str_prefix;
 use taurus_orca::catalog::histogram::Histogram;
 use taurus_orca::common::expr::{factor_or, like_match, EvalCtx};
+use taurus_orca::common::expr::{ScalarFunc, UnOp};
 use taurus_orca::common::{BinOp, Expr, Layout, Value};
 use taurus_orca::orcalite::OrcaConfig;
 use taurus_orca::workloads::gen::SmallRng;
@@ -80,6 +83,129 @@ fn push_not_preserves_three_valued_semantics() {
         let after = mylite::resolve::push_not(Expr::not(e.clone())).eval(ctx).unwrap().truth();
         assert_eq!(before, after, "push_not changed semantics of NOT {e:?} on {vals:?}");
     }
+}
+
+// ------------------------------------------------------------- evaluation
+
+/// Width of the rows the evaluation property runs over: three two-column
+/// tables side by side. Table 3 exists in the query but not in the layout,
+/// so a reference to it is the "column not covered" error.
+const EVAL_WIDTH: usize = 6;
+
+fn any_value(r: &mut SmallRng) -> Value {
+    match r.gen_range(0..7i32) {
+        0 => Value::Null,
+        1 | 2 => Value::Int(r.gen_range(-2..4i64)),
+        3 => Value::Double(r.gen_range(-4..6i64) as f64 / 2.0),
+        4 => Value::str(["", "a", "ab", "b%", "_b"][r.gen_range(0..5usize)]),
+        5 => Value::Date(r.gen_range(10_000..10_004i32)),
+        _ => Value::Bool(r.gen_bool(0.5)),
+    }
+}
+
+/// Random expression trees over every `Expr` variant except `Agg`: leaves
+/// of every kind and type, all thirteen binary and four unary operators,
+/// every scalar function (at arities right and wrong), CASE in both forms,
+/// IN, LIKE and BETWEEN in both polarities.
+fn any_expr(r: &mut SmallRng, depth: usize) -> Expr {
+    if depth == 0 || r.gen_bool(0.3) {
+        return match r.gen_range(0..5i32) {
+            0 | 1 => Expr::col(r.gen_range(0..4usize), r.gen_range(0..2usize)),
+            2 => Expr::Slot(r.gen_range(0..EVAL_WIDTH)),
+            3 => Expr::lit(any_value(r)),
+            _ => Expr::param(r.gen_range(0..3usize), any_value(r)),
+        };
+    }
+    let sub = |r: &mut SmallRng| Box::new(any_expr(r, depth - 1));
+    match r.gen_range(0..8i32) {
+        0 | 1 => {
+            const OPS: [BinOp; 13] = [
+                BinOp::Add,
+                BinOp::Sub,
+                BinOp::Mul,
+                BinOp::Div,
+                BinOp::Mod,
+                BinOp::Eq,
+                BinOp::Ne,
+                BinOp::Lt,
+                BinOp::Le,
+                BinOp::Gt,
+                BinOp::Ge,
+                BinOp::And,
+                BinOp::Or,
+            ];
+            Expr::Binary { op: OPS[r.gen_range(0..OPS.len())], left: sub(r), right: sub(r) }
+        }
+        2 => {
+            const OPS: [UnOp; 4] = [UnOp::Not, UnOp::Neg, UnOp::IsNull, UnOp::IsNotNull];
+            Expr::Unary { op: OPS[r.gen_range(0..OPS.len())], input: sub(r) }
+        }
+        3 => {
+            const FUNCS: [ScalarFunc; 17] = [
+                ScalarFunc::Abs,
+                ScalarFunc::Round,
+                ScalarFunc::Upper,
+                ScalarFunc::Lower,
+                ScalarFunc::Substr,
+                ScalarFunc::Concat,
+                ScalarFunc::Coalesce,
+                ScalarFunc::Year,
+                ScalarFunc::Month,
+                ScalarFunc::Day,
+                ScalarFunc::DateAddDays,
+                ScalarFunc::DateAddMonths,
+                ScalarFunc::DateAddYears,
+                ScalarFunc::CastDate,
+                ScalarFunc::CastStr,
+                ScalarFunc::CastInt,
+                ScalarFunc::CastDouble,
+            ];
+            let func = FUNCS[r.gen_range(0..FUNCS.len())];
+            let args = (0..r.gen_range(1..4usize)).map(|_| *sub(r)).collect();
+            Expr::Func { func, args }
+        }
+        4 => Expr::Case {
+            operand: r.gen_bool(0.5).then(|| sub(r)),
+            branches: (0..r.gen_range(1..3usize)).map(|_| (*sub(r), *sub(r))).collect(),
+            else_: r.gen_bool(0.5).then(|| sub(r)),
+        },
+        5 => Expr::InList {
+            expr: sub(r),
+            list: (0..r.gen_range(1..4usize)).map(|_| *sub(r)).collect(),
+            negated: r.gen_bool(0.5),
+        },
+        6 => Expr::Like { expr: sub(r), pattern: sub(r), negated: r.gen_bool(0.5) },
+        _ => Expr::Between { expr: sub(r), low: sub(r), high: sub(r), negated: r.gen_bool(0.5) },
+    }
+}
+
+#[test]
+fn truth_is_evals_truth_and_split_views_evaluate_like_the_row() {
+    let mut r = rng("truth_vs_eval");
+    let layout =
+        Layout::single(4, 0, 2).join(&Layout::single(4, 1, 2)).join(&Layout::single(4, 2, 2));
+    let (mut errors, mut unknowns) = (0, 0);
+    for _ in 0..2048 {
+        let e = any_expr(&mut r, 3);
+        let vals: Vec<Value> = (0..EVAL_WIDTH).map(|_| any_value(&mut r)).collect();
+        let whole = EvalCtx::new(&vals, &layout);
+        // Debug renderings: `Value`'s `==` calls Int(2) and Double(2.0)
+        // equal, and this property is about the very same value.
+        let value = format!("{:?}", e.eval(whole));
+        let truth = e.truth(whole);
+        assert_eq!(truth, e.eval(whole).map(|v| v.truth()), "{e} on {vals:?}");
+        errors += truth.is_err() as usize;
+        unknowns += (truth == Ok(None)) as usize;
+        for i in 0..=EVAL_WIDTH {
+            for j in i..=EVAL_WIDTH {
+                let view = EvalCtx::split(&vals[..i], &vals[i..j], &vals[j..], &layout);
+                assert_eq!(format!("{:?}", e.eval(view)), value, "{e} on {vals:?} split {i}/{j}");
+                assert_eq!(e.truth(view), truth, "{e} on {vals:?} split {i}/{j}");
+            }
+        }
+    }
+    // The generator reaches the cases the property is about.
+    assert!(errors > 100 && unknowns > 100, "errors={errors} unknowns={unknowns}");
 }
 
 // ---------------------------------------------------------------- OID cubes
