@@ -47,4 +47,19 @@ echo "== perf: the frozen benchmark still builds and answers correctly"
 cargo test --offline --manifest-path perf/Cargo.toml
 cargo run --release --offline --manifest-path perf/Cargo.toml -- smoke
 
+echo "== size: Rust lines per crate (reported, not gated)"
+# The measure every "net-negative" claim in CHANGES.md uses: all .rs lines
+# under the crate, and of those the non-test ones — src/ files up to their
+# first #[cfg(test)].
+non_test='FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+printf '%-12s %7s %9s\n' crate lines non-test
+for c in crates/*; do
+    printf '%-12s %7s %9s\n' "${c#crates/}" \
+        "$(find "$c" -name '*.rs' -exec cat {} + | wc -l)" \
+        "$(find "$c/src" -name '*.rs' -exec awk "$non_test" {} +)"
+done
+printf '%-12s %7s %9s\n' total \
+    "$(find crates -name '*.rs' -exec cat {} + | wc -l)" \
+    "$(find crates/*/src -name '*.rs' -exec awk "$non_test" {} +)"
+
 echo "CI OK"

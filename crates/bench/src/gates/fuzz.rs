@@ -3,7 +3,7 @@
 //! A seeded, deterministic random query generator over the TPC-H and
 //! TPC-DS schemas plus an adversarial synthetic schema (NULL-heavy
 //! columns, an empty table, a single-row table, duplicate keys), driven
-//! through nine differential oracles:
+//! through eight differential oracles:
 //!
 //! 1. **native-vs-orca** — the mylite-native plan and the Orca-routed
 //!    plan must agree on the result multiset (and on sortedness / top-k
@@ -28,10 +28,7 @@
 //!    cached statement pair over the shared engine must each see the
 //!    single-session reference answer on every serve (in-place rebinds
 //!    racing concurrent hits of the sharded cache must never tear);
-//! 8. **row-vs-batch** — the vectorized batch path at dop ∈ {1, 4, 8}
-//!    must be byte-identical, in order, to the serial row path (the PR 9
-//!    columnar-execution contract: same plans, same output bytes);
-//! 9. **orders** — for ORDER BY / GROUP BY-carrying queries, the
+//! 8. **orders** — for ORDER BY / GROUP BY-carrying queries, the
 //!    enforcer-elimination plan (`order_opt` on) at dop ∈ {1, 4, 8} must
 //!    be byte-identical, in order, to the always-enforce plan
 //!    (`order_opt` off): a dropped Sort is only legal when it would have
@@ -760,7 +757,6 @@ pub enum Oracle {
     CancelRecover,
     Feedback,
     ConcurrentSessions,
-    RowVsBatch,
     Orders,
 }
 
@@ -774,12 +770,11 @@ impl Oracle {
             Oracle::CancelRecover => "cancel-recover",
             Oracle::Feedback => "feedback",
             Oracle::ConcurrentSessions => "concurrent-sessions",
-            Oracle::RowVsBatch => "row-vs-batch",
             Oracle::Orders => "orders",
         }
     }
 
-    pub const ALL: [Oracle; 9] = [
+    pub const ALL: [Oracle; 8] = [
         Oracle::NativeVsOrca,
         Oracle::SerialVsParallel,
         Oracle::FreshVsRebound,
@@ -787,7 +782,6 @@ impl Oracle {
         Oracle::CancelRecover,
         Oracle::Feedback,
         Oracle::ConcurrentSessions,
-        Oracle::RowVsBatch,
         Oracle::Orders,
     ];
 
@@ -1219,31 +1213,7 @@ impl FuzzCtx<'_> {
         }
     }
 
-    /// Oracle 8: the serial row path vs the vectorized batch path at
-    /// dop ∈ {1, 4, 8}. Vectorization is an execution-only knob — same
-    /// plan, same operators, different inner loops — so the comparison is
-    /// exact and ordered: every byte of every value must match, including
-    /// full double precision (batch kernels must reproduce the row path's
-    /// accumulation order, NULL handling, and comparison semantics, not
-    /// just "be close").
-    fn check_row_vs_batch(&self, case: &FuzzCase) -> Check {
-        let sql = case.spec.render();
-        self.engine.set_dop(1);
-        self.engine.set_vectorized(false);
-        let Ok(reference) = self.engine.query(&sql) else { return Check::Invalid };
-        self.engine.set_vectorized(true);
-        let verdict = self.same_bytes_at_dops(
-            &sql,
-            &ordered(&reference.rows),
-            [1, 4, 8],
-            "batch path",
-            "serial row path",
-        );
-        self.engine.set_vectorized(false);
-        verdict
-    }
-
-    /// Oracle 9: enforcer elimination vs always-enforce. The `order_opt`
+    /// Oracle 8: enforcer elimination vs always-enforce. The `order_opt`
     /// knob only drops Sort enforcers proven to be the identity (a stable
     /// sort of input already delivering the requested key prefix), so the
     /// optimized plan must be byte-identical, in order, to the
@@ -1280,7 +1250,6 @@ impl FuzzCtx<'_> {
             Oracle::CancelRecover => self.check_cancel_recover(case),
             Oracle::Feedback => self.check_feedback(case),
             Oracle::ConcurrentSessions => self.check_concurrent_sessions(case),
-            Oracle::RowVsBatch => self.check_row_vs_batch(case),
             Oracle::Orders => self.check_orders(case),
         }
     }
@@ -1491,7 +1460,7 @@ pub struct FuzzReport {
     /// Queries whose reference (native, serial) run succeeded.
     pub executed: usize,
     /// Oracle executions that produced a comparable verdict, per oracle.
-    pub oracle_runs: [usize; 9],
+    pub oracle_runs: [usize; 8],
     /// Plan-cache oracle runs whose second serve actually hit the cache.
     pub rebind_hits: usize,
     pub failures: Vec<FuzzFailure>,
@@ -1539,7 +1508,7 @@ impl FuzzReport {
 }
 
 /// Run the fuzzer: `budget` queries per seed, rotated across the TPC-H,
-/// TPC-DS and adversarial schemas, each checked by all nine oracles.
+/// TPC-DS and adversarial schemas, each checked by all eight oracles.
 pub fn run_fuzz(seeds: &[u64], budget: usize, scale: Scale) -> FuzzReport {
     let mut engines: Vec<(&'static str, Engine)> = vec![
         ("tpch", Engine::new(tpch::build_catalog(scale))),
@@ -1665,6 +1634,6 @@ pub fn run(env: &Env) -> Outcome {
     Outcome::gated(
         format_fuzz_report(&r),
         r.gate(),
-        format!("{} queries × 9 oracles, zero miscompares", r.generated),
+        format!("{} queries × 8 oracles, zero miscompares", r.generated),
     )
 }

@@ -11,4 +11,3 @@ pub mod observe;
 pub mod orders;
 pub mod parallel;
 pub mod plancache;
-pub mod vectorized;

@@ -2,7 +2,7 @@
 //!
 //! * [`paper`] — the paper's own evaluation (Fig 10–12, Table 1, the three
 //!   case studies, the §7 ablations) plus the routing table;
-//! * [`gates`] — the nine `ci.sh` gates, one module each;
+//! * [`gates`] — the eight `ci.sh` gates, one module each;
 //! * [`plumbing`] — what both share (row canonicaliser, median, markdown
 //!   tables, the both-workloads testbeds).
 //!

@@ -4,9 +4,7 @@
 //! `ci.sh` runs `harness gates`. Adding an experiment is one row here plus
 //! its `run` function; a row with `ci: Some(..)` is thereby a CI gate.
 
-use crate::gates::{
-    concurrency, feedback, fuzz, governance, observe, orders, parallel, plancache, vectorized,
-};
+use crate::gates::{concurrency, feedback, fuzz, governance, observe, orders, parallel, plancache};
 use crate::plumbing::md_table;
 use crate::{paper, Workload};
 use std::ops::Range;
@@ -178,20 +176,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         ci: Some(Ci { scale: 0.05, budget: 0, seeds: 0..0 }),
         run: parallel::run,
     },
-    // Columnar batch engine. Wall-clock: each template's plan is compiled
-    // once and executed `budget` times per engine, medians compared. Fails
-    // if the median serial-batch speedup on the scan/filter/agg templates
-    // drops below 2x (measured 2.6–3.1x at this scale; the verdict prints
-    // the median template's row and batch times, since the row engine is
-    // the denominator), or if either batch variant (dop 1 or dop 4) returns
-    // bytes that differ from the serial row engine.
-    Experiment {
-        name: "vectorized",
-        title: "Vectorized execution — serial row vs columnar batch engine \
-                (scale {scale}, dop 4, {budget} runs per cell)",
-        ci: Some(Ci { scale: 0.1, budget: 9, seeds: 0..0 }),
-        run: vectorized::run,
-    },
     // EXPLAIN ANALYZE q-error. Runs every TPC-H and TPC-DS template under
     // EXPLAIN ANALYZE. Fails if instrumentation changes any result (serial
     // or dop=4), or if the worst per-operator q-error crosses the ceiling —
@@ -230,14 +214,14 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     // Differential correctness. Seeded, fully deterministic random-query
     // sweep (`budget` queries per seed) over TPC-H, TPC-DS, and the
-    // adversarial schema, checked by nine oracles (native-vs-orca,
+    // adversarial schema, checked by eight oracles (native-vs-orca,
     // serial-vs-parallel, fresh-vs-rebound, TLP partitioning,
     // cancel-recover, feedback re-optimization, concurrent-sessions,
-    // row-vs-batch, orders). Any miscompare fails the gate and prints the
+    // orders). Any miscompare fails the gate and prints the
     // delta-debugged minimal repro SQL.
     Experiment {
         name: "fuzz",
-        title: "Differential fuzzer — nine oracles over random queries (scale {scale})",
+        title: "Differential fuzzer — eight oracles over random queries (scale {scale})",
         ci: Some(Ci { scale: 0.05, budget: 150, seeds: 0..4 }),
         run: fuzz::run,
     },

@@ -1,7 +1,7 @@
 //! The differential fuzzer's regression suite: the minimized cross-plan
 //! repros the bug sweeps produced — each asserted across every plan path
 //! (native, Orca, parallel, plan-cache) so a regression in any one layer
-//! trips it. (The bounded seeded run through all nine oracles is the
+//! trips it. (The bounded seeded run through all eight oracles is the
 //! registry's table-driven gate test, `tests/registry.rs`.)
 
 use mylite::{Engine, MySqlOptimizer};

@@ -26,6 +26,23 @@ fn every_ci_gate_passes_its_own_verdict() {
 }
 
 #[test]
+fn the_ci_gates_are_these_eight() {
+    // What `ci.sh` runs through `harness gates` and the docs count.
+    let gates: Vec<&str> = registry::gates().map(|g| g.name).collect();
+    let eight = [
+        "plancache",
+        "parallel",
+        "observe",
+        "orders",
+        "feedback",
+        "fuzz",
+        "governance",
+        "concurrency",
+    ];
+    assert_eq!(gates, eight);
+}
+
+#[test]
 fn unknown_name_exits_2_listing_exactly_the_registry() {
     let out = Command::new(env!("CARGO_BIN_EXE_harness")).arg("no-such-experiment").output();
     let out = out.expect("harness binary runs");

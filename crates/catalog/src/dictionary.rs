@@ -27,12 +27,6 @@ impl CatalogTable {
         self.indexes.iter().find(|ix| ix.def().columns.as_slice() == columns)
     }
 
-    /// Indexes whose *first* key column is `col` — candidates for lookups
-    /// and ranges on that column.
-    pub fn indexes_leading_with(&self, col: usize) -> impl Iterator<Item = &OrderedIndex> {
-        self.indexes.iter().filter(move |ix| ix.def().columns.first() == Some(&col))
-    }
-
     /// Whether `col` is covered by a single-column UNIQUE index.
     pub fn is_unique_column(&self, col: usize) -> bool {
         self.indexes.iter().any(|ix| ix.def().unique && ix.def().columns.as_slice() == [col])

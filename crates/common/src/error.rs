@@ -27,9 +27,9 @@ pub enum Error {
     /// the bridge's degradation ladder retries cheaper strategies on it.
     ResourceExhausted { resource: String, limit: u64 },
     /// The query was cancelled cooperatively (a cancel token flipped while
-    /// the executor was between morsels/batches). Not a resource error:
-    /// retrying at a cheaper rung would not help, so the planner ladder
-    /// must not react to it.
+    /// the executor was between operator openings or morsels). Not a
+    /// resource error: retrying at a cheaper rung would not help, so the
+    /// planner ladder must not react to it.
     Cancelled,
     /// The query's wall-clock deadline passed before execution finished.
     DeadlineExceeded { budget_ms: u64 },

@@ -426,6 +426,35 @@ impl Expr {
         konst
     }
 
+    /// Constant, and not the NULL literal — safe to use as an index bound.
+    pub fn is_non_null_const(&self) -> bool {
+        self.is_const() && !matches!(self, Expr::Literal(v) if v.is_null())
+    }
+
+    /// Match `col(qt, col) cmp const` (either side), returning `(cmp-with-
+    /// column-on-left, const expr)`: what an optimizer may turn into an index
+    /// bound. A NULL literal is refused: comparing with NULL is UNKNOWN for
+    /// every row, but as an index-range bound it would sort before everything
+    /// and `[NULL, ∞)` would cover the whole table.
+    pub fn column_vs_const(&self, qt: usize, col: usize) -> Option<(BinOp, Expr)> {
+        if let Expr::Binary { op, left, right } = self {
+            if !op.is_comparison() {
+                return None;
+            }
+            if let Expr::Column(c) = left.as_ref() {
+                if c.table == qt && c.col == col && right.is_non_null_const() {
+                    return Some((*op, right.as_ref().clone()));
+                }
+            }
+            if let Expr::Column(c) = right.as_ref() {
+                if c.table == qt && c.col == col && left.is_non_null_const() {
+                    return Some((op.commutator()?, left.as_ref().clone()));
+                }
+            }
+        }
+        None
+    }
+
     /// Whether any bind parameter appears in the tree.
     pub fn contains_param(&self) -> bool {
         let mut found = false;
@@ -1021,6 +1050,50 @@ fn eval_strict_func(func: ScalarFunc, vals: &[Value]) -> Result<Value> {
             unreachable!("variadic functions handled by caller")
         }
     }
+}
+
+/// Split join conditions into hash keys `(left expr, right expr)` — the
+/// equalities with one side on each input, tables in `outer` not counting —
+/// and the residual predicates.
+pub fn split_hash_keys(
+    on: &[Expr],
+    left: &BTreeSet<usize>,
+    right: &BTreeSet<usize>,
+    outer: &BTreeSet<usize>,
+) -> (Vec<(Expr, Expr)>, Vec<Expr>) {
+    // true = left input, false = right input; None = mixed or neither.
+    let side = |e: &Expr| -> Option<bool> {
+        let local: Vec<usize> =
+            e.referenced_tables().into_iter().filter(|t| !outer.contains(t)).collect();
+        if local.is_empty() {
+            return None;
+        }
+        if local.iter().all(|t| left.contains(t)) {
+            Some(true)
+        } else if local.iter().all(|t| right.contains(t)) {
+            Some(false)
+        } else {
+            None
+        }
+    };
+    let (mut keys, mut residual) = (Vec::new(), Vec::new());
+    for c in on {
+        if let Expr::Binary { op: BinOp::Eq, left: l, right: r } = c {
+            match (side(l), side(r)) {
+                (Some(true), Some(false)) => {
+                    keys.push((l.as_ref().clone(), r.as_ref().clone()));
+                    continue;
+                }
+                (Some(false), Some(true)) => {
+                    keys.push((r.as_ref().clone(), l.as_ref().clone()));
+                    continue;
+                }
+                _ => {}
+            }
+        }
+        residual.push(c.clone());
+    }
+    (keys, residual)
 }
 
 /// Factor common conjuncts out of a disjunction:

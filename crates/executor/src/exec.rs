@@ -146,10 +146,6 @@ pub struct ExecContext<'a> {
     /// accounting), shared across all workers of the query. `None` (the
     /// default) keeps execution ungoverned.
     governor: Option<Arc<QueryGovernor>>,
-    /// Route supported operator subtrees through the columnar batch engine
-    /// (`crate::batch`). Off by default; byte-identity with the row path is
-    /// the contract either way.
-    vectorized: bool,
 }
 
 impl<'a> ExecContext<'a> {
@@ -166,7 +162,6 @@ impl<'a> ExecContext<'a> {
             morsel: Cell::new(None),
             observer: None,
             governor: None,
-            vectorized: false,
         }
     }
 
@@ -175,16 +170,9 @@ impl<'a> ExecContext<'a> {
         self.morsel_rows = rows.max(1);
     }
 
-    /// Enable (or disable) the vectorized batch execution path.
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.vectorized = on;
-    }
-
-    /// Whether an `EXPLAIN ANALYZE` observer is installed — per-node
-    /// observation needs the row path's one-recursion-per-node shape.
-    pub(crate) fn observing(&self) -> bool {
-        self.observer.is_some()
-    }
+    /// Accepted and ignored: there is one executor. Kept only because the
+    /// benchmark's replica calls it (perf/README.md "The pinned surface").
+    pub fn set_vectorized(&mut self, _on: bool) {}
 
     /// Install a per-node observer. Every operator of the indexed plan then
     /// records its actual rows and loop count into `stats.nodes`.
@@ -199,7 +187,7 @@ impl<'a> ExecContext<'a> {
         self.governor = Some(governor);
     }
 
-    /// Cancel/deadline check at a batch or morsel boundary. No-op when the
+    /// Cancel/deadline check at an operator or morsel boundary. No-op when the
     /// execution is ungoverned.
     pub(crate) fn check_governor(&self) -> Result<()> {
         match &self.governor {
@@ -258,7 +246,6 @@ impl<'a> ExecContext<'a> {
             morsel_rows: self.morsel_rows,
             observer: self.observer.clone(),
             governor: self.governor.clone(),
-            vectorized: self.vectorized,
         }
     }
 
@@ -304,7 +291,6 @@ pub(crate) struct SharedExec<'a> {
     morsel_rows: usize,
     observer: Option<Arc<ObserverIndex>>,
     governor: Option<Arc<QueryGovernor>>,
-    vectorized: bool,
 }
 
 impl<'a> SharedExec<'a> {
@@ -321,7 +307,6 @@ impl<'a> SharedExec<'a> {
             morsel: Cell::new(None),
             observer: self.observer.clone(),
             governor: self.governor.clone(),
-            vectorized: self.vectorized,
         }
     }
 }
@@ -441,24 +426,14 @@ impl<'b> Env<'b> {
         e.eval(self.view(row, &[]))
     }
 
-    /// Whether the predicate is TRUE (not FALSE, not UNKNOWN) for `row`.
-    pub(crate) fn holds(&self, e: &Expr, row: &[Value]) -> Result<bool> {
-        self.passes(std::slice::from_ref(e), row)
-    }
-
     /// Whether every conjunct is TRUE for `row`.
-    pub(crate) fn passes(&self, filters: &[Expr], row: &[Value]) -> Result<bool> {
+    fn passes(&self, filters: &[Expr], row: &[Value]) -> Result<bool> {
         self.pair_passes(filters, row, &[])
     }
 
     /// Whether every conjunct is TRUE for the pair `left ++ right`, without
     /// building it. Stops at the first conjunct that is not.
-    pub(crate) fn pair_passes(
-        &self,
-        filters: &[Expr],
-        left: &[Value],
-        right: &[Value],
-    ) -> Result<bool> {
+    fn pair_passes(&self, filters: &[Expr], left: &[Value], right: &[Value]) -> Result<bool> {
         let view = self.view(left, right);
         for f in filters {
             if f.truth(view)? != Some(true) {
@@ -491,7 +466,7 @@ impl<'b> Env<'b> {
 }
 
 /// `left ++ right` as one owned row.
-pub(crate) fn concat(left: &[Value], right: &[Value]) -> Row {
+fn concat(left: &[Value], right: &[Value]) -> Row {
     let mut joined = Vec::with_capacity(left.len() + right.len());
     joined.extend_from_slice(left);
     joined.extend_from_slice(right);
@@ -503,20 +478,10 @@ pub(crate) fn concat(left: &[Value], right: &[Value]) -> Row {
 /// including exchanges, which bypass the work-unit accounting below — gets
 /// its actual rows and loop count credited.
 pub(crate) fn exec(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result<Rows> {
-    // The batch-boundary governance check: every operator opening (and every
-    // correlated re-opening) passes through here, so a cancelled or
-    // out-of-time query unwinds within one operator batch.
+    // The governance check: every operator opening (and every correlated
+    // re-opening) passes through here, so a cancelled or out-of-time query
+    // unwinds within one operator opening.
     ctx.check_governor()?;
-    // Vectorized route: hand the largest supported subtree to the columnar
-    // batch engine. Correlated re-openings (non-empty binding) and observed
-    // (`EXPLAIN ANALYZE`) executions stay on the row path; unsupported roots
-    // fall through and their children get another chance via this same
-    // recursion.
-    if ctx.vectorized && !ctx.observing() && binding.row.is_empty() {
-        if let Some(rows) = crate::batch::try_exec_rows(plan, ctx, binding)? {
-            return Ok(Rows::Owned(rows));
-        }
-    }
     let out = exec_node(plan, ctx, binding)?;
     ctx.record(plan, out.len() as u64);
     Ok(out)
@@ -850,7 +815,7 @@ fn exec_nested_loop(
 }
 
 /// `row` followed by `pad` NULLs: an outer join's unmatched left row.
-pub(crate) fn null_padded(row: &[Value], pad: usize) -> Row {
+fn null_padded(row: &[Value], pad: usize) -> Row {
     let mut joined = Vec::with_capacity(row.len() + pad);
     joined.extend_from_slice(row);
     joined.extend(std::iter::repeat_n(Value::Null, pad));
@@ -859,7 +824,7 @@ pub(crate) fn null_padded(row: &[Value], pad: usize) -> Row {
 
 /// Row space the ON/residual conditions see: left ++ right (even for
 /// semi/anti joins whose *output* is left-only).
-pub(crate) fn whole_join_space(num_tables: usize, left: &Plan, right: &Plan) -> Result<RowSpace> {
+fn whole_join_space(num_tables: usize, left: &Plan, right: &Plan) -> Result<RowSpace> {
     match (left.space(num_tables), right.space(num_tables)) {
         (RowSpace::Tables(l), RowSpace::Tables(r)) => Ok(RowSpace::Tables(l.join(&r))),
         _ => Err(Error::internal("join children must be in table space")),
@@ -998,7 +963,7 @@ fn exec_hash_join(
 /// never match under `=`) but remembered for NULL-aware anti joins.
 /// Charges the buffered rows against the query's memory budget; the caller
 /// owns the uncharge (or leaves it charged, for shared broadcast builds).
-pub(crate) fn build_table(
+fn build_table(
     rows: Vec<Row>,
     keys: &[&Expr],
     env: &Env,

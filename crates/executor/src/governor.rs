@@ -5,9 +5,9 @@
 //! query — the session context and each parallel worker's private context
 //! alike. It is consulted at two kinds of boundaries:
 //!
-//! - **batch boundaries**: [`QueryGovernor::check`] runs at the top of every
-//!   operator opening (`exec`), so a cancel or an expired deadline unwinds
-//!   the whole tree within one operator batch;
+//! - **operator boundaries**: [`QueryGovernor::check`] runs at the top of
+//!   every operator opening (`exec`), so a cancel or an expired deadline
+//!   unwinds the whole tree within one operator opening;
 //! - **morsel boundaries**: the worker pool checks before claiming each
 //!   morsel, so a wedged parallel fragment drains instead of spinning.
 //!
@@ -130,7 +130,7 @@ impl QueryGovernor {
     }
 
     /// Flip the cancel token. The running query observes it at its next
-    /// batch or morsel boundary and unwinds with [`Error::Cancelled`].
+    /// operator or morsel boundary and unwinds with [`Error::Cancelled`].
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }

@@ -17,7 +17,6 @@
 //! probes) so benchmark shapes are machine-independent.
 
 pub mod agg;
-pub mod batch;
 pub mod exec;
 pub mod governor;
 pub mod observe;

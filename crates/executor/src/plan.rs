@@ -366,6 +366,29 @@ impl Plan {
         }
     }
 
+    /// The slot count [`Plan::assign_cache_slots`] returned for this tree —
+    /// its `Materialize` nodes — read without touching (or copying) the plan.
+    pub fn cache_slots(&self) -> usize {
+        match self {
+            Plan::TableScan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::IndexRange { .. }
+            | Plan::IndexLookup { .. } => 0,
+            Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
+                left.cache_slots() + right.cache_slots()
+            }
+            Plan::Materialize { input, .. } => 1 + input.cache_slots(),
+            Plan::Filter { input, .. }
+            | Plan::Derived { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Exchange { input, .. } => input.cache_slots(),
+            Plan::Union { inputs, .. } => inputs.iter().map(Plan::cache_slots).sum(),
+        }
+    }
+
     /// Assign distinct cache slots to every `Materialize` node (returning
     /// the slot count) and distinct shared-build slots to every `Broadcast`
     /// exchange. Call once after plan construction.
@@ -607,6 +630,7 @@ mod tests {
             },
         );
         assert_eq!(p.assign_cache_slots(), 2);
+        assert_eq!(p.cache_slots(), 2, "the counter agrees with the assignment");
         match &p {
             Plan::NestedLoop { left, right, .. } => {
                 assert!(matches!(left.as_ref(), Plan::Materialize { cache_slot: 0, .. }));
@@ -690,6 +714,7 @@ mod tests {
             },
         );
         assert_eq!(p.assign_cache_slots(), 1, "one materialize slot");
+        assert_eq!(p.cache_slots(), 1, "broadcast slots are not cache slots");
         match &p {
             Plan::NestedLoop { left, right, .. } => {
                 assert!(matches!(

@@ -277,13 +277,10 @@ impl Engine {
         self.set_default(&self.defaults.morsel_rows, rows);
     }
 
-    /// Route execution through the vectorized columnar batch engine.
-    pub fn set_vectorized(&self, on: bool) {
-        self.set_default(&self.defaults.vectorized, on);
-    }
-
+    /// Always `false`: there is one executor. Kept only because the
+    /// benchmark's replica calls it (perf/README.md "The pinned surface").
     pub fn vectorized(&self) -> bool {
-        self.defaults.vectorized.get()
+        false
     }
 
     /// Minimum driving-table rows before refinement places an exchange.
@@ -491,6 +488,6 @@ impl Engine {
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<QueryOutput> {
         let knobs = self.defaults.resolve(&SessionOpts::default());
         let cat = rlock(&self.catalog);
-        self.execute_branches(&cat, planned, None, knobs.morsel_rows, knobs.vectorized, None)
+        self.execute_branches(&cat, planned, None, knobs.morsel_rows, None)
     }
 }

@@ -202,7 +202,7 @@ impl Engine {
     }
 
     /// Cancel a running query by id. Returns whether the id was in flight;
-    /// the query itself unwinds with `Error::Cancelled` at its next batch
+    /// the query itself unwinds with `Error::Cancelled` at its next operator
     /// or morsel boundary.
     pub fn cancel(&self, query_id: u64) -> bool {
         match lock(self.governors.shard(query_id)).get(&query_id) {
@@ -237,9 +237,8 @@ impl Engine {
 impl ServeCx<'_> {
     /// Execute a planned query under a fresh governor, with the memory
     /// degradation rung: a `MemoryExceeded` first attempt is retried once
-    /// as serial *row* execution (exchanges forced to dop=1 and the batch
-    /// path disabled, so neither repartition buffers nor batch buffers
-    /// materialize) under a fresh governor with the same limits. An
+    /// as serial execution (exchanges forced to dop=1, so no repartition
+    /// buffers materialize) under a fresh governor with the same limits. An
     /// observed run (`EXPLAIN ANALYZE`) reports the plan it was asked
     /// about, so it surfaces the error instead of degrading. Governance
     /// outcomes are reported to the optimizer either way.
@@ -249,24 +248,21 @@ impl ServeCx<'_> {
         mut observed: Option<&mut Vec<NodeAnnotation>>,
     ) -> Result<QueryOutput> {
         let (governors, knobs) = (&self.engine.governors, self.knobs);
-        let attempt = |planned: &PlannedQuery,
-                       vectorized: bool,
-                       observed: Option<&mut Vec<NodeAnnotation>>| {
+        let attempt = |planned: &PlannedQuery, observed: Option<&mut Vec<NodeAnnotation>>| {
             let (id, governor) = governors.start(self.opt.exec_faults().unwrap_or_default(), knobs);
             let out = self.engine.execute_branches(
                 self.cat,
                 planned,
                 Some(&governor),
                 knobs.morsel_rows,
-                vectorized,
                 observed,
             );
             governors.finish(id, &governor);
             out
         };
-        let result = match attempt(planned, knobs.vectorized, observed.as_deref_mut()) {
+        let result = match attempt(planned, observed.as_deref_mut()) {
             Err(Error::MemoryExceeded { .. }) if observed.is_none() => {
-                attempt(&degrade_serial(planned), false, None)
+                attempt(&degrade_serial(planned), None)
                     .inspect(|_| self.opt.note_governed(GovernedOutcome::MemoryDegraded))
             }
             first => first,

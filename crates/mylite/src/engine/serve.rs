@@ -261,32 +261,31 @@ impl Engine {
         planned: &PlannedQuery,
         governor: Option<&Arc<QueryGovernor>>,
         morsel_rows: usize,
-        vectorized: bool,
         mut observed: Option<&mut Vec<NodeAnnotation>>,
     ) -> Result<QueryOutput> {
         let mut rows: Vec<Row> = Vec::new();
         let mut work = 0u64;
         let mut critical = 0u64;
         for (i, b) in planned.branches.iter().enumerate() {
-            let mut plan = b.plan.clone();
-            let slots = plan.assign_cache_slots();
-            let mut ctx = ExecContext::new(cat, b.bound.num_tables(), slots);
+            // Slots were assigned when the plan was refined; a serve only
+            // counts them, so a hit never copies the plan.
+            let plan = &b.plan;
+            let mut ctx = ExecContext::new(cat, b.bound.num_tables(), plan.cache_slots());
             ctx.set_morsel_rows(morsel_rows);
-            ctx.set_vectorized(vectorized);
-            // The index keys nodes by address, so it must be built over the
-            // exact tree we execute (`plan` is not moved afterwards).
-            let index = observed.is_some().then(|| Arc::new(ObserverIndex::new(&plan)));
+            // The index keys nodes by address: it is built over the exact
+            // tree we execute.
+            let index = observed.is_some().then(|| Arc::new(ObserverIndex::new(plan)));
             if let Some(index) = &index {
                 ctx.set_observer(Arc::clone(index));
             }
             if let Some(g) = governor {
                 ctx.set_governor(g.clone());
             }
-            let branch_rows = execute(&plan, &ctx)?;
+            let branch_rows = execute(plan, &ctx)?;
             work += ctx.stats.work_units();
             critical += ctx.stats.critical_path_work();
             if let (Some(nodes), Some(index)) = (observed.as_deref_mut(), &index) {
-                nodes.extend(annotate(&plan, index, &ctx.stats.nodes.borrow()));
+                nodes.extend(annotate(plan, index, &ctx.stats.nodes.borrow()));
             }
             if i == 0 {
                 rows = branch_rows;

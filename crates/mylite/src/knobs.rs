@@ -240,9 +240,8 @@ knobs! {
     /// Worst observed q-error above which an instrumented cached serve
     /// re-optimizes with feedback; non-positive or non-finite = loop off.
     exec reopt_q_threshold: f64 = DEFAULT_REOPT_Q_THRESHOLD, wire 6, positive_or_off;
-    /// Vectorized columnar batch execution (same plans, same output bytes,
-    /// different inner loops).
-    exec vectorized: bool = false, wire 7, identity;
+    // Wire key 7 (`vectorized`, the batch engine's switch) is retired, not
+    // reused: a frame that carries it is an unknown option key.
     /// Drop Sort enforcers whose input already delivers the requested
     /// order. Off keeps every enforcer — the always-enforce baseline.
     plan order_opt: bool = true, wire 8, identity;
@@ -273,7 +272,7 @@ mod tests {
     #[test]
     fn wire_keys_ascend_so_frames_keep_their_byte_order() {
         let keys: Vec<u8> = table().iter().map(|r| r.wire_key).collect();
-        assert_eq!(keys, (1..=keys.len() as u8).collect::<Vec<_>>(), "keys 1..=n, in row order");
+        assert_eq!(keys, [1, 2, 3, 4, 5, 6, 8], "ascending in row order; 7 is retired");
     }
 
     #[test]
@@ -320,8 +319,9 @@ mod tests {
             let o = only(row.wire_key, row.default_bits);
             assert_eq!(wire_pairs(&o), vec![(row.wire_key, row.default_bits)], "{}", row.name);
         }
-        assert!(!SessionOpts::default().set_wire(0, 1));
-        assert!(!SessionOpts::default().set_wire(table().len() as u8 + 1, 1));
+        for unknown in [0, 7, 9] {
+            assert!(!SessionOpts::default().set_wire(unknown, 1), "key {unknown}");
+        }
     }
 
     #[test]

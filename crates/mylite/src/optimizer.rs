@@ -263,7 +263,7 @@ impl<'a> PlanCtx<'a> {
             let mut hi: Option<(Expr, bool)> = None;
             let mut consumed: Vec<Expr> = Vec::new();
             for p in local {
-                if let Some((op, konst)) = column_vs_const(p, qt, lead) {
+                if let Some((op, konst)) = p.column_vs_const(qt, lead) {
                     match op {
                         BinOp::Eq => {
                             lo = Some((konst.clone(), true));
@@ -290,8 +290,8 @@ impl<'a> PlanCtx<'a> {
                     }
                 } else if let Expr::Between { expr, low, high, negated: false } = p {
                     if matches!(expr.as_ref(), Expr::Column(c) if c.table == qt && c.col == lead)
-                        && is_non_null_const(low)
-                        && is_non_null_const(high)
+                        && low.is_non_null_const()
+                        && high.is_non_null_const()
                     {
                         lo = Some((low.as_ref().clone(), true));
                         hi = Some((high.as_ref().clone(), true));
@@ -606,34 +606,6 @@ struct JoinCand {
     leaf_cost: f64,
     delta_cost: f64,
     new_rows: f64,
-}
-
-/// Match `col(qt, c) cmp const` (either side), returning `(cmp-with-column-
-/// on-left, const expr)`. A NULL literal is refused: comparing with NULL is
-/// UNKNOWN for every row, but as an index-range bound it would sort before
-/// everything and `[NULL, ∞)` would cover the whole table.
-fn column_vs_const(p: &Expr, qt: usize, col: usize) -> Option<(BinOp, Expr)> {
-    if let Expr::Binary { op, left, right } = p {
-        if !op.is_comparison() {
-            return None;
-        }
-        if let Expr::Column(c) = left.as_ref() {
-            if c.table == qt && c.col == col && is_non_null_const(right) {
-                return Some((*op, right.as_ref().clone()));
-            }
-        }
-        if let Expr::Column(c) = right.as_ref() {
-            if c.table == qt && c.col == col && is_non_null_const(left) {
-                return Some((op.commutator()?, left.as_ref().clone()));
-            }
-        }
-    }
-    None
-}
-
-/// Constant, and not the NULL literal — safe to use as an index bound.
-fn is_non_null_const(e: &Expr) -> bool {
-    e.is_const() && !matches!(e, Expr::Literal(v) if v.is_null())
 }
 
 /// Match an equi-condition `col(qt, col) = expr(available)`; return the key

@@ -290,17 +290,6 @@ pub fn count_sorts(plan: &Plan) -> usize {
     n
 }
 
-/// Render an order as EXPLAIN text: `c0.1, c0.2 DESC (nulls last)`.
-pub fn describe_order(keys: &[SortKey]) -> String {
-    keys.iter()
-        .map(|k| {
-            let dir = if k.desc { " DESC (nulls last)" } else { "" };
-            format!("{}{dir}", k.expr)
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// The constant set a block's sort nodes may assume, from its WHERE
 /// conjuncts.
 pub fn block_constants(block: &crate::bound::BoundQuery) -> Vec<Expr> {

@@ -24,7 +24,8 @@ use crate::skeleton::{AccessChoice, JoinMethod, SkelLeaf, SkelNode, Skeleton};
 use std::collections::BTreeSet;
 use taurus_catalog::{CardOverrides, Catalog};
 use taurus_common::error::{Error, Result};
-use taurus_common::{AggFunc, BinOp, Expr};
+use taurus_common::expr::split_hash_keys;
+use taurus_common::{AggFunc, Expr};
 use taurus_executor::{AggSpec, AggStrategy, Est, JoinKind, Plan, SortKey};
 
 /// Refine a whole statement's skeleton into an executable plan and, when
@@ -874,50 +875,6 @@ fn plan_references_outside(plan: &Plan, allowed: &mut BTreeSet<usize>) -> bool {
         }
     }
     false
-}
-
-/// Pull `left-expr = right-expr` pairs out of join conditions for a hash
-/// join; the rest become residual predicates.
-fn split_hash_keys(
-    on: &[Expr],
-    lcov: &BTreeSet<usize>,
-    rcov: &BTreeSet<usize>,
-    outer: &BTreeSet<usize>,
-) -> (Vec<(Expr, Expr)>, Vec<Expr>) {
-    let mut keys = Vec::new();
-    let mut residual = Vec::new();
-    let side_of = |e: &Expr| -> Option<bool> {
-        // true = left side, false = right side; None = mixed/neither.
-        let refs = e.referenced_tables();
-        let local: Vec<usize> = refs.iter().copied().filter(|t| !outer.contains(t)).collect();
-        if local.is_empty() {
-            return None;
-        }
-        if local.iter().all(|t| lcov.contains(t)) {
-            Some(true)
-        } else if local.iter().all(|t| rcov.contains(t)) {
-            Some(false)
-        } else {
-            None
-        }
-    };
-    for c in on {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = c {
-            match (side_of(left), side_of(right)) {
-                (Some(true), Some(false)) => {
-                    keys.push((left.as_ref().clone(), right.as_ref().clone()));
-                    continue;
-                }
-                (Some(false), Some(true)) => {
-                    keys.push((right.as_ref().clone(), left.as_ref().clone()));
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        residual.push(c.clone());
-    }
-    (keys, residual)
 }
 
 fn base_id(meta: &crate::bound::TableMeta) -> Result<taurus_common::TableId> {

@@ -185,102 +185,3 @@ fn reopt_eviction_racing_concurrent_serves_keeps_the_reoptimized_plan() {
     assert!(q <= 2.0, "a static compile clobbered the re-optimized entry (worst q {q:.1})");
     assert_eq!(e.plan_cache_len(), 1);
 }
-
-// ----------------------------------------------------- governed batch path
-
-/// 4096 rows: enough for several full 1K-row batches, so the columnar
-/// path allocates (and must charge) real batch buffers.
-fn batch_engine() -> Engine {
-    let mut cat = Catalog::new();
-    let t = cat
-        .create_table(
-            "big",
-            Schema::new(vec![
-                Column::new("id", DataType::Int),
-                Column::new("grp", DataType::Int),
-                Column::new("amt", DataType::Double),
-            ]),
-        )
-        .unwrap();
-    cat.insert(
-        t,
-        (0..4096i64)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Double((i % 100) as f64 / 2.0)]),
-    )
-    .unwrap();
-    let mut e = Engine::new(cat);
-    e.analyze();
-    e
-}
-
-const BATCH_SQL: &str = "SELECT id, grp, amt FROM big WHERE amt > 10.0";
-
-#[test]
-fn batch_buffers_are_charged_to_the_governor() {
-    let e = batch_engine();
-    e.set_vectorized(false);
-    let row_out = e.query(BATCH_SQL).unwrap();
-    let row_peak = e.last_peak_bytes();
-    e.set_vectorized(true);
-    let batch_out = e.query(BATCH_SQL).unwrap();
-    let batch_peak = e.last_peak_bytes();
-    assert_eq!(row_out.rows, batch_out.rows, "knob changed the answer");
-    // The batch path's column vectors are real allocations the governor
-    // must see — an uncharged batch buffer would let a vectorized query
-    // blow straight through a memory budget the row path respects.
-    assert!(batch_peak > 0, "batch buffers left no trace in the governor");
-    assert!(
-        batch_peak > row_peak,
-        "batch peak {batch_peak} not above row peak {row_peak}: buffers uncharged?"
-    );
-}
-
-#[test]
-fn cancellation_lands_at_batch_boundaries() {
-    let e = batch_engine();
-    e.set_vectorized(true);
-    // The batch path polls the governor at every chunk flush, so an early
-    // cancel point must surface as a clean Cancelled error, not a hang or
-    // a partial answer.
-    e.set_cancel_after(Some(2));
-    match e.query(BATCH_SQL) {
-        Err(taurus_common::error::Error::Cancelled) => {}
-        other => panic!("expected Cancelled from the batch path, got {other:?}"),
-    }
-    // Recovery: the engine answers the same statement correctly right after.
-    e.set_cancel_after(None);
-    let after = e.query(BATCH_SQL).unwrap();
-    e.set_vectorized(false);
-    let reference = e.query(BATCH_SQL).unwrap();
-    assert_eq!(reference.rows, after.rows, "post-cancel serve diverged");
-}
-
-#[test]
-fn memory_exceeded_on_batch_degrades_to_serial_row() {
-    let e = batch_engine();
-    // Measure both engines unbudgeted to place the budget between them.
-    e.set_vectorized(false);
-    let reference = e.query(BATCH_SQL).unwrap();
-    let row_peak = e.last_peak_bytes();
-    e.set_vectorized(true);
-    e.query(BATCH_SQL).unwrap();
-    let batch_peak = e.last_peak_bytes();
-    assert!(
-        batch_peak > row_peak + 4096,
-        "peaks too close to separate ({row_peak} vs {batch_peak}); grow the table"
-    );
-    // A budget the row engine fits under but the batch engine cannot: the
-    // first (vectorized) attempt must trip MemoryExceeded and the
-    // degradation rung must rerun it as serial row — same bytes, and a
-    // recorded peak that proves the batch path did not produce the answer.
-    let budget = (row_peak + batch_peak) / 2;
-    e.set_memory_budget(Some(budget));
-    let rescued = e.query(BATCH_SQL).expect("degradation rung failed to rescue");
-    assert_eq!(reference.rows, rescued.rows, "degraded serve changed the answer");
-    assert!(
-        e.last_peak_bytes() <= budget,
-        "rescue peak {} exceeds the budget {budget}: still on the batch path?",
-        e.last_peak_bytes()
-    );
-    e.set_memory_budget(None);
-}

@@ -129,55 +129,6 @@ fn null_comparison_bound_never_becomes_index_range() {
 }
 
 #[test]
-fn batch_path_order_by_ties_match_serial_row_at_every_dop() {
-    // ORDER BY keys with heavy ties leave the tie order up to the engine:
-    // the serial row path's stable sort preserves heap order, and the
-    // parallel GatherMerge reproduces it by breaking ties on morsel index.
-    // The columnar batch path feeds the same sorts through a transpose and
-    // back — any reordering inside a batch kernel (scan, filter, project,
-    // aggregate) would surface here as a tie flip. Byte-identical output
-    // is the contract, not multiset equality.
-    let mut cat = Catalog::new();
-    let t = cat
-        .create_table(
-            "t",
-            Schema::new(vec![
-                Column::new("k", DataType::Int),
-                Column::new("v", DataType::Int),
-                Column::new("seq", DataType::Int),
-            ]),
-        )
-        .unwrap();
-    // 96 rows, only 4 distinct sort keys: every ORDER BY k is ~24-way tied.
-    cat.insert(t, (0..96i64).map(|i| vec![Value::Int(i % 4), Value::Int(i % 3), Value::Int(i)]))
-        .unwrap();
-    let mut e = Engine::new(cat);
-    e.analyze();
-    e.set_parallel_threshold(8);
-    e.set_morsel_rows(16);
-    for sql in [
-        "SELECT k, v, seq FROM t ORDER BY k",
-        "SELECT k, seq FROM t ORDER BY k DESC, v",
-        "SELECT k, seq FROM t WHERE v < 2 ORDER BY k LIMIT 10",
-        "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY n DESC, k LIMIT 3",
-    ] {
-        let run = |dop: usize| -> Vec<String> {
-            e.set_dop(dop);
-            let out = e.query(sql).expect(sql);
-            e.set_dop(1);
-            out.rows.iter().map(|r| format!("{r:?}")).collect()
-        };
-        e.set_vectorized(false);
-        let reference = run(1);
-        e.set_vectorized(true);
-        for dop in [1, 4, 8] {
-            assert_eq!(reference, run(dop), "batch tie order diverged at dop {dop} for: {sql}");
-        }
-        e.set_vectorized(false);
-    }
-}
-
-#[test]
 fn not_in_subquery_over_null_column() {
     let e = engine();
     // The subquery's result {1, NULL, 3} contains NULL: `k NOT IN (...)`

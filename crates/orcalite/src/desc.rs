@@ -115,10 +115,6 @@ impl BlockDesc {
     pub fn member_qts(&self) -> BTreeSet<usize> {
         self.members.iter().map(|m| m.qt).collect()
     }
-
-    pub fn member_by_qt(&self, qt: usize) -> Option<&MemberDesc> {
-        self.members.iter().find(|m| m.qt == qt)
-    }
 }
 
 #[cfg(test)]

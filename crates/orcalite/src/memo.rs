@@ -69,6 +69,7 @@ use std::sync::Arc;
 use taurus_catalog::estimate::{Estimator, RelView};
 use taurus_catalog::CardOverrides;
 use taurus_common::error::{Error, Result};
+use taurus_common::expr::split_hash_keys;
 use taurus_common::{BinOp, ColRef, Expr, Value};
 
 /// Optimize one block. The metadata accessor is wrapped in Orca's metadata
@@ -1035,7 +1036,7 @@ impl<'a> Search<'a> {
                     Impl::Hash => {
                         let lqts = self.member_qts_set(s1);
                         let rqts = self.member_qts_set(s2);
-                        let (keys, residual) = split_keys(on, &lqts, &rqts, &self.desc.outer);
+                        let (keys, residual) = split_hash_keys(&on, &lqts, &rqts, &self.desc.outer);
                         PhysNode::HashJoin {
                             kind,
                             null_aware,
@@ -1241,7 +1242,7 @@ fn build_leaf(
                 let mut hi = None;
                 let mut consumed = Vec::new();
                 for p in local {
-                    if let Some((op, konst)) = col_vs_const(p, m.qt, lead) {
+                    if let Some((op, konst)) = p.column_vs_const(m.qt, lead) {
                         match op {
                             BinOp::Eq => {
                                 lo = Some((konst.clone(), true));
@@ -1268,8 +1269,8 @@ fn build_leaf(
                         }
                     } else if let Expr::Between { expr, low, high, negated: false } = p {
                         if matches!(expr.as_ref(), Expr::Column(c) if c.table == m.qt && c.col == lead)
-                            && is_non_null_const(low)
-                            && is_non_null_const(high)
+                            && low.is_non_null_const()
+                            && high.is_non_null_const()
                         {
                             lo = Some((low.as_ref().clone(), true));
                             hi = Some((high.as_ref().clone(), true));
@@ -1377,33 +1378,6 @@ fn build_leaf(
     }
 }
 
-/// `col(qt, col) cmp const`, either orientation. A NULL literal is refused:
-/// comparing with NULL is UNKNOWN for every row, but as an index-range bound
-/// it would sort before everything and `[NULL, ∞)` would cover the table.
-fn col_vs_const(p: &Expr, qt: usize, col: usize) -> Option<(BinOp, Expr)> {
-    if let Expr::Binary { op, left, right } = p {
-        if !op.is_comparison() {
-            return None;
-        }
-        if let Expr::Column(c) = left.as_ref() {
-            if c.table == qt && c.col == col && is_non_null_const(right) {
-                return Some((*op, right.as_ref().clone()));
-            }
-        }
-        if let Expr::Column(c) = right.as_ref() {
-            if c.table == qt && c.col == col && is_non_null_const(left) {
-                return Some((op.commutator()?, left.as_ref().clone()));
-            }
-        }
-    }
-    None
-}
-
-/// Constant, and not the NULL literal — safe to use as an index bound.
-fn is_non_null_const(e: &Expr) -> bool {
-    e.is_const() && !matches!(e, Expr::Literal(v) if v.is_null())
-}
-
 /// `col(qt, c) = key` in either orientation, `key` free of `qt` → `(c, key)`.
 fn eq_col_key(p: &Expr, qt: usize) -> Option<(usize, &Expr)> {
     if let Expr::Binary { op: BinOp::Eq, left, right } = p {
@@ -1416,48 +1390,6 @@ fn eq_col_key(p: &Expr, qt: usize) -> Option<(usize, &Expr)> {
         }
     }
     None
-}
-
-/// Split join conditions into hash keys `(left expr, right expr)` — the
-/// equalities with one side on each input — and the residual.
-fn split_keys(
-    on: Vec<Expr>,
-    lqts: &BTreeSet<usize>,
-    rqts: &BTreeSet<usize>,
-    outer: &BTreeSet<usize>,
-) -> (Vec<(Expr, Expr)>, Vec<Expr>) {
-    let side = |e: &Expr| -> Option<bool> {
-        let local: Vec<usize> =
-            e.referenced_tables().into_iter().filter(|t| !outer.contains(t)).collect();
-        if local.is_empty() {
-            return None;
-        }
-        if local.iter().all(|t| lqts.contains(t)) {
-            Some(true)
-        } else if local.iter().all(|t| rqts.contains(t)) {
-            Some(false)
-        } else {
-            None
-        }
-    };
-    let (mut keys, mut residual) = (Vec::new(), Vec::new());
-    for c in on {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = &c {
-            match (side(left), side(right)) {
-                (Some(true), Some(false)) => {
-                    keys.push((left.as_ref().clone(), right.as_ref().clone()));
-                    continue;
-                }
-                (Some(false), Some(true)) => {
-                    keys.push((right.as_ref().clone(), left.as_ref().clone()));
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        residual.push(c);
-    }
-    (keys, residual)
 }
 
 #[cfg(test)]

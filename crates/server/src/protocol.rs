@@ -515,7 +515,7 @@ mod tests {
                     memory_budget: Some(1 << 20),
                     morsel_rows: Some(512),
                     parallel_threshold: Some(9),
-                    vectorized: Some(true),
+                    order_opt: Some(false),
                     ..SessionOpts::default()
                 },
             },
@@ -565,23 +565,15 @@ mod tests {
             order_opt: Some(false),
             dop: Some(4),
             reopt_q_threshold: Some(2.5),
-            vectorized: Some(true),
             deadline_ms: Some(0),
             morsel_rows: Some(512),
             memory_budget: Some(1 << 20),
             parallel_threshold: Some(9),
         };
-        let mut want = vec![OP_SET, 8];
-        for (key, bits) in [
-            (1u8, 4u64),
-            (2, 512),
-            (3, 9),
-            (4, 0),
-            (5, 1 << 20),
-            (6, 2.5f64.to_bits()),
-            (7, 1),
-            (8, 0),
-        ] {
+        let mut want = vec![OP_SET, 7];
+        for (key, bits) in
+            [(1u8, 4u64), (2, 512), (3, 9), (4, 0), (5, 1 << 20), (6, 2.5f64.to_bits()), (8, 0)]
+        {
             want.push(key);
             want.extend_from_slice(&bits.to_le_bytes());
         }
@@ -620,6 +612,7 @@ mod tests {
         assert!(decode_request(&[]).is_err(), "empty payload");
         assert!(decode_request(&[0xEE]).is_err(), "unknown opcode");
         assert!(decode_request(&[0x01, 1, 99, 0, 0, 0, 0, 0, 0, 0, 0]).is_err(), "bad key");
+        assert!(decode_request(&[0x01, 1, 7, 1, 0, 0, 0, 0, 0, 0, 0]).is_err(), "retired key");
         // Truncated string length.
         assert!(decode_request(&[0x01, 0, 255, 0, 0, 0]).is_err());
         let mut ok = encode_request(&Request::Analyze);

@@ -169,32 +169,37 @@ fn malformed_frame_gets_an_error_but_keeps_the_session() {
 }
 
 #[test]
-fn unknown_option_key_is_a_typed_protocol_error_and_the_session_survives() {
+fn retired_and_unknown_option_keys_are_typed_protocol_errors_and_the_session_survives() {
     let (_engine, handle) = start(10);
     let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-    // A well-formed query frame, except its one option names a key one past
-    // the knob table's last.
     let good =
         Request::Query { opts: SessionOpts::default(), sql: "SELECT COUNT(*) FROM emp".into() };
-    let unknown_key = mylite::knobs::table().len() as u8 + 1;
-    let mut frame = encode_request(&good);
-    assert_eq!(frame[1], 0, "the option count byte");
-    frame[1] = 1;
-    frame.splice(2..2, std::iter::once(unknown_key).chain(7u64.to_le_bytes()));
-    write_frame(&mut raw, &frame).unwrap();
-    let reply = read_frame(&mut raw).unwrap().expect("an answer, not a hangup");
-    match decode_reply(&reply).unwrap() {
-        Reply::Err(Error::Internal(m)) => {
-            assert!(m.contains(&format!("unknown option key {unknown_key}")), "{m}")
+    // Key 7 selected the deleted second executor: an old client that still
+    // sends it is told so, exactly like a key one past the table's last.
+    let keys: Vec<u8> = mylite::knobs::table().iter().map(|r| r.wire_key).collect();
+    assert!(!keys.contains(&7), "key 7 is never reused");
+    let last_key = *keys.iter().max().unwrap();
+    for bad_key in [7, last_key + 1] {
+        // A well-formed query frame, except for its one option.
+        let mut frame = encode_request(&good);
+        assert_eq!(frame[1], 0, "the option count byte");
+        frame[1] = 1;
+        frame.splice(2..2, std::iter::once(bad_key).chain(1u64.to_le_bytes()));
+        write_frame(&mut raw, &frame).unwrap();
+        let reply = read_frame(&mut raw).unwrap().expect("an answer, not a hangup");
+        match decode_reply(&reply).unwrap() {
+            Reply::Err(Error::Internal(m)) => {
+                assert!(m.contains(&format!("unknown option key {bad_key}")), "{m}")
+            }
+            other => panic!("key {bad_key}: expected a protocol error, got {other:?}"),
         }
-        other => panic!("expected a protocol error, got {other:?}"),
-    }
-    // Same socket, same statement without the bad option: still served.
-    write_frame(&mut raw, &encode_request(&good)).unwrap();
-    let reply = read_frame(&mut raw).unwrap().unwrap();
-    match decode_reply(&reply).unwrap() {
-        Reply::Rows { rows, .. } => assert_eq!(rows, vec![vec![Value::Int(10)]]),
-        other => panic!("expected rows, got {other:?}"),
+        // Same socket, same statement without the bad option: still served.
+        write_frame(&mut raw, &encode_request(&good)).unwrap();
+        let reply = read_frame(&mut raw).unwrap().unwrap();
+        match decode_reply(&reply).unwrap() {
+            Reply::Rows { rows, .. } => assert_eq!(rows, vec![vec![Value::Int(10)]]),
+            other => panic!("key {bad_key}: expected rows, got {other:?}"),
+        }
     }
     handle.stop();
 }

@@ -1,12 +1,13 @@
 //! Statement fingerprinting for the compile-once, serve-many plan cache.
 //!
-//! A fingerprint is a 64-bit hash of a statement's *shape*: the parsed AST
-//! with every value-like literal (int, double, string, date) replaced by a
-//! numbered bind parameter. Two texts of the same statement that differ
-//! only in those literal values — the repeated-statement pattern of an OLTP
-//! workload ("heavy traffic from millions of users", ROADMAP) — hash
-//! identically, while any structural difference (an extra predicate, a
-//! different column order, a renamed table alias) changes the hash.
+//! A fingerprint is a 64-bit hash of a statement's *shape*: its token
+//! stream ([`token_digest`]) with every value-like literal (int, double,
+//! string, date) masked to a typed bind position. Two texts of the same
+//! statement that differ only in those literal values — the
+//! repeated-statement pattern of an OLTP workload ("heavy traffic from
+//! millions of users", ROADMAP) — hash identically, while any structural
+//! difference (an extra predicate, a different column order, a renamed
+//! table alias) changes the hash.
 //!
 //! Parameterization is *bind peeking*: each [`AstExpr::Param`] keeps the
 //! literal value it replaced, so the first compilation plans with real
@@ -28,16 +29,15 @@ pub struct ParameterizedStatement {
     /// The statement with [`AstExpr::Param`] nodes in place of value
     /// literals (each carrying its peeked value).
     pub stmt: SelectStmt,
-    /// FNV-1a hash of the masked statement shape.
-    pub fingerprint: u64,
     /// The extracted literal values, indexed by parameter number.
     pub binds: Vec<Value>,
 }
 
-/// Parameterize a parsed statement and fingerprint its shape.
+/// Parameterize a parsed statement. Its cache key is [`token_digest`]'s
+/// fingerprint of the text it was parsed from.
 pub fn parameterize(stmt: &SelectStmt) -> ParameterizedStatement {
     let mut binds: Vec<Value> = Vec::new();
-    let stmt_p = map_stmt(stmt, &mut |e| match e {
+    let stmt = map_stmt(stmt, &mut |e| match e {
         AstExpr::Lit(v) if is_bindable(v) => {
             let index = binds.len();
             binds.push(v.clone());
@@ -45,13 +45,7 @@ pub fn parameterize(stmt: &SelectStmt) -> ParameterizedStatement {
         }
         _ => None,
     });
-    // Hash the shape directly off the original AST: bindable literals
-    // contribute only their type tag, so `x = 5` and `x = 6` collide while
-    // `x = 5` and `x = 'a'` do not. A streaming walk — no masked clone, no
-    // intermediate string — keeps this on the per-execution hot path cheap.
-    let mut h = Shape::new();
-    h.stmt(stmt);
-    ParameterizedStatement { stmt: stmt_p, fingerprint: h.0, binds }
+    ParameterizedStatement { stmt, binds }
 }
 
 /// A statement fingerprint computed straight off the token stream — no
@@ -279,14 +273,10 @@ fn is_bindable(v: &Value) -> bool {
     matches!(v, Value::Int(_) | Value::Double(_) | Value::Str(_) | Value::Date(_))
 }
 
-// ---------------------------------------------------------------------
-// Streaming structural hash. Every AST node feeds a distinct tag byte plus
-// its scalar fields into an incremental FNV-1a state; variable-length parts
-// (strings, vecs) are length-prefixed so adjacent fields can't alias.
-// Bindable literals and already-minted params hash as `PARAM + type tag`
-// only — their payload is invisible to the fingerprint.
-// ---------------------------------------------------------------------
-
+/// The digest's streaming hash: an incremental FNV-1a state fed one tag
+/// byte per token plus the token's text, length-prefixed so adjacent tokens
+/// can't alias. A bindable literal feeds `P` + its type tag only — its
+/// payload is invisible to the fingerprint.
 struct Shape(u64);
 
 impl Shape {
@@ -314,276 +304,18 @@ impl Shape {
         self.bytes(s.as_bytes());
     }
 
-    fn opt_text(&mut self, s: &Option<String>) {
-        match s {
-            None => self.byte(0),
-            Some(s) => {
-                self.byte(1);
-                self.text(s);
-            }
-        }
-    }
-
-    /// A bind-parameter position: `P` plus the value's type tag.
+    /// A bind-parameter position: `P` plus the value's type tag (0 int,
+    /// 1 double, 2 string, 3 date).
     fn param(&mut self, type_tag: u8) {
         self.byte(b'P');
         self.byte(type_tag);
-    }
-
-    /// A bindable literal (or a param's peeked value): type tag only.
-    fn value_type(&mut self, v: &Value) {
-        self.param(match v {
-            Value::Int(_) => 0,
-            Value::Double(_) => 1,
-            Value::Str(_) => 2,
-            Value::Date(_) => 3,
-            Value::Null => 4,
-            Value::Bool(_) => 5,
-        });
-    }
-
-    /// A structural literal (TRUE/FALSE/NULL): type tag plus payload.
-    fn value_full(&mut self, v: &Value) {
-        self.byte(b'L');
-        match v {
-            Value::Null => self.byte(0),
-            Value::Bool(b) => {
-                self.byte(1);
-                self.byte(*b as u8);
-            }
-            Value::Int(i) => {
-                self.byte(2);
-                self.num(*i as u64);
-            }
-            Value::Double(d) => {
-                self.byte(3);
-                self.num(d.to_bits());
-            }
-            Value::Str(s) => {
-                self.byte(4);
-                self.text(s);
-            }
-            Value::Date(d) => {
-                self.byte(5);
-                self.num(*d as u64);
-            }
-        }
-    }
-
-    fn stmt(&mut self, s: &SelectStmt) {
-        self.num(s.ctes.len() as u64);
-        for c in &s.ctes {
-            self.text(&c.name);
-            self.num(c.columns.len() as u64);
-            for col in &c.columns {
-                self.text(col);
-            }
-            self.byte(c.recursive as u8);
-            self.stmt(&c.query);
-        }
-        self.query_expr(&s.body);
-    }
-
-    fn query_expr(&mut self, qe: &QueryExpr) {
-        match qe {
-            QueryExpr::Block(b) => {
-                self.byte(0);
-                self.block(b);
-            }
-            QueryExpr::SetOp { op, all, left, right } => {
-                self.byte(1);
-                self.byte(*op as u8);
-                self.byte(*all as u8);
-                self.query_expr(left);
-                self.query_expr(right);
-            }
-        }
-    }
-
-    fn block(&mut self, b: &QueryBlock) {
-        self.byte(b.distinct as u8);
-        self.num(b.select.len() as u64);
-        for s in &b.select {
-            match s {
-                SelectItem::Wildcard => self.byte(0),
-                SelectItem::Expr { expr, alias } => {
-                    self.byte(1);
-                    self.expr(expr);
-                    self.opt_text(alias);
-                }
-            }
-        }
-        self.num(b.from.len() as u64);
-        for t in &b.from {
-            self.table_ref(t);
-        }
-        self.opt_expr(&b.where_clause);
-        self.num(b.group_by.len() as u64);
-        for e in &b.group_by {
-            self.expr(e);
-        }
-        self.opt_expr(&b.having);
-        self.num(b.order_by.len() as u64);
-        for o in &b.order_by {
-            self.expr(&o.expr);
-            self.byte(o.desc as u8);
-        }
-        match b.limit {
-            None => self.byte(0),
-            Some(n) => {
-                self.byte(1);
-                self.num(n);
-            }
-        }
-    }
-
-    fn table_ref(&mut self, t: &TableRef) {
-        match t {
-            TableRef::Base { name, alias } => {
-                self.byte(0);
-                self.text(name);
-                self.opt_text(alias);
-            }
-            TableRef::Derived { query, alias } => {
-                self.byte(1);
-                self.stmt(query);
-                self.text(alias);
-            }
-            TableRef::Join { left, right, kind, on } => {
-                self.byte(2);
-                self.table_ref(left);
-                self.table_ref(right);
-                self.byte(*kind as u8);
-                self.opt_expr_ref(on.as_ref());
-            }
-        }
-    }
-
-    fn opt_expr(&mut self, e: &Option<AstExpr>) {
-        self.opt_expr_ref(e.as_ref());
-    }
-
-    fn opt_expr_ref(&mut self, e: Option<&AstExpr>) {
-        match e {
-            None => self.byte(0),
-            Some(e) => {
-                self.byte(1);
-                self.expr(e);
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &AstExpr) {
-        match e {
-            AstExpr::Name(segs) => {
-                self.byte(0);
-                self.num(segs.len() as u64);
-                for s in segs {
-                    self.text(s);
-                }
-            }
-            AstExpr::Lit(v) if is_bindable(v) => self.value_type(v),
-            AstExpr::Lit(v) => self.value_full(v),
-            AstExpr::Param { value, .. } => self.value_type(value),
-            AstExpr::Interval { n, unit } => {
-                self.byte(1);
-                self.num(*n as u64);
-                self.byte(*unit as u8);
-            }
-            AstExpr::Binary { op, left, right } => {
-                self.byte(2);
-                self.byte(*op as u8);
-                self.expr(left);
-                self.expr(right);
-            }
-            AstExpr::Not(x) => {
-                self.byte(3);
-                self.expr(x);
-            }
-            AstExpr::Neg(x) => {
-                self.byte(4);
-                self.expr(x);
-            }
-            AstExpr::IsNull { expr, negated } => {
-                self.byte(5);
-                self.expr(expr);
-                self.byte(*negated as u8);
-            }
-            AstExpr::Func { name, args, distinct, star } => {
-                self.byte(6);
-                self.text(name);
-                self.num(args.len() as u64);
-                for a in args {
-                    self.expr(a);
-                }
-                self.byte(*distinct as u8);
-                self.byte(*star as u8);
-            }
-            AstExpr::Case { operand, branches, else_expr } => {
-                self.byte(7);
-                self.opt_expr_ref(operand.as_deref());
-                self.num(branches.len() as u64);
-                for (w, t) in branches {
-                    self.expr(w);
-                    self.expr(t);
-                }
-                self.opt_expr_ref(else_expr.as_deref());
-            }
-            AstExpr::InList { expr, list, negated } => {
-                self.byte(8);
-                self.expr(expr);
-                self.num(list.len() as u64);
-                for i in list {
-                    self.expr(i);
-                }
-                self.byte(*negated as u8);
-            }
-            AstExpr::InSubquery { expr, query, negated } => {
-                self.byte(9);
-                self.expr(expr);
-                self.stmt(query);
-                self.byte(*negated as u8);
-            }
-            AstExpr::Exists { query, negated } => {
-                self.byte(10);
-                self.stmt(query);
-                self.byte(*negated as u8);
-            }
-            AstExpr::ScalarSubquery(q) => {
-                self.byte(11);
-                self.stmt(q);
-            }
-            AstExpr::Like { expr, pattern, negated } => {
-                self.byte(12);
-                self.expr(expr);
-                self.expr(pattern);
-                self.byte(*negated as u8);
-            }
-            AstExpr::Between { expr, low, high, negated } => {
-                self.byte(13);
-                self.expr(expr);
-                self.expr(low);
-                self.expr(high);
-                self.byte(*negated as u8);
-            }
-            AstExpr::Cast { expr, type_name } => {
-                self.byte(14);
-                self.expr(expr);
-                self.text(type_name);
-            }
-            AstExpr::Extract { field, expr } => {
-                self.byte(15);
-                self.text(field);
-                self.expr(expr);
-            }
-        }
     }
 }
 
 // ---------------------------------------------------------------------
 // Generic AST rebuild with a pre-order expression hook. The hook returns
 // `Some(replacement)` to substitute a node (children not visited) or `None`
-// to recurse. One walk serves both parameterization and masking.
+// to recurse.
 // ---------------------------------------------------------------------
 
 fn map_stmt(stmt: &SelectStmt, f: &mut impl FnMut(&AstExpr) -> Option<AstExpr>) -> SelectStmt {
@@ -735,45 +467,32 @@ mod tests {
         assert_eq!(p.binds, vec![Value::Int(5), Value::Int(10), Value::Int(20), Value::str("x%")]);
     }
 
-    #[test]
-    fn same_shape_different_literals_same_fingerprint() {
-        let a = fp("SELECT a FROM t WHERE b = 5 AND c < 100");
-        let b = fp("SELECT a FROM t WHERE b = 99 AND c < 7");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_ne!(a.binds, b.binds);
-    }
-
-    #[test]
-    fn literal_type_changes_fingerprint() {
-        let a = fp("SELECT a FROM t WHERE b = 5");
-        let b = fp("SELECT a FROM t WHERE b = 'five'");
-        assert_ne!(a.fingerprint, b.fingerprint);
+    fn digest(sql: &str) -> u64 {
+        token_digest(sql).expect(sql).fingerprint
     }
 
     #[test]
     fn structural_changes_change_fingerprint() {
-        let base = fp("SELECT a, b FROM t WHERE a = 1");
+        let base = digest("SELECT a, b FROM t WHERE a = 1");
         // Different column order.
-        assert_ne!(base.fingerprint, fp("SELECT b, a FROM t WHERE a = 1").fingerprint);
+        assert_ne!(base, digest("SELECT b, a FROM t WHERE a = 1"));
         // Added predicate.
-        assert_ne!(base.fingerprint, fp("SELECT a, b FROM t WHERE a = 1 AND b = 2").fingerprint);
+        assert_ne!(base, digest("SELECT a, b FROM t WHERE a = 1 AND b = 2"));
         // Table alias.
-        assert_ne!(base.fingerprint, fp("SELECT a, b FROM t x WHERE a = 1").fingerprint);
+        assert_ne!(base, digest("SELECT a, b FROM t x WHERE a = 1"));
         // Bool literals stay structural.
-        assert_ne!(
-            fp("SELECT a FROM t WHERE TRUE").fingerprint,
-            fp("SELECT a FROM t WHERE FALSE").fingerprint
-        );
+        assert_ne!(digest("SELECT a FROM t WHERE TRUE"), digest("SELECT a FROM t WHERE FALSE"));
     }
 
     #[test]
     fn subquery_literals_participate() {
-        let a = fp("SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a AND u.y = 3)");
-        let b = fp("SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a AND u.y = 9)");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.binds.len(), 2); // SELECT 1 and the comparison literal
-        let c = fp("SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a)");
-        assert_ne!(a.fingerprint, c.fingerprint);
+        let a = "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a AND u.y = 3)";
+        let b = "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a AND u.y = 9)";
+        assert_eq!(digest(a), digest(b));
+        // SELECT 1 and the comparison literal.
+        assert_eq!(token_digest(a).unwrap().binds, vec![Value::Int(1), Value::Int(3)]);
+        let c = "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.x = t.a)";
+        assert_ne!(digest(a), digest(c));
     }
 
     #[test]

@@ -86,8 +86,8 @@ const KEYWORDS: &[&str] = &[
 ];
 
 pub(crate) fn keyword(word: &str) -> Option<&'static str> {
-    let upper = word.to_ascii_uppercase();
-    KEYWORDS.binary_search(&upper.as_str()).ok().map(|i| KEYWORDS[i])
+    let upper = word.bytes().map(|b| b.to_ascii_uppercase());
+    KEYWORDS.binary_search_by(|k| k.bytes().cmp(upper.clone())).ok().map(|i| KEYWORDS[i])
 }
 
 /// Tokenize `input` fully.

@@ -83,7 +83,6 @@ fn between_with_a_null_bound_is_three_valued_in_every_engine() {
     let engine = Engine::new(tpch::build_catalog(Scale(0.02)));
     let engines = [
         ("row", SessionOpts::default()),
-        ("batch", SessionOpts { vectorized: Some(true), ..SessionOpts::default() }),
         (
             "dop 4",
             SessionOpts {

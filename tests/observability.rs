@@ -9,7 +9,7 @@
 //! pre-fix, stacked derived tables compounded to q-errors past 1e28.)
 
 use taurus_orca::bridge::OrcaOptimizer;
-use taurus_orca::mylite::Engine;
+use taurus_orca::mylite::{CostBasedOptimizer, Engine, MySqlOptimizer};
 use taurus_orca::orcalite::OrcaConfig;
 use taurus_orca::workloads::{tpch, Scale};
 
@@ -54,4 +54,31 @@ fn explain_analyze_carries_the_search_trace() {
     assert!(analyzed.text.starts_with("EXPLAIN ANALYZE (ORCA)\n"), "{}", analyzed.text);
     let trace = analyzed.text.lines().nth(1).unwrap_or_default();
     assert!(trace.starts_with("[search: strategy=EXHAUSTIVE2 rung=0 "), "{trace}");
+}
+
+#[test]
+fn the_observed_run_is_the_served_run() {
+    // EXPLAIN ANALYZE executes the plan the way a plain serve does: one
+    // executor, with or without an observer installed. Same rows, same work,
+    // and the root's observed row count is the result's.
+    let engine = Engine::new(tpch::build_catalog(Scale(0.3)));
+    let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
+    let optimizers: [(&str, &dyn CostBasedOptimizer); 2] =
+        [("mysql", &MySqlOptimizer), ("orca", &orca)];
+    let queries = tpch::queries();
+    assert_eq!(queries.len(), 22);
+    let mut nonempty = 0;
+    for q in &queries {
+        for (opt_name, opt) in optimizers {
+            let name = format!("{} under {opt_name}", q.name);
+            let served = engine.query_with(&q.sql, opt).expect(&name);
+            let observed = engine.explain_analyze(&q.sql, opt).expect(&name);
+            assert_eq!(observed.output.rows, served.rows, "{name}: rows");
+            assert_eq!(observed.output.work_units, served.work_units, "{name}: work units");
+            let root = observed.nodes.first().expect("a plan has a root");
+            nonempty += usize::from(!served.rows.is_empty());
+            assert_eq!(root.actual_rows, served.rows.len() as u64, "{name}: root actual rows");
+        }
+    }
+    assert!(nonempty >= 30, "only {nonempty} of 44 runs returned rows: scale too small to tell");
 }
