@@ -447,8 +447,9 @@ fn gen_pred(s: &mut SmallRng, l: &mut SmallRng, scope: &[ScopeCol], depth: usize
     }
 }
 
-/// A subquery conjunct: `IN (SELECT ...)`, correlated `EXISTS`, or a
-/// scalar-subquery comparison.
+/// A subquery conjunct: `[NOT] IN (SELECT ...)`, correlated `EXISTS`, or a
+/// scalar-subquery comparison. The IN and scalar forms are correlated half
+/// the time.
 fn gen_subquery_pred(
     s: &mut SmallRng,
     l: &mut SmallRng,
@@ -463,14 +464,23 @@ fn gen_subquery_pred(
         .map(|(n, ty)| ScopeCol { alias: inner_alias.to_string(), name: n.clone(), ty: *ty })
         .collect();
     match s.gen_range(0..3i32) {
-        // [NOT] IN (SELECT col FROM t [WHERE ...])
+        // [NOT] IN (SELECT col FROM t [WHERE [t.k = outer.k] [AND ...]])
         0 => {
             let ic = pick_col(s, &inner_scope, None)?;
             let oc = pick_col(s, scope, Some(ic.ty))?;
-            let filter = if s.gen_bool(0.6) {
-                format!(" WHERE {}", gen_pred(s, l, &inner_scope, 1))
-            } else {
+            let mut conds = Vec::new();
+            if s.gen_bool(0.5) {
+                let jc = pick_col(s, &inner_scope, None)?;
+                let ocorr = pick_col(s, scope, Some(jc.ty))?;
+                conds.push(format!("{} = {}", jc.sql(), ocorr.sql()));
+            }
+            if s.gen_bool(0.6) {
+                conds.push(gen_pred(s, l, &inner_scope, 1));
+            }
+            let filter = if conds.is_empty() {
                 String::new()
+            } else {
+                format!(" WHERE {}", conds.join(" AND "))
             };
             Some(format!(
                 "{} {}IN (SELECT {} FROM {} {inner_alias}{filter})",

@@ -511,12 +511,14 @@ pub fn routing_report(env: &Env) -> Outcome {
     Outcome::report(tables.concat())
 }
 
-/// One template's warm serve: its median `query_cached_opts` time and the
-/// path its compile took through the router.
+/// One template's warm serve: its median `query_cached_opts` time, the work
+/// units it did (`QueryOutput::work_units`) and the path its compile took
+/// through the router.
 #[derive(Debug, Clone)]
 pub struct HotStatement {
     pub name: String,
     pub warm: Duration,
+    pub work: u64,
     pub route: &'static str,
 }
 
@@ -530,10 +532,11 @@ pub fn hot_statements(scale: Scale, reps: usize) -> Vec<HotStatement> {
         for q in &bed.queries {
             let serve = || {
                 let t = Instant::now();
-                bed.engine
+                let (out, _) = bed
+                    .engine
                     .query_cached_opts(&q.sql, &bed.orca, &session)
                     .expect("workload query must run");
-                t.elapsed()
+                (t.elapsed(), out.work_units)
             };
             // An uncached compile names the statement's path through the
             // router (sibling templates share cache entries, so the warming
@@ -548,11 +551,12 @@ pub fn hot_statements(scale: Scale, reps: usize) -> Vec<HotStatement> {
             } else {
                 "below"
             };
-            serve();
-            let warm = median((0..reps.max(1)).map(|_| serve())).expect("at least one rep");
+            let (_, work) = serve();
+            let warm = median((0..reps.max(1)).map(|_| serve().0)).expect("at least one rep");
             out.push(HotStatement {
                 name: format!("{}/{}", bed.workload.name(), q.name),
                 warm,
+                work,
                 route,
             });
         }
@@ -566,16 +570,18 @@ pub fn hot_statements(scale: Scale, reps: usize) -> Vec<HotStatement> {
 pub fn hot_report(env: &Env) -> Outcome {
     let hot = hot_statements(Scale(1.0), env.reps);
     let pass: f64 = hot.iter().map(|h| h.warm.as_secs_f64()).sum();
+    let work: u64 = hot.iter().map(|h| h.work).sum();
     let mut cumulative = 0.0;
     let mut s = md_table(
-        "statement | warm median | share of pass | cumulative | route",
+        "statement | warm median | work units | share of pass | cumulative | route",
         hot.iter().map(|h| {
             let share = h.warm.as_secs_f64() / pass;
             cumulative += share;
             format!(
-                "{} | {:.3?} | {:.1}% | {:.1}% | {}",
+                "{} | {:.3?} | {} | {:.1}% | {:.1}% | {}",
                 h.name,
                 h.warm,
+                h.work,
                 share * 100.0,
                 cumulative * 100.0,
                 h.route
@@ -584,9 +590,9 @@ pub fn hot_report(env: &Env) -> Outcome {
     );
     let _ = writeln!(
         s,
-        "\none pass: {pass:.3}s over {} statements (median of {} warm serves each); \
-         route is the compile's path — routed to Orca, below the complex-query threshold, or \
-         fallback to MySQL",
+        "\none pass: {pass:.3}s and {work} work units over {} statements (median of {} warm \
+         serves each); route is the compile's path — routed to Orca, below the complex-query \
+         threshold, or fallback to MySQL",
         hot.len(),
         env.reps.max(1)
     );
@@ -635,6 +641,35 @@ mod tests {
         assert!(splits(2) >= splits(1) && splits(1) > 0);
         let once = compile_totals(Workload::TpcH, Scale(0.02), 1);
         assert_eq!(once[2].per_query[1].2, rows[2].per_query[1].2);
+    }
+
+    #[test]
+    fn hot_statements_report_each_templates_work() {
+        use mylite::plancache::CacheOutcome;
+        // A warm serve runs the plan its statement shape cached first — for
+        // most TPC-DS templates a sibling's compile under other literals — so
+        // each row is checked against the same serve in a fresh walk of the
+        // templates, and a template that compiled its own plan against a
+        // fresh `query_with` too.
+        let hot = hot_statements(Scale(0.02), 1);
+        assert_eq!(hot.len(), 121);
+        let session = SessionOpts::default();
+        let mut own = 0;
+        for bed in testbeds(Scale(0.02)) {
+            for q in &bed.queries {
+                let name = format!("{}/{}", bed.workload.name(), q.name);
+                let row = hot.iter().find(|h| h.name == name).expect("a row per template");
+                let serve = || bed.engine.query_cached_opts(&q.sql, &bed.orca, &session).unwrap();
+                let (_, first) = serve();
+                assert_eq!(row.work, serve().0.work_units, "{name}");
+                if first == CacheOutcome::Miss {
+                    own += 1;
+                    let fresh = bed.engine.query_with(&q.sql, &bed.orca).unwrap();
+                    assert_eq!(row.work, fresh.work_units, "{name}");
+                }
+            }
+        }
+        assert!(own >= 50, "{own} of 121 templates compiled their own plan");
     }
 
     #[test]

@@ -147,6 +147,21 @@ impl Value {
         }
     }
 
+    /// Same type and same bits — stricter than `==`, which coerces
+    /// numerics (`Int(1) == Double(1.0) == Bool(true)`, `-0.0 == 0.0`).
+    pub fn identical(&self, other: &Value) -> bool {
+        use Value::*;
+        match (self, other) {
+            (Double(a), Double(b)) => a.to_bits() == b.to_bits(),
+            (Null, Null) => true,
+            (Int(a), Int(b)) => a == b,
+            (Str(a), Str(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+
     /// `a + b` with NULL propagation. `Date + Int` adds days.
     pub fn add(&self, other: &Value) -> Result<Value> {
         numeric_binop(self, other, "+", |a, b| a.checked_add(b), |a, b| a + b, true)

@@ -5,6 +5,9 @@
 //!   arbitrary expressions and rows;
 //! * `Expr::truth` is `Expr::eval`'s truth, and a row view split at any
 //!   boundaries evaluates like the contiguous row, errors included;
+//! * the executor's guarded ORs (an OR decided FALSE by the conjunct every
+//!   arm opens with) keep exactly the pairs `Expr::truth` keeps, and fail
+//!   on the same pair with the same error;
 //! * the metadata provider's OID cubes are bijective and commutation /
 //!   inversion are involutions (§5.2–5.3);
 //! * histogram selectivities are probabilities that partition correctly;
@@ -206,6 +209,219 @@ fn truth_is_evals_truth_and_split_views_evaluate_like_the_row() {
     }
     // The generator reaches the cases the property is about.
     assert!(errors > 100 && unknowns > 100, "errors={errors} unknowns={unknowns}");
+}
+
+/// A predicate leaf over qt 0 = `a(x INT, s STR)` and qt 1 = `b(y INT, t
+/// STR)`: comparisons of columns, literals and params (the guard's slot
+/// shapes), shapes only `Expr::truth` decides, and operands that error — a
+/// wrong-arity call, a type error, a table no layout covers.
+fn guard_leaf(r: &mut SmallRng) -> Expr {
+    fn int_operand(r: &mut SmallRng) -> Expr {
+        match r.gen_range(0..12i32) {
+            0..=3 => Expr::col(0, 0),
+            4..=6 => Expr::col(1, 0),
+            7 | 8 => Expr::int(r.gen_range(0..3i64)),
+            9 => Expr::param(0, Value::Int(1)),
+            10 => Expr::lit(Value::Null),
+            _ => Expr::col(2, 0),
+        }
+    }
+    const CMPS: [BinOp; 6] = [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge];
+    match r.gen_range(0..20i32) {
+        0..=9 => Expr::binary(CMPS[r.gen_range(0..6usize)], int_operand(r), int_operand(r)),
+        10..=12 => Expr::eq(
+            Expr::col(0, 1),
+            if r.gen_bool(0.5) { Expr::col(1, 1) } else { Expr::string("a") },
+        ),
+        13 | 14 => Expr::Unary { op: UnOp::IsNull, input: Box::new(int_operand(r)) },
+        15 | 16 => Expr::Between {
+            expr: Box::new(int_operand(r)),
+            low: Box::new(Expr::int(0)),
+            high: Box::new(int_operand(r)),
+            negated: false,
+        },
+        17 => Expr::eq(
+            Expr::Func { func: ScalarFunc::Upper, args: vec![Expr::col(1, 0)] },
+            Expr::string("A"),
+        ),
+        18 => Expr::eq(
+            Expr::Func { func: ScalarFunc::Abs, args: vec![Expr::col(0, 0), Expr::col(1, 0)] },
+            Expr::int(1),
+        ),
+        _ => Expr::lit(Value::Bool(r.gen_bool(0.5))),
+    }
+}
+
+/// An AND spine over `leaves`, nested to the left or to the right — either
+/// way its leftmost leaf is `leaves[0]`.
+fn and_spine(r: &mut SmallRng, leaves: Vec<Expr>) -> Expr {
+    let right_deep = r.gen_bool(0.5);
+    let fold = |acc: Expr, e: Expr| if right_deep { Expr::and(e, acc) } else { Expr::and(acc, e) };
+    let mut it: Box<dyn Iterator<Item = Expr>> =
+        if right_deep { Box::new(leaves.into_iter().rev()) } else { Box::new(leaves.into_iter()) };
+    let first = it.next().expect("at least one leaf");
+    it.fold(first, fold)
+}
+
+/// One conjunct of the three kinds: an OR whose arms all open with one
+/// leaf (guarded), an OR whose arms carry that leaf only past their first
+/// position (not guarded), or a lone arm with no OR at all.
+fn guard_conjunct(r: &mut SmallRng, kind: i32) -> Expr {
+    let g = guard_leaf(r);
+    let arm = |r: &mut SmallRng| {
+        let mut leaves: Vec<Expr> = (0..r.gen_range(0..3usize)).map(|_| guard_leaf(r)).collect();
+        if kind == 1 {
+            leaves.insert(0, guard_leaf(r));
+            let at = r.gen_range(1..leaves.len() + 1);
+            leaves.insert(at, g.clone());
+        } else {
+            leaves.insert(0, g.clone());
+        }
+        and_spine(r, leaves)
+    };
+    if kind == 2 {
+        return arm(r);
+    }
+    let arms: Vec<Expr> = (0..r.gen_range(2..5usize)).map(|_| arm(r)).collect();
+    if r.gen_bool(0.5) {
+        arms.into_iter().reduce(Expr::or).expect("two arms or more")
+    } else {
+        arms.into_iter().rev().reduce(|acc, e| Expr::or(e, acc)).expect("two arms or more")
+    }
+}
+
+#[test]
+fn guarded_or_decides_every_pair_like_truth_at_the_join_and_the_filter() {
+    use taurus_orca::catalog::Catalog;
+    use taurus_orca::common::{Column, DataType, Schema, TableId};
+    use taurus_orca::executor::{execute, Est, ExecContext, JoinKind, Plan};
+
+    let mut r = rng("guarded_or");
+    let layout = Layout::single(3, 0, 2).join(&Layout::single(3, 1, 2));
+    let (mut guarded, mut lead_false, mut errors, mut outputs) = (0, 0, 0, 0);
+    for case in 0..400 {
+        let mut cat = Catalog::new();
+        let rows = |r: &mut SmallRng| -> Vec<Vec<Value>> {
+            (0..6)
+                .map(|_| {
+                    let x = if r.gen_bool(0.2) {
+                        Value::Null
+                    } else {
+                        Value::Int(r.gen_range(0..3i64))
+                    };
+                    let s = match r.gen_range(0..3i32) {
+                        0 => Value::Null,
+                        1 => Value::str("a"),
+                        _ => Value::str("b"),
+                    };
+                    vec![x, s]
+                })
+                .collect()
+        };
+        for (name, cols) in [("a", ["x", "s"]), ("b", ["y", "t"])] {
+            let schema = Schema::new(vec![
+                Column::nullable(cols[0], DataType::Int),
+                Column::nullable(cols[1], DataType::Str),
+            ]);
+            let t = cat.create_table(name, schema).unwrap();
+            cat.insert(t, rows(&mut r)).unwrap();
+        }
+        let conjuncts: Vec<Expr> = (0..r.gen_range(1..4usize))
+            .map(|_| {
+                if r.gen_bool(0.25) {
+                    guard_leaf(&mut r)
+                } else {
+                    let kind = r.gen_range(0..3i32);
+                    let c = guard_conjunct(&mut r, kind);
+                    if kind == 0 {
+                        assert!(c.or_lead().is_some(), "shared lead not found in {c}");
+                    } else if kind == 2 {
+                        assert!(c.or_lead().is_none(), "a lone arm is no OR: {c}");
+                    }
+                    c
+                }
+            })
+            .collect();
+
+        // The reference: every pair of the cross product, left-major, each
+        // conjunct decided by `Expr::truth` in order.
+        let (a, b) = (cat.table(TableId(0)).unwrap(), cat.table(TableId(1)).unwrap());
+        let pairs: Vec<Vec<Value>> = a
+            .data
+            .scan()
+            .flat_map(|(_, l)| b.data.scan().map(move |(_, rr)| [l.clone(), rr.clone()].concat()))
+            .collect();
+        // `stop_at_unknown`: a filter stops at the first conjunct that is not
+        // TRUE; a join's ON goes on past UNKNOWN (NOT IN needs the verdict).
+        let reference = |stop_at_unknown: bool| -> Result<Vec<Vec<Value>>, String> {
+            let mut out = Vec::new();
+            for pair in &pairs {
+                let view = EvalCtx::new(pair, &layout);
+                let mut pass = true;
+                for c in &conjuncts {
+                    match c.truth(view).map_err(|e| e.to_string())? {
+                        Some(true) => {}
+                        Some(false) => {
+                            pass = false;
+                            break;
+                        }
+                        None => {
+                            pass = false;
+                            if stop_at_unknown {
+                                break;
+                            }
+                        }
+                    }
+                }
+                if pass {
+                    out.push(pair.clone());
+                }
+            }
+            Ok(out)
+        };
+        let scan = |t: usize| Plan::TableScan {
+            table: TableId(t as u32),
+            qt: t,
+            width: 2,
+            filter: vec![],
+            est: Est::default(),
+        };
+        let join = |on: Vec<Expr>| Plan::NestedLoop {
+            kind: JoinKind::Inner,
+            left: Box::new(scan(0)),
+            right: Box::new(scan(1)),
+            on,
+            null_aware: false,
+            est: Est::default(),
+        };
+        let filter = Plan::Filter {
+            input: Box::new(join(vec![])),
+            predicate: conjuncts.clone(),
+            est: Est::default(),
+        };
+        for (site, plan, stop_at_unknown) in
+            [("join ON", join(conjuncts.clone()), false), ("filter", filter, true)]
+        {
+            let ctx = ExecContext::new(&cat, 3, 0);
+            let got = execute(&plan, &ctx).map_err(|e| e.to_string());
+            let want = reference(stop_at_unknown);
+            assert_eq!(got, want, "case {case}, {site}: {conjuncts:?}");
+            errors += want.is_err() as usize;
+            outputs += want.map_or(0, |rows| rows.len());
+        }
+        for lead in conjuncts.iter().filter_map(|c| c.or_lead()) {
+            guarded += 1;
+            lead_false += pairs
+                .iter()
+                .filter(|p| lead.truth(EvalCtx::new(p, &layout)) == Ok(Some(false)))
+                .count();
+        }
+    }
+    // The generator reaches the cases the property is about.
+    assert!(
+        guarded > 100 && lead_false > 1000 && errors > 50 && outputs > 1000,
+        "guarded={guarded} lead_false={lead_false} errors={errors} outputs={outputs}"
+    );
 }
 
 // ---------------------------------------------------------------- OID cubes
