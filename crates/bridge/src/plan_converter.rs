@@ -44,7 +44,7 @@ pub fn to_skeleton(
         root,
         orca_assisted: true,
         orca_fallback: None,
-        dop: if plan.dop > 1 { Some(plan.dop) } else { None },
+        dop: None,
         search: None,
         reopt: None,
     })
@@ -190,7 +190,6 @@ mod tests {
             strategy: JoinOrderStrategy::Exhaustive2,
             stats: SearchStats::default(),
             changed_block_structure: false,
-            dop: 1,
         }
     }
 

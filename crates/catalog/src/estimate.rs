@@ -10,7 +10,7 @@
 use crate::histogram::Histogram;
 use crate::stats::TableStats;
 use std::sync::Arc;
-use taurus_common::expr::EvalCtx;
+use taurus_common::expr::{eq_col_key, EvalCtx};
 use taurus_common::{BinOp, ColRef, Expr, Layout, Value};
 
 /// Default selectivity for an equality we cannot estimate.
@@ -84,6 +84,19 @@ impl Estimator {
     /// NDV of a column, defaulting to 10% of its table's rows.
     pub fn ndv(&self, c: ColRef) -> f64 {
         self.col(c).map(|v| v.ndv).unwrap_or_else(|| (self.rows(c.table) * 0.1).max(1.0)).max(1.0)
+    }
+
+    /// Distinct-combination cap for `qt`'s side of the equality join keys in
+    /// `conds`: the product of its bare-column key NDVs, ∞ when no bare-
+    /// column equality exists. A semi join matches at most once per distinct
+    /// key combination, so its inner row count caps here.
+    pub fn eq_ndv_cap<'e>(&self, conds: impl IntoIterator<Item = &'e Expr>, qt: usize) -> f64 {
+        let mut cap = f64::INFINITY;
+        for (col, _) in conds.into_iter().filter_map(|c| eq_col_key(c, qt)) {
+            let n = self.ndv(ColRef { table: qt, col }).max(1.0);
+            cap = if cap.is_finite() { cap * n } else { n };
+        }
+        cap
     }
 
     /// Fraction of rows where the tested expression is non-NULL; 1.0 when

@@ -102,10 +102,6 @@ impl TableStats {
     pub fn column(&self, c: usize) -> &ColumnStats {
         &self.columns[c]
     }
-
-    /// Default selectivity for a predicate we cannot estimate (System R's
-    /// classic 1/10 for inequality-ish, 1/ndv-ish handled by callers).
-    pub const DEFAULT_SELECTIVITY: f64 = 0.1;
 }
 
 fn count_distinct_sorted(sorted: &[Value]) -> usize {

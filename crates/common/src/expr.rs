@@ -445,30 +445,6 @@ impl Expr {
         self.is_const() && !matches!(self, Expr::Literal(v) if v.is_null())
     }
 
-    /// Match `col(qt, col) cmp const` (either side), returning `(cmp-with-
-    /// column-on-left, const expr)`: what an optimizer may turn into an index
-    /// bound. A NULL literal is refused: comparing with NULL is UNKNOWN for
-    /// every row, but as an index-range bound it would sort before everything
-    /// and `[NULL, ∞)` would cover the whole table.
-    pub fn column_vs_const(&self, qt: usize, col: usize) -> Option<(BinOp, Expr)> {
-        if let Expr::Binary { op, left, right } = self {
-            if !op.is_comparison() {
-                return None;
-            }
-            if let Expr::Column(c) = left.as_ref() {
-                if c.table == qt && c.col == col && right.is_non_null_const() {
-                    return Some((*op, right.as_ref().clone()));
-                }
-            }
-            if let Expr::Column(c) = right.as_ref() {
-                if c.table == qt && c.col == col && left.is_non_null_const() {
-                    return Some((op.commutator()?, left.as_ref().clone()));
-                }
-            }
-        }
-        None
-    }
-
     /// Whether any bind parameter appears in the tree.
     pub fn contains_param(&self) -> bool {
         let mut found = false;
@@ -1145,6 +1121,96 @@ pub fn split_hash_keys(
     (keys, residual)
 }
 
+/// The bounds an index range over column `col` of table `qt` takes from a
+/// conjunct list, each `(value, inclusive)`, and the conjuncts it enforces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnRange {
+    pub lo: Option<(Expr, bool)>,
+    pub hi: Option<(Expr, bool)>,
+    pub consumed: Vec<Expr>,
+}
+
+/// The range `conjuncts` give column `col` of table `qt` — from `=`, `<`,
+/// `<=`, `>`, `>=` against a constant and `BETWEEN` two constants — or
+/// `None` when none bounds it. The first bound per side wins, and a conjunct
+/// is consumed only when every bound it offers is used, so the others stay
+/// filters. No two constants are ever compared, which keeps the rule sound
+/// for the bind parameters of a cached plan. A NULL constant is refused: as
+/// a bound it would sort before everything, where the comparison is UNKNOWN.
+pub fn column_range(conjuncts: &[Expr], qt: usize, col: usize) -> Option<ColumnRange> {
+    let is_col = |e: &Expr| matches!(e, Expr::Column(c) if c.table == qt && c.col == col);
+    let mut range = ColumnRange { lo: None, hi: None, consumed: Vec::new() };
+    for p in conjuncts {
+        let (lo, hi) = match p {
+            Expr::Binary { op, left, right } => {
+                let (op, k) = if is_col(left) && right.is_non_null_const() {
+                    (Some(*op), right.as_ref())
+                } else if is_col(right) && left.is_non_null_const() {
+                    (op.commutator(), left.as_ref())
+                } else {
+                    continue;
+                };
+                let k = |inclusive| Some((k.clone(), inclusive));
+                match op {
+                    Some(BinOp::Eq) => (k(true), k(true)),
+                    Some(BinOp::Gt) => (k(false), None),
+                    Some(BinOp::Ge) => (k(true), None),
+                    Some(BinOp::Lt) => (None, k(false)),
+                    Some(BinOp::Le) => (None, k(true)),
+                    _ => continue,
+                }
+            }
+            Expr::Between { expr, low, high, negated: false }
+                if is_col(expr) && low.is_non_null_const() && high.is_non_null_const() =>
+            {
+                (Some((low.as_ref().clone(), true)), Some((high.as_ref().clone(), true)))
+            }
+            _ => continue,
+        };
+        let mut all_used = true;
+        for (bound, side) in [(lo, &mut range.lo), (hi, &mut range.hi)] {
+            match (bound, side.is_none()) {
+                (Some(b), true) => *side = Some(b),
+                (Some(_), false) => all_used = false,
+                (None, _) => {}
+            }
+        }
+        if all_used {
+            range.consumed.push(p.clone());
+        }
+    }
+    (range.lo.is_some() || range.hi.is_some()).then_some(range)
+}
+
+/// `this = other` in either orientation with `this` over table `qt` alone and
+/// `other` free of it → `(this, other)`: a conjunct that can key `qt`.
+pub fn eq_sides(p: &Expr, qt: usize) -> Option<(&Expr, &Expr)> {
+    let Expr::Binary { op: BinOp::Eq, left, right } = p else { return None };
+    // Whether an expression references `qt`, and whether any other table.
+    let mentions = |e: &Expr| {
+        let (mut this, mut other) = (false, false);
+        e.walk(&mut |n| {
+            if let Expr::Column(c) = n {
+                *if c.table == qt { &mut this } else { &mut other } = true;
+            }
+        });
+        (this, other)
+    };
+    [(left, right), (right, left)]
+        .into_iter()
+        .find(|(a, b)| mentions(a) == (true, false) && !mentions(b).0)
+        .map(|(a, b)| (a.as_ref(), b.as_ref()))
+}
+
+/// `col(qt, c) = key` in either orientation, `key` free of `qt` → `(c, key)`:
+/// a conjunct that can key an index column of `qt`.
+pub fn eq_col_key(p: &Expr, qt: usize) -> Option<(usize, &Expr)> {
+    match eq_sides(p, qt)? {
+        (Expr::Column(c), key) => Some((c.col, key)),
+        _ => None,
+    }
+}
+
 /// Factor common conjuncts out of a disjunction:
 /// `(a = b AND x) OR (a = b AND y)` → `(a = b) AND (x OR y)`.
 ///
@@ -1478,5 +1544,79 @@ mod tests {
             other => other,
         });
         assert_eq!(rewritten, Expr::and(Expr::Slot(0), Expr::col(1, 1)));
+    }
+
+    #[test]
+    fn column_range_takes_the_first_bound_per_side() {
+        let a = || Expr::col(0, 0);
+        let cmp = |op, k| Expr::binary(op, a(), Expr::int(k));
+        let between = |lo, hi| Expr::Between {
+            expr: Box::new(a()),
+            low: Box::new(lo),
+            high: Box::new(hi),
+            negated: false,
+        };
+        let bound = |k, inclusive| Some((Expr::int(k), inclusive));
+        // `a < 5 AND a < 50`: the second bound is left to filter.
+        let (lt5, lt50) = (cmp(BinOp::Lt, 5), cmp(BinOp::Lt, 50));
+        let r = column_range(&[lt5.clone(), lt50], 0, 0).unwrap();
+        assert_eq!((r.lo, r.hi, r.consumed), (None, bound(5, false), vec![lt5]));
+        // `a = 7 AND a = 8`: the first equality bounds both sides.
+        let (eq7, eq8) = (cmp(BinOp::Eq, 7), cmp(BinOp::Eq, 8));
+        let r = column_range(&[eq7.clone(), eq8], 0, 0).unwrap();
+        assert_eq!((r.lo, r.hi, r.consumed), (bound(7, true), bound(7, true), vec![eq7]));
+        // `a >= 35 AND a BETWEEN 24 AND 54`: the BETWEEN gives the upper
+        // bound only, so it stays a filter; either way round.
+        let (ge35, btw) = (cmp(BinOp::Ge, 35), between(Expr::int(24), Expr::int(54)));
+        let r = column_range(&[ge35.clone(), btw.clone()], 0, 0).unwrap();
+        assert_eq!(
+            (r.lo, r.hi, r.consumed),
+            (bound(35, true), bound(54, true), vec![ge35.clone()])
+        );
+        let r = column_range(&[btw.clone(), ge35], 0, 0).unwrap();
+        assert_eq!((r.lo, r.hi, r.consumed), (bound(24, true), bound(54, true), vec![btw]));
+        // The constant on the left commutes: `10 > a` is `a < 10`.
+        let r = column_range(&[Expr::binary(BinOp::Gt, Expr::int(10), a())], 0, 0).unwrap();
+        assert_eq!((r.lo, r.hi), (None, bound(10, false)));
+        // Another column, `<>`, and no conjunct at all bound nothing.
+        assert_eq!(
+            column_range(&[cmp(BinOp::Ne, 3), Expr::eq(Expr::col(0, 1), Expr::int(1))], 0, 0),
+            None
+        );
+    }
+
+    #[test]
+    fn column_range_refuses_a_null_constant() {
+        let null = || Expr::Literal(Value::Null);
+        let gt_null = Expr::binary(BinOp::Gt, Expr::col(0, 0), null());
+        let between_null = Expr::Between {
+            expr: Box::new(Expr::col(0, 0)),
+            low: Box::new(Expr::int(1)),
+            high: Box::new(null()),
+            negated: false,
+        };
+        assert_eq!(column_range(&[gt_null, between_null], 0, 0), None);
+        // A bind parameter is a constant: it bounds, and is never compared.
+        let p = Expr::binary(BinOp::Le, Expr::col(0, 0), Expr::param(0, Value::Int(3)));
+        let r = column_range(
+            &[p.clone(), Expr::binary(BinOp::Le, Expr::col(0, 0), Expr::int(1))],
+            0,
+            0,
+        );
+        assert_eq!(r.map(|r| r.consumed), Some(vec![p]));
+    }
+
+    #[test]
+    fn eq_col_key_matches_a_column_against_a_key_free_of_its_table() {
+        let e = Expr::eq(Expr::col(1, 2), Expr::col(0, 3));
+        assert_eq!(eq_col_key(&e, 0), Some((3, &Expr::col(1, 2))));
+        assert_eq!(eq_col_key(&e, 1), Some((2, &Expr::col(0, 3))));
+        // A computed side keys no index column, but is still an equality side.
+        let sum = Expr::binary(BinOp::Add, Expr::col(0, 0), Expr::int(1));
+        let e = Expr::eq(sum.clone(), Expr::col(1, 0));
+        assert_eq!(eq_col_key(&e, 0), None);
+        assert_eq!(eq_sides(&e, 0), Some((&sum, &Expr::col(1, 0))));
+        // Both sides on the same table key nothing.
+        assert_eq!(eq_col_key(&Expr::eq(Expr::col(0, 0), Expr::col(0, 1)), 0), None);
     }
 }

@@ -262,12 +262,6 @@ impl Engine {
         self.set_default(&self.defaults.dop, dop);
     }
 
-    /// Set the dop from the machine's available parallelism.
-    pub fn set_auto_dop(&self) {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        self.set_dop(n);
-    }
-
     pub fn dop(&self) -> usize {
         self.defaults.resolve(&SessionOpts::default()).dop
     }

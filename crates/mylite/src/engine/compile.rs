@@ -48,10 +48,7 @@ pub(super) fn compile(
         if let Some(o) = bfb {
             skeleton.reopt = Some(format!("{} observed cardinalities injected", o.len()));
         }
-        // The optimizer's dop choice wins when present, clamped to the
-        // session knob; otherwise the session knob applies directly.
-        let dop = skeleton.dop.unwrap_or(knobs.dop).min(knobs.dop).max(1);
-        let opts = ParallelOpts { dop, min_driver_rows: knobs.parallel_threshold };
+        let opts = ParallelOpts { dop: knobs.dop, min_driver_rows: knobs.parallel_threshold };
         let plan = refine_statement_orders(cat, &bound, &skeleton, &opts, bfb, knobs.order_opt)?;
         let cols: Vec<String> = bound.root.select.iter().map(|o| o.name.clone()).collect();
         match &columns {

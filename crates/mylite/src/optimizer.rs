@@ -20,7 +20,8 @@ use std::collections::BTreeSet;
 use taurus_catalog::estimate::{Estimator, RelView};
 use taurus_catalog::{CardOverrides, Catalog};
 use taurus_common::error::{Error, Result};
-use taurus_common::{BinOp, Expr};
+use taurus_common::expr::{column_range, eq_col_key, eq_sides, ColumnRange};
+use taurus_common::{ColRef, Expr};
 
 /// Cost-model constants, roughly calibrated to MySQL's server cost model
 /// (sequential row ~1, random index dive ~2, hash overheads ~1-2).
@@ -254,67 +255,15 @@ impl<'a> PlanCtx<'a> {
             Err(_) => return best,
         };
         for (ix_pos, ix) in table.indexes.iter().enumerate() {
-            let lead = match ix.def().columns.first() {
-                Some(c) => *c,
-                None => continue,
-            };
-            // Find constant bounds on the leading column.
-            let mut lo: Option<(Expr, bool)> = None;
-            let mut hi: Option<(Expr, bool)> = None;
-            let mut consumed: Vec<Expr> = Vec::new();
-            for p in local {
-                if let Some((op, konst)) = p.column_vs_const(qt, lead) {
-                    match op {
-                        BinOp::Eq => {
-                            lo = Some((konst.clone(), true));
-                            hi = Some((konst, true));
-                            consumed.push(p.clone());
-                        }
-                        BinOp::Gt => {
-                            lo = Some((konst, false));
-                            consumed.push(p.clone());
-                        }
-                        BinOp::Ge => {
-                            lo = Some((konst, true));
-                            consumed.push(p.clone());
-                        }
-                        BinOp::Lt => {
-                            hi = Some((konst, false));
-                            consumed.push(p.clone());
-                        }
-                        BinOp::Le => {
-                            hi = Some((konst, true));
-                            consumed.push(p.clone());
-                        }
-                        _ => {}
-                    }
-                } else if let Expr::Between { expr, low, high, negated: false } = p {
-                    if matches!(expr.as_ref(), Expr::Column(c) if c.table == qt && c.col == lead)
-                        && low.is_non_null_const()
-                        && high.is_non_null_const()
-                    {
-                        lo = Some((low.as_ref().clone(), true));
-                        hi = Some((high.as_ref().clone(), true));
-                        consumed.push(p.clone());
-                    }
-                }
-            }
-            if lo.is_none() && hi.is_none() {
+            let Some(&lead) = ix.def().columns.first() else { continue };
+            let Some(ColumnRange { lo, hi, consumed }) = column_range(local, qt, lead) else {
                 continue;
-            }
+            };
             // Selectivity of the consumed range.
             let sel = est.conjunct_selectivity(&consumed, n);
             let cost = (n * sel).max(1.0) * cost::RANGE_PER_ROW;
             if cost < best.1 {
-                best = (
-                    AccessChoice::IndexRange {
-                        index: ix_pos,
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        consumed,
-                    },
-                    cost,
-                );
+                best = (AccessChoice::IndexRange { index: ix_pos, lo, hi, consumed }, cost);
             }
         }
         best
@@ -450,7 +399,12 @@ impl<'a> PlanCtx<'a> {
             self.find_lookup(qt, &available, &cross_conds, &info.local_preds, est)?
         };
         // (2) Equi-join available at all (for the hash-join rule)?
-        let has_equi = cross_conds.iter().any(|p| equi_pair(p, qt, &available).is_some());
+        let has_equi = cross_conds.iter().any(|p| {
+            eq_sides(p, qt).is_some_and(|(_, other)| {
+                let refs = other.referenced_tables();
+                !refs.is_empty() && refs.iter().all(|t| available.contains(t))
+            })
+        });
 
         let inner_rows = info.filtered_rows;
         let mut joined: BTreeSet<usize> = placed.clone();
@@ -472,7 +426,7 @@ impl<'a> PlanCtx<'a> {
                     // count caps at the key columns' NDV product. Without the
                     // cap a large inner side saturates the clamp at 1.0 and
                     // the semi join "filters" nothing (the TPC-H q18 shape).
-                    let cap = eq_ndv_cap(&cross_conds, qt, est);
+                    let cap = est.eq_ndv_cap(cross_conds.iter().copied(), qt);
                     let frac = (inner_rows.min(cap) * cross_sel).min(1.0);
                     (prefix_rows * frac).max(0.01)
                 }
@@ -566,10 +520,13 @@ impl<'a> PlanCtx<'a> {
             for &col in &ix.def().columns {
                 let mut hit = false;
                 for p in cross_conds.iter().copied().chain(local_preds.iter()) {
-                    if let Some((key_expr, key_sel)) = lookup_key(p, qt, col, available, est) {
-                        keys.push(key_expr);
+                    let key = eq_col_key(p, qt).filter(|(c, key)| {
+                        *c == col && key.referenced_tables().iter().all(|t| available.contains(t))
+                    });
+                    if let Some((_, key)) = key {
+                        keys.push(key.clone());
                         consumed.push(p.clone());
-                        sel *= key_sel;
+                        sel *= 1.0 / est.ndv(ColRef { table: qt, col });
                         hit = true;
                         break;
                     }
@@ -606,74 +563,6 @@ struct JoinCand {
     leaf_cost: f64,
     delta_cost: f64,
     new_rows: f64,
-}
-
-/// Match an equi-condition `col(qt, col) = expr(available)`; return the key
-/// expression and its selectivity contribution.
-fn lookup_key(
-    p: &Expr,
-    qt: usize,
-    col: usize,
-    available: &BTreeSet<usize>,
-    est: &Estimator,
-) -> Option<(Expr, f64)> {
-    let (this, other) = match p {
-        Expr::Binary { op: BinOp::Eq, left, right } => match (left.as_ref(), right.as_ref()) {
-            (Expr::Column(c), o) if c.table == qt && c.col == col => (c, o),
-            (o, Expr::Column(c)) if c.table == qt && c.col == col => (c, o),
-            _ => return None,
-        },
-        _ => return None,
-    };
-    // The other side must not reference this table.
-    let refs = other.referenced_tables();
-    if refs.contains(&qt) || !refs.iter().all(|t| available.contains(t)) {
-        return None;
-    }
-    let sel = 1.0 / est.ndv(taurus_common::ColRef { table: this.table, col: this.col });
-    Some((other.clone(), sel))
-}
-
-/// Distinct-combination cap for `qt`'s side of the equality join keys in
-/// `conds`: the product of its bare-column key NDVs, or ∞ when no bare-
-/// column equality exists.
-fn eq_ndv_cap(conds: &[&Expr], qt: usize, est: &Estimator) -> f64 {
-    let mut cap = f64::INFINITY;
-    for p in conds {
-        if let Expr::Binary { op: BinOp::Eq, left, right } = p {
-            for (a, b) in [(left, right), (right, left)] {
-                if let Expr::Column(c) = a.as_ref() {
-                    if c.table == qt && !b.referenced_tables().contains(&qt) {
-                        let n = est.ndv(*c).max(1.0);
-                        cap = if cap.is_finite() { cap * n } else { n };
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    cap
-}
-
-/// Is `p` an equality connecting `qt` to placed tables?
-fn equi_pair(p: &Expr, qt: usize, available: &BTreeSet<usize>) -> Option<(Expr, Expr)> {
-    if let Expr::Binary { op: BinOp::Eq, left, right } = p {
-        let lr = left.referenced_tables();
-        let rr = right.referenced_tables();
-        let l_this = lr.contains(&qt) && lr.iter().all(|t| *t == qt);
-        let r_other =
-            !rr.contains(&qt) && !rr.is_empty() && rr.iter().all(|t| available.contains(t));
-        if l_this && r_other {
-            return Some((left.as_ref().clone(), right.as_ref().clone()));
-        }
-        let r_this = rr.contains(&qt) && rr.iter().all(|t| *t == qt);
-        let l_other =
-            !lr.contains(&qt) && !lr.is_empty() && lr.iter().all(|t| available.contains(t));
-        if r_this && l_other {
-            return Some((right.as_ref().clone(), left.as_ref().clone()));
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ pub(crate) fn refine_block_opts(
 
     // §2.2/§7 item 4: "a sort is avoided if an index scan already delivers
     // rows in the expected sorted order".
-    let presorted = apply_index_order(catalog, bound, block, &mut plan);
+    let presorted = apply_index_order(catalog, block, &mut plan);
     let mut plan = finish_block(plan, block, presorted, fb)?;
     // Generic enforcer elimination: drop any Sort whose input already
     // delivers its keys (the stable-sort identity rule — see
@@ -148,12 +148,7 @@ pub(crate) fn refine_block_opts(
 ///
 /// Projections, filters, and limits preserve row order in this executor, so
 /// the guarantee survives the rest of the refinement pipeline.
-fn apply_index_order(
-    catalog: &Catalog,
-    bound: &BoundStatement,
-    block: &BoundQuery,
-    plan: &mut Plan,
-) -> bool {
+fn apply_index_order(catalog: &Catalog, block: &BoundQuery, plan: &mut Plan) -> bool {
     if block.has_aggregation() || block.distinct || block.order_by.is_empty() {
         return false;
     }
@@ -185,7 +180,6 @@ fn apply_index_order(
     }) else {
         return false;
     };
-    let _ = bound;
     *plan = Plan::IndexScan {
         table: *table,
         qt: *qt,
@@ -462,15 +456,12 @@ impl<'a> Refiner<'a> {
                 let est = Est::new(*rows, *cost);
 
                 // Join kind from the right subtree's defining member.
-                let (kind, mut on, null_aware, post_filters) =
-                    self.join_kind_and_conditions(&rcov, &covered)?;
+                let (kind, mut on, null_aware) = self.join_kind_and_conditions(&rcov, &covered)?;
 
                 // WHERE conjuncts attachable here.
-                let attachable = self.take_coverable(&covered);
-                let mut post = post_filters;
-                match kind {
-                    JoinKind::Inner => on.extend(attachable),
-                    _ => post.extend(attachable),
+                let mut post = self.take_coverable(&covered);
+                if kind == JoinKind::Inner {
+                    on.append(&mut post);
                 }
 
                 let mut plan = match method {
@@ -543,28 +534,24 @@ impl<'a> Refiner<'a> {
     /// if that subtree is exactly one member with a non-inner entry, the
     /// entry dictates semi/anti/outer semantics and contributes its ON
     /// conjuncts; otherwise it is a plain inner join.
-    #[allow(clippy::type_complexity)]
     fn join_kind_and_conditions(
-        &mut self,
+        &self,
         rcov: &BTreeSet<usize>,
         covered: &BTreeSet<usize>,
-    ) -> Result<(JoinKind, Vec<Expr>, bool, Vec<Expr>)> {
+    ) -> Result<(JoinKind, Vec<Expr>, bool)> {
         if rcov.len() == 1 {
             let qt = *rcov.iter().next().expect("len checked");
             if let Some(m) = self.block.member(qt) {
                 match &m.entry {
                     JoinEntry::Inner => {}
                     JoinEntry::LeftOuter { on } => {
-                        let (on, leaf_pushed) = self.split_on(on, qt, covered)?;
-                        return Ok((JoinKind::LeftOuter, on, false, leaf_pushed));
+                        return Ok((JoinKind::LeftOuter, self.split_on(on, covered)?, false));
                     }
                     JoinEntry::Semi { on } => {
-                        let (on, leaf_pushed) = self.split_on(on, qt, covered)?;
-                        return Ok((JoinKind::Semi, on, false, leaf_pushed));
+                        return Ok((JoinKind::Semi, self.split_on(on, covered)?, false));
                     }
                     JoinEntry::Anti { on, null_aware } => {
-                        let (on, leaf_pushed) = self.split_on(on, qt, covered)?;
-                        return Ok((JoinKind::AntiSemi, on, *null_aware, leaf_pushed));
+                        return Ok((JoinKind::AntiSemi, self.split_on(on, covered)?, *null_aware));
                     }
                 }
             }
@@ -575,19 +562,13 @@ impl<'a> Refiner<'a> {
         // restriction — no multi-table semi-join *build sides* — holds by
         // construction: both optimizers emit dependents as lone right
         // children of their defining join.
-        Ok((JoinKind::Inner, Vec::new(), false, Vec::new()))
+        Ok((JoinKind::Inner, Vec::new(), false))
     }
 
-    /// Split an ON list into conjuncts staying at the join vs conjuncts the
-    /// leaf already consumed (single-table ones were pushed down during leaf
-    /// construction).
-    fn split_on(
-        &mut self,
-        on: &[Expr],
-        inner_qt: usize,
-        covered: &BTreeSet<usize>,
-    ) -> Result<(Vec<Expr>, Vec<Expr>)> {
-        let _ = inner_qt;
+    /// The ON conjuncts that stay at the join: all but those the leaf
+    /// already consumed (single-table ones were pushed down during leaf
+    /// construction, lookup keys consumed by the access).
+    fn split_on(&self, on: &[Expr], covered: &BTreeSet<usize>) -> Result<Vec<Expr>> {
         let mut at_join = Vec::new();
         for c in on {
             let refs = c.referenced_tables();
@@ -601,7 +582,7 @@ impl<'a> Refiner<'a> {
             }
             at_join.push(c.clone());
         }
-        Ok((at_join, Vec::new()))
+        Ok(at_join)
     }
 
     fn build_leaf(&mut self, leaf: &SkelLeaf) -> Result<(Plan, BTreeSet<usize>)> {

@@ -215,9 +215,9 @@ pub struct Skeleton {
     /// plans and for queries below the complex-query threshold. Shown in
     /// the EXPLAIN banner so fallbacks are observable per statement.
     pub orca_fallback: Option<String>,
-    /// Degree of parallelism Orca's cost model chose for this block
-    /// (`None` = serial). Refinement turns this into exchange operators;
-    /// the engine clamps it to its own configured dop.
+    /// Always `None`: the session's dop knob alone decides parallelism.
+    /// Kept only because the benchmark's replica reads it
+    /// (perf/README.md "The pinned surface").
     pub dop: Option<usize>,
     /// Search-effort trace from the optimizer that built this skeleton
     /// (`None` when the backend doesn't trace, e.g. the native optimizer).

@@ -206,11 +206,6 @@ pub struct OrcaConfig {
     /// costed). Exhaustion surfaces as [`Error::ResourceExhausted`] and
     /// drives the bridge's degradation ladder.
     pub budget: SearchBudget,
-    /// Maximum degree of parallelism the cost model may choose for a plan
-    /// (1 = serial-only, the default). When > 1 the memo compares the best
-    /// serial plan against parallel alternatives via
-    /// [`crate::cost::choose_dop`] and annotates the winner.
-    pub dop: usize,
     /// Interesting-order propagation: when a block carries a
     /// [`crate::desc::BlockDesc::required_order`], the memo costs
     /// order-delivering alternatives (full ordered index scans, sort-ahead
@@ -231,7 +226,6 @@ impl Default for OrcaConfig {
             enable_gbagg_below_join: false,
             bushy_member_cap: 13,
             budget: SearchBudget::UNLIMITED,
-            dop: 1,
             order_properties: true,
             faults: FaultInjector::default(),
         }
@@ -256,7 +250,6 @@ mod tests {
         assert!(c.enable_apply_swaps);
         assert!(!c.enable_gbagg_below_join, "disabled for the MySQL target (§7)");
         assert!(c.budget.is_unlimited(), "budget off by default");
-        assert_eq!(c.dop, 1, "serial-only unless the engine raises dop");
         assert!(c.order_properties, "interesting-order propagation on by default");
         assert_eq!(c.faults, FaultInjector::default(), "injector disarmed by default");
     }

@@ -33,12 +33,6 @@ pub const APPLY_ROW: f64 = 1.0;
 /// Cost of one nested-loop pair evaluation (joined-row construction plus
 /// condition check — measurably pricier than a hash probe).
 pub const NL_PAIR: f64 = 2.5;
-/// Exchange transfer cost per row crossing a gather/repartition boundary —
-/// the Orca-style penalty that keeps small queries serial.
-pub const TRANSFER_ROW: f64 = 0.2;
-/// Fixed cost of spinning up one parallel worker (pool + context setup).
-pub const WORKER_STARTUP: f64 = 25.0;
-
 /// Cost of scanning `n` rows sequentially.
 pub fn scan(n: f64) -> f64 {
     n * SEQ_ROW
@@ -94,34 +88,6 @@ pub fn apply(outer_rows: f64, inner_cost: f64, inner_rows: f64) -> f64 {
     outer_rows * (inner_cost + inner_rows * APPLY_ROW)
 }
 
-/// DOP-aware cost of running a fragment of serial cost `serial_cost`
-/// emitting `out_rows` under `dop` workers: per-worker tuple cost (the
-/// fragment's work divides across workers) plus the exchange transfer cost
-/// of every output row and the workers' startup cost.
-pub fn parallel_fragment(serial_cost: f64, out_rows: f64, dop: usize) -> f64 {
-    let d = dop.max(1) as f64;
-    serial_cost / d + out_rows * TRANSFER_ROW + d * WORKER_STARTUP
-}
-
-/// Choose the degree of parallelism for a plan whose root costs
-/// `root_cost` and emits `root_rows`: the candidate dop (2..=max_dop) with
-/// the cheapest [`parallel_fragment`] estimate, or 1 when serial wins.
-/// This is the memo's serial-vs-parallel decision — the same honest
-/// cost-based comparison the paper makes for join methods, applied to
-/// parallelism (a "query optimization in the wild" industrial trait).
-pub fn choose_dop(root_cost: f64, root_rows: f64, max_dop: usize) -> usize {
-    let mut best_dop = 1;
-    let mut best_cost = root_cost;
-    for dop in 2..=max_dop.max(1) {
-        let c = parallel_fragment(root_cost, root_rows, dop);
-        if c < best_cost {
-            best_cost = c;
-            best_dop = dop;
-        }
-    }
-    best_dop
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,25 +114,5 @@ mod tests {
         let cross = nl_join(1000.0, 1000.0, 1_000_000.0);
         let hash = hash_join(1000.0, 1000.0, 1000.0);
         assert!(cross > 100.0 * hash);
-    }
-
-    #[test]
-    fn small_queries_stay_serial_big_ones_parallelize() {
-        // A 100-unit query: startup cost dwarfs the split work.
-        assert_eq!(choose_dop(100.0, 50.0, 4), 1, "tiny query stays serial");
-        // A 100k-unit scan emitting few rows: parallelism pays for itself.
-        assert_eq!(choose_dop(100_000.0, 100.0, 4), 4, "big query uses full dop");
-        // max_dop 1 disables the choice entirely.
-        assert_eq!(choose_dop(1e9, 0.0, 1), 1);
-    }
-
-    #[test]
-    fn transfer_cost_penalizes_wide_outputs() {
-        // Same work, but emitting every row through the exchange: the
-        // transfer term should push the chosen dop down or to serial.
-        let narrow = parallel_fragment(10_000.0, 10.0, 4);
-        let wide = parallel_fragment(10_000.0, 1_000_000.0, 4);
-        assert!(wide > narrow + 100_000.0, "narrow={narrow} wide={wide}");
-        assert_eq!(choose_dop(10_000.0, 1_000_000.0, 4), 1, "transfer cost keeps it serial");
     }
 }

@@ -57,6 +57,18 @@
 //! the larger right-side mask wins, then hash before lookup before nested
 //! loop (`Winner::offer`): winners are a function of the search space, not
 //! of the order it is walked in.
+//!
+//! ## Required properties
+//!
+//! A group keeps one winner per required physical property ([`Prop`]): any
+//! order, or the block's required order. Only the *anchor* member — the one
+//! holding every ORDER BY key, free to sit leftmost — can deliver that
+//! order: `build_leaf` offers each of its accesses (scan, range, IN-list
+//! probes, full ordered index scan) to every property it delivers, and a
+//! Sort enforcer over the cheapest access to the ordered one. Joins stream
+//! their left input in order, so a split delivers a property exactly when
+//! its left side does; the root weighs the ordered winner against the plain
+//! one plus a sort.
 
 use crate::config::{FaultSite, JoinOrderStrategy, OrcaConfig, SearchBudget};
 use crate::cost;
@@ -69,7 +81,7 @@ use std::sync::Arc;
 use taurus_catalog::estimate::{Estimator, RelView};
 use taurus_catalog::CardOverrides;
 use taurus_common::error::{Error, Result};
-use taurus_common::expr::split_hash_keys;
+use taurus_common::expr::{column_range, eq_col_key, split_hash_keys};
 use taurus_common::{BinOp, ColRef, Expr, Value};
 
 /// Optimize one block. The metadata accessor is wrapped in Orca's metadata
@@ -101,11 +113,7 @@ pub fn optimize_block_cached(
     // plan whose query-block structure MySQL cannot express, and the host
     // must fall back (§4.2.1).
     let changed = cfg.enable_gbagg_below_join && desc.has_aggregation && desc.members.len() > 1;
-    // Serial-vs-parallel decision: compare the best serial plan against
-    // DOP-adjusted alternatives (per-worker tuple cost + exchange transfer
-    // cost). dop stays 1 unless parallelism is genuinely cheaper.
-    let dop = if cfg.dop > 1 { cost::choose_dop(root.cost(), root.rows(), cfg.dop) } else { 1 };
-    Ok(OrcaPlan { root, strategy, stats: search.stats, changed_block_structure: changed, dop })
+    Ok(OrcaPlan { root, strategy, stats: search.stats, changed_block_structure: changed })
 }
 
 type Bits = u64;
@@ -121,15 +129,10 @@ struct Member {
     on_sel: f64,
     base_rows: f64,
     filtered_rows: f64,
-    /// Best standalone leaf access.
-    leaf: PhysNode,
-    leaf_cost: f64,
-    /// Cheapest standalone access that also delivers the block's required
-    /// order (anchor member only): a full ordered index scan, the IN-list
-    /// probe union, or sort-ahead over the best leaf. `None` for
-    /// non-anchor members and when order properties are off.
-    ord_leaf: Option<(PhysNode, f64)>,
-    indexes: Vec<MdIndex>,
+    /// Cheapest standalone access per required property, with its cost;
+    /// `None` where the member cannot deliver the property (the required
+    /// order on any member but the anchor, or with order properties off).
+    leaf: Props<Option<(PhysNode, f64)>>,
     /// Effective dependencies as member-index bits.
     dep_bits: Bits,
     /// Distinct-combination cap for equality join keys on this member's
@@ -168,6 +171,18 @@ struct LookupKey {
     /// The conjunct: `pool[at]`, or past the pool the member's `on_cross`.
     at: usize,
 }
+
+/// A required physical property: what a winner delivers. Indexes [`Props`].
+#[derive(Clone, Copy)]
+enum Prop {
+    /// Any order.
+    Any,
+    /// The block's required order.
+    Ordered,
+}
+
+/// One entry per [`Prop`].
+type Props<T> = [T; 2];
 
 /// How a split is implemented; with the right side's member set, a whole
 /// decision. Declared in tie-break order.
@@ -210,19 +225,15 @@ impl Winner {
     }
 }
 
-/// One memo group: a member subset with derived properties and winner.
+/// One memo group: a member subset with derived properties and winners.
 /// Its id is its position in the table.
 struct Group {
     set: Bits,
     rows: f64,
     /// Union of the members' `eq_nbrs`.
     eq_nbrs: Bits,
-    winner: Winner,
-    /// Cheapest implementation that *also delivers the required order*:
-    /// the anchor member's ordered access on the leftmost spine, carried
-    /// upward by order-preserving joins (see `best`). Compared against
-    /// `winner + sort(rows)` at the root; cost decides.
-    winner_ord: Winner,
+    /// The cheapest decision per required property.
+    winners: Props<Winner>,
     explored: bool,
 }
 
@@ -400,9 +411,20 @@ impl<'a> Search<'a> {
             Some(mask)
         };
 
+        // Interesting-order anchor: the required order can only enter the
+        // plan at a leaf and survive along the left spine, so it is usable
+        // exactly when every key lives on one member and that member is an
+        // independent inner (free to sit leftmost).
+        let mut req_anchor = None;
+        if cfg.order_properties && !desc.required_order.is_empty() {
+            let qt = desc.required_order[0].qt;
+            if desc.required_order.iter().all(|k| k.qt == qt) {
+                req_anchor = desc.members.iter().position(|m| m.qt == qt && !m.is_dependent());
+            }
+        }
+
         // Build member infos.
         let mut members = Vec::with_capacity(desc.members.len());
-        let mut in_probes_list = Vec::with_capacity(desc.members.len());
         for (i, m) in desc.members.iter().enumerate() {
             let mut local = std::mem::take(&mut member_local[i]);
             let mut on_cross = Vec::new();
@@ -417,37 +439,14 @@ impl<'a> Search<'a> {
                     on_cross.push(c);
                 }
             }
-            let (base_rows, mut leaf, leaf_cost, indexes, in_probes) =
-                build_leaf(m, &local, md, &est, i)?;
-            in_probes_list.push(in_probes);
+            let req = if req_anchor == Some(i) { &desc.required_order[..] } else { &[] };
+            let observed = fb.as_ref().and_then(|f| f.rel_singleton(m.qt));
+            let (base_rows, filtered_rows, leaf, indexes) =
+                build_leaf(m, &local, req, observed, md, &est, i)?;
             // Stacked-conjunction products floor at one surviving row of
             // their input relation (see `conjunct_selectivity`).
             let on_sel = est.conjunct_selectivity(&on_cross, base_rows);
-            let sel = est.conjunct_selectivity(&local, base_rows);
-            // An observed post-filter cardinality from a prior execution
-            // beats any estimate.
-            let filtered_rows = match fb.as_ref().and_then(|f| f.rel_singleton(m.qt)) {
-                Some(observed) => {
-                    let observed = observed.max(0.01);
-                    // The leaf alternative carries its own statistics-based
-                    // row count — restamp it so the final plan's leaf
-                    // estimate agrees with the observed cardinality.
-                    match &mut leaf {
-                        PhysNode::Scan { rows, .. }
-                        | PhysNode::IndexRange { rows, .. }
-                        | PhysNode::InListProbes { rows, .. }
-                        | PhysNode::DerivedScan { rows, .. } => *rows = observed,
-                        _ => {}
-                    }
-                    observed
-                }
-                None => (base_rows * sel).max(0.01),
-            };
-            let mut eq_ndv = f64::INFINITY;
-            for (col, _) in on_cross.iter().filter_map(|c| eq_col_key(c, m.qt)) {
-                let n = est.ndv(ColRef { table: m.qt, col }).max(1.0);
-                eq_ndv = if eq_ndv.is_finite() { eq_ndv * n } else { n };
-            }
+            let eq_ndv = est.eq_ndv_cap(&on_cross, m.qt);
             let mut dep_bits: Bits = 0;
             for d in &m.deps {
                 if let Some(&di) = qt_to_idx.get(d) {
@@ -507,9 +506,6 @@ impl<'a> Search<'a> {
                 base_rows,
                 filtered_rows,
                 leaf,
-                leaf_cost,
-                ord_leaf: None,
-                indexes,
                 dep_bits,
                 eq_ndv,
                 eq_nbrs: eq_nbrs[i],
@@ -570,32 +566,6 @@ impl<'a> Search<'a> {
             }
         }
 
-        // Interesting-order anchor: the required order can only enter the
-        // plan at a leaf and survive along the left spine, so it is usable
-        // exactly when every key lives on one member and that member is an
-        // independent inner (free to sit leftmost).
-        let mut req_anchor = None;
-        let mut req_keys: Vec<OrderKey> = Vec::new();
-        if cfg.order_properties && !desc.required_order.is_empty() {
-            let qt = desc.required_order[0].qt;
-            if desc.required_order.iter().all(|k| k.qt == qt) {
-                if let Some(i) = desc.members.iter().position(|m| m.qt == qt) {
-                    if !desc.members[i].is_dependent() {
-                        req_anchor = Some(i);
-                        req_keys = desc.required_order.clone();
-                    }
-                }
-            }
-        }
-        // One extra costed alternative per anchor leaf: its ordered access
-        // set (sort-ahead vs ordered scan vs probe union collapse to one
-        // winner up front, so `plans_costed` stays bounded).
-        let mut ord_costed = 0u64;
-        if let Some(i) = req_anchor {
-            members[i].ord_leaf = ordered_leaf(&members[i], &req_keys, &in_probes_list[i]);
-            ord_costed += 1;
-        }
-
         Ok(Search {
             desc,
             cfg,
@@ -614,7 +584,10 @@ impl<'a> Search<'a> {
             stats: SearchStats {
                 rules_applied,
                 rules_hit,
-                plans_costed: ord_costed,
+                // One costed alternative for the anchor's ordered accesses:
+                // they collapse to one winner up front, so `plans_costed`
+                // stays bounded.
+                plans_costed: u64::from(req_anchor.is_some()),
                 ..SearchStats::default()
             },
         })
@@ -646,27 +619,28 @@ impl<'a> Search<'a> {
             }
             configured => configured,
         };
-        let mut ordered = false;
+        let mut prop = Prop::Any;
         match strategy {
             JoinOrderStrategy::Greedy => self.greedy(full)?,
             _ => {
                 let root = self.best(full, strategy)?;
                 let g = &self.table.groups[root];
-                let plain = g
-                    .winner
-                    .cost()
+                let [plain, ordered] = g.winners.map(|w| w.cost());
+                let plain = plain
                     .ok_or_else(|| Error::semantic("no feasible join order (dependency cycle?)"))?;
                 // Root decision: deliver the required order from inside the
                 // plan, or keep the plain winner and let the host bolt a
                 // Sort enforcer on top — an honest costed comparison.
-                if let Some(oc) = g.winner_ord.cost() {
-                    ordered = oc < plain + cost::sort(g.rows);
+                if let Some(oc) = ordered {
+                    if oc < plain + cost::sort(g.rows) {
+                        prop = Prop::Ordered;
+                    }
                     self.stats.plans_costed += 1;
                 }
             }
         }
         self.stats.groups = self.table.groups.len();
-        Ok((self.reconstruct(full, ordered)?, strategy))
+        Ok((self.reconstruct(full, prop)?, strategy))
     }
 
     // ------------------------------------------------------------- helpers
@@ -766,14 +740,7 @@ impl<'a> Search<'a> {
             }
         }
         let rows = observed.unwrap_or(base.max(0.01));
-        self.table.push(Group {
-            set,
-            rows,
-            eq_nbrs,
-            winner: Winner::NONE,
-            winner_ord: Winner::NONE,
-            explored: false,
-        })
+        self.table.push(Group { set, rows, eq_nbrs, winners: [Winner::NONE; 2], explored: false })
     }
 
     // ------------------------------------------------------------ DP search
@@ -788,13 +755,14 @@ impl<'a> Search<'a> {
             }
         }
         if set.count_ones() == 1 {
-            let m = &self.members[set.trailing_zeros() as usize];
-            let winner = Winner { cost: m.leaf_cost, s2: 0, imp: Impl::Leaf };
-            let ordered = |(_, cost): &(PhysNode, f64)| Winner { cost: *cost, ..winner };
-            let winner_ord = m.ord_leaf.as_ref().map_or(Winner::NONE, ordered);
+            let leaf = &self.members[set.trailing_zeros() as usize].leaf;
+            let winners = leaf.each_ref().map(|l| match l {
+                Some((_, cost)) => Winner { cost: *cost, s2: 0, imp: Impl::Leaf },
+                None => Winner::NONE,
+            });
             let g = self.group(set);
             let group = &mut self.table.groups[g];
-            (group.winner, group.winner_ord, group.explored) = (winner, winner_ord, true);
+            (group.winners, group.explored) = (winners, true);
             return Ok(g);
         }
         if !self.plannable(set) {
@@ -803,8 +771,7 @@ impl<'a> Search<'a> {
             return Ok(g);
         }
 
-        let mut best = Winner::NONE;
-        let mut best_ord = Winner::NONE;
+        let mut winners = [Winner::NONE; 2];
         // The set's own group is created by its first costed split (or
         // below, if there is none), after the children that split explored.
         let mut own: Option<usize> = None;
@@ -825,9 +792,11 @@ impl<'a> Search<'a> {
                 return Ok(());
             }
             let left = this.best(s1, strategy)?;
-            let Some(cost_l) = this.table.groups[left].winner.cost() else { return Ok(()) };
+            let [Some(cost_l), ord_l] = this.table.groups[left].winners.map(|w| w.cost()) else {
+                return Ok(());
+            };
             let right = this.best(s2, strategy)?;
-            if this.table.groups[right].winner.cost().is_none() {
+            if this.table.groups[right].winners[Prop::Any as usize].cost().is_none() {
                 return Ok(());
             }
             let out = *own.get_or_insert_with(|| this.group(set));
@@ -836,13 +805,12 @@ impl<'a> Search<'a> {
             // loops iterate the outer side; hash joins build right and emit
             // probe rows in probe order) — at a cost delta of exactly the
             // left child's ordered-vs-plain difference.
-            let ord_l = this.table.groups[left].winner_ord.cost();
             let (alts, n) = this.cost_split(out, left, right);
             for &(cost, imp) in &alts[..n] {
+                winners[Prop::Any as usize].offer(cost, s2, imp);
                 if let Some(ol) = ord_l {
-                    best_ord.offer(cost - cost_l + ol, s2, imp);
+                    winners[Prop::Ordered as usize].offer(cost - cost_l + ol, s2, imp);
                 }
-                best.offer(cost, s2, imp);
             }
             // One extra costed alternative per split with an ordered
             // variant (the implementations share their deltas, so a single
@@ -881,7 +849,7 @@ impl<'a> Search<'a> {
         }
         let g = own.unwrap_or_else(|| self.group(set));
         let group = &mut self.table.groups[g];
-        (group.winner, group.winner_ord, group.explored) = (best, best_ord, true);
+        (group.winners, group.explored) = (winners, true);
         Ok(g)
     }
 
@@ -890,8 +858,9 @@ impl<'a> Search<'a> {
     /// the masks precomputed in `new`, no plan nodes, no allocation.
     fn cost_split(&mut self, out: usize, left: usize, right: usize) -> ([(f64, Impl); 3], usize) {
         let (l, r) = (&self.table.groups[left], &self.table.groups[right]);
-        let (s1, cost_l, rows_l) = (l.set, l.winner.cost, l.rows);
-        let (s2, cost_r, rows_r) = (r.set, r.winner.cost, r.rows);
+        let any = Prop::Any as usize;
+        let (s1, cost_l, rows_l) = (l.set, l.winners[any].cost, l.rows);
+        let (s2, cost_r, rows_r) = (r.set, r.winners[any].cost, r.rows);
         let rows_out = self.table.groups[out].rows;
         let lone = (s2 & (s2 - 1) == 0).then(|| &self.members[s2.trailing_zeros() as usize]);
         let correlated_right = lone.is_some_and(|m| m.desc.is_correlated_derived());
@@ -991,38 +960,33 @@ impl<'a> Search<'a> {
             placed |= next.s2;
             left = self.group(placed);
             let group = &mut self.table.groups[left];
-            (group.winner, group.explored) = (next, true);
+            (group.winners[Prop::Any as usize], group.explored) = (next, true);
         }
         Ok(())
     }
 
     // -------------------------------------------------------- reconstruction
 
-    /// Build the winning physical tree for a group from its decision chain,
-    /// deriving what the decisions leave out: join conditions, hash keys,
-    /// and a lookup's keys, consumed conjuncts and rows per probe. With
-    /// `ordered`, the *order-delivering* winner is rebuilt instead,
-    /// following `winner_ord` decisions down the left spine until the
-    /// anchor leaf's ordered access.
-    fn reconstruct(&mut self, set: Bits, ordered: bool) -> Result<PhysNode> {
+    /// Build a group's winning physical tree for `prop` from its decision
+    /// chain, deriving what the decisions leave out: join conditions, hash
+    /// keys, and a lookup's keys, consumed conjuncts and rows per probe.
+    fn reconstruct(&mut self, set: Bits, prop: Prop) -> Result<PhysNode> {
         let no_winner = || Error::internal("reconstructing a group without a winner");
         let group = self.table.find(set).ok_or_else(no_winner)?;
         let g = &self.table.groups[group];
-        let (rows, Winner { cost, s2, imp }) =
-            (g.rows, if ordered { g.winner_ord } else { g.winner });
+        let (rows, Winner { cost, s2, imp }) = (g.rows, g.winners[prop as usize]);
         match imp {
             Impl::None => Err(no_winner()),
-            Impl::Leaf if !ordered => Ok(self.members[set.trailing_zeros() as usize].leaf.clone()),
-            Impl::Leaf => match &self.members[set.trailing_zeros() as usize].ord_leaf {
-                Some((node, _)) => Ok(node.clone()),
-                None => Err(Error::internal("ordered winner without an ordered leaf")),
-            },
+            Impl::Leaf => {
+                let leaf = &self.members[set.trailing_zeros() as usize].leaf[prop as usize];
+                leaf.as_ref().map(|(node, _)| node.clone()).ok_or_else(no_winner)
+            }
             imp => {
-                // Order flows along the left spine only; the right child is
-                // always the plain winner.
+                // A property flows along the left spine only; the right
+                // child is always the plain winner.
                 let s1 = set & !s2;
-                let left = self.reconstruct(s1, ordered)?;
-                let right = self.reconstruct(s2, false)?;
+                let left = self.reconstruct(s1, prop)?;
+                let right = self.reconstruct(s2, Prop::Any)?;
                 let (kind, null_aware) = match self.applied_member(s2).map(|m| &m.desc.entry) {
                     Some(EntryDesc::LeftOuter { .. }) => (PhysJoinKind::LeftOuter, false),
                     Some(EntryDesc::Semi { .. }) => (PhysJoinKind::Semi, false),
@@ -1143,253 +1107,145 @@ fn bits(set: Bits) -> impl Iterator<Item = usize> {
         .map(|s| s.trailing_zeros() as usize)
 }
 
-/// The cheapest order-delivering standalone access for the anchor member.
-/// Sort-ahead over the best leaf always exists; a full ordered index scan
-/// competes when the (all-ascending) required keys are a prefix of an
-/// index's columns — forward B-tree iteration only, no backward scans; and
-/// the IN-list probe union competes when the required order is exactly its
-/// index's leading column ascending (strictly ascending point keys,
-/// concatenated, deliver that order).
-fn ordered_leaf(
-    m: &Member,
-    req: &[OrderKey],
-    in_probes: &Option<(PhysNode, f64)>,
-) -> Option<(PhysNode, f64)> {
-    let group = m.leaf.group();
-    let sort_cost = m.leaf_cost + cost::sort(m.filtered_rows);
-    let mut best = (
-        PhysNode::Sort {
-            input: Box::new(m.leaf.clone()),
-            keys: req.to_vec(),
-            rows: m.filtered_rows,
-            cost: sort_cost,
-            group,
-        },
-        sort_cost,
-    );
-    if req.iter().all(|k| !k.desc) {
-        for ix in &m.indexes {
-            if ix.columns.len() >= req.len()
-                && req.iter().zip(&ix.columns).all(|(k, &c)| k.col == c)
-            {
-                let c = cost::ordered_scan(m.base_rows);
-                if c < best.1 {
-                    best = (
-                        PhysNode::IndexScan {
-                            qt: m.desc.qt,
-                            index: ix.position,
-                            preds: m.local.clone(),
-                            rows: m.filtered_rows,
-                            cost: c,
-                            group,
-                        },
-                        c,
-                    );
-                }
-            }
-        }
-    }
-    if let (Some((node, c)), [key]) = (in_probes, req) {
-        if !key.desc && *c < best.1 {
-            if let PhysNode::InListProbes { index, .. } = node {
-                let lead = m
-                    .indexes
-                    .iter()
-                    .find(|ix| ix.position == *index)
-                    .and_then(|ix| ix.columns.first());
-                if lead == Some(&key.col) {
-                    best = (node.clone(), *c);
-                }
-            }
-        }
-    }
-    Some(best)
-}
+/// A member's base rows, its filtered rows, its cheapest standalone access
+/// per required property with that access's cost, and its indexes.
+type LeafAlternatives = (f64, f64, Props<Option<(PhysNode, f64)>>, Vec<MdIndex>);
 
-/// Per-member leaf alternatives: base row count, cheapest access path and its
-/// cost, the member's indexes, and an optional cost-based in-list-probes
-/// alternative retained for the order pass.
-type LeafAlternatives = (f64, PhysNode, f64, Vec<MdIndex>, Option<(PhysNode, f64)>);
-
+/// Offers every standalone access of a member to each property it delivers,
+/// keeping the cheapest per property (of equal costs the first offered).
+/// `req` is the block's required order on the anchor member and empty on
+/// every other. An observed post-filter cardinality from a prior execution
+/// beats any estimate, and every access carries it.
 fn build_leaf(
     m: &MemberDesc,
     local: &[Expr],
+    req: &[OrderKey],
+    observed: Option<f64>,
     md: &MdCache<'_>,
     est: &Estimator,
     group: usize,
 ) -> Result<LeafAlternatives> {
-    match &m.source {
+    let (n, indexes, cost) = match &m.source {
         RelSource::Base { oid } => {
             let rel = md
                 .relation(*oid)
                 .ok_or_else(|| Error::CatalogMissing(format!("relation {oid}")))?;
-            let indexes = md.indexes(*oid);
-            let n = rel.rows;
-            let sel = est.conjunct_selectivity(local, n);
-            let filtered = (n * sel).max(0.01);
-            // Scan vs index-range alternatives.
-            let mut best_cost = cost::scan(n);
-            let mut best = PhysNode::Scan {
-                qt: m.qt,
-                preds: local.to_vec(),
-                rows: filtered,
-                cost: best_cost,
-                group,
-            };
-            for ix in &indexes {
-                let Some(&lead) = ix.columns.first() else { continue };
-                let mut lo = None;
-                let mut hi = None;
-                let mut consumed = Vec::new();
-                for p in local {
-                    if let Some((op, konst)) = p.column_vs_const(m.qt, lead) {
-                        match op {
-                            BinOp::Eq => {
-                                lo = Some((konst.clone(), true));
-                                hi = Some((konst, true));
-                                consumed.push(p.clone());
-                            }
-                            BinOp::Gt => {
-                                lo = Some((konst, false));
-                                consumed.push(p.clone());
-                            }
-                            BinOp::Ge => {
-                                lo = Some((konst, true));
-                                consumed.push(p.clone());
-                            }
-                            BinOp::Lt => {
-                                hi = Some((konst, false));
-                                consumed.push(p.clone());
-                            }
-                            BinOp::Le => {
-                                hi = Some((konst, true));
-                                consumed.push(p.clone());
-                            }
-                            _ => {}
-                        }
-                    } else if let Expr::Between { expr, low, high, negated: false } = p {
-                        if matches!(expr.as_ref(), Expr::Column(c) if c.table == m.qt && c.col == lead)
-                            && low.is_non_null_const()
-                            && high.is_non_null_const()
-                        {
-                            lo = Some((low.as_ref().clone(), true));
-                            hi = Some((high.as_ref().clone(), true));
-                            consumed.push(p.clone());
-                        }
-                    }
-                }
-                if lo.is_none() && hi.is_none() {
-                    continue;
-                }
-                let range_sel = est.conjunct_selectivity(&consumed, n);
-                let c = cost::range(n * range_sel);
-                if c < best_cost {
-                    best_cost = c;
-                    let remaining: Vec<Expr> =
-                        local.iter().filter(|p| !consumed.contains(p)).cloned().collect();
-                    best = PhysNode::IndexRange {
-                        qt: m.qt,
-                        index: ix.position,
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        consumed,
-                        preds: remaining,
-                        rows: filtered,
-                        cost: c,
-                        group,
-                    };
-                }
-            }
-            // Cost-based IN-list rewrite, retained as a true alternative
-            // alongside the scan/range group expressions: probe the index
-            // once per listed value instead of scanning, and let the cost
-            // model choose. Probe keys are sorted ascending and
-            // deduplicated, so the concatenated lookups also deliver the
-            // leading column ascending — an order-delivering access the
-            // interesting-order machinery reuses via `ordered_leaf`.
-            let mut in_probes: Option<(PhysNode, f64)> = None;
-            for ix in &indexes {
-                let Some(&lead) = ix.columns.first() else { continue };
-                for p in local {
-                    let Expr::InList { expr, list, negated: false } = p else { continue };
-                    if !matches!(expr.as_ref(),
-                        Expr::Column(c) if c.table == m.qt && c.col == lead)
-                    {
-                        continue;
-                    }
-                    // Non-literal elements defeat a static probe list; NULL
-                    // elements never produce a match under `=` and drop out
-                    // (rows matching no element go from FALSE to UNKNOWN —
-                    // filtered either way).
-                    let mut vals: Vec<Value> = Vec::with_capacity(list.len());
-                    let all_literal = list.iter().all(|e| match e {
-                        Expr::Literal(v) => {
-                            if !v.is_null() {
-                                vals.push(v.clone());
-                            }
-                            true
-                        }
-                        _ => false,
-                    });
-                    if !all_literal || vals.is_empty() {
-                        continue;
-                    }
-                    vals.sort_by(|a, b| a.total_cmp(b));
-                    vals.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                    let per = (n / est.ndv(ColRef { table: m.qt, col: lead }).max(1.0)).max(0.5);
-                    let c = cost::lookups(vals.len() as f64, per);
-                    if in_probes.as_ref().is_some_and(|(_, pc)| *pc <= c) {
-                        continue;
-                    }
-                    let remaining: Vec<Expr> = local.iter().filter(|q| *q != p).cloned().collect();
-                    let node = PhysNode::InListProbes {
-                        qt: m.qt,
-                        index: ix.position,
-                        keys: vals.iter().map(|v| Expr::Literal(v.clone())).collect(),
-                        consumed: vec![p.clone()],
-                        preds: remaining,
-                        rows: filtered,
-                        cost: c,
-                        group,
-                    };
-                    in_probes = Some((node, c));
-                }
-            }
-            if let Some((node, c)) = &in_probes {
-                if *c < best_cost {
-                    best_cost = *c;
-                    best = node.clone();
-                }
-            }
-            Ok((n, best, best_cost, indexes, in_probes))
+            (rel.rows, md.indexes(*oid), cost::scan(rel.rows))
         }
-        RelSource::Derived { rows, cost: inner_cost, .. } => {
-            let sel = est.conjunct_selectivity(local, *rows);
-            let filtered = (rows * sel).max(0.01);
-            let node = PhysNode::DerivedScan {
-                qt: m.qt,
-                preds: local.to_vec(),
-                rows: filtered,
-                cost: *inner_cost,
+        RelSource::Derived { rows, cost, .. } => (*rows, Vec::new(), *cost),
+    };
+    let rows = match observed {
+        Some(rows) => rows.max(0.01),
+        None => (n * est.conjunct_selectivity(local, n)).max(0.01),
+    };
+    let (qt, preds) = (m.qt, local.to_vec());
+    let whole = match m.source {
+        RelSource::Base { .. } => PhysNode::Scan { qt, preds, rows, cost, group },
+        RelSource::Derived { .. } => PhysNode::DerivedScan { qt, preds, rows, cost, group },
+    };
+    let mut leaf: Props<Option<(PhysNode, f64)>> = [Some((whole, cost)), None];
+    let mut offer = |prop: Prop, cost: f64, node: &dyn Fn() -> PhysNode| {
+        let best = &mut leaf[prop as usize];
+        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+            *best = Some((node(), cost));
+        }
+    };
+    let rest =
+        |consumed: &[Expr]| local.iter().filter(|p| !consumed.contains(p)).cloned().collect();
+    for ix in &indexes {
+        let Some(&lead) = ix.columns.first() else { continue };
+        if let Some(range) = column_range(local, qt, lead) {
+            let cost = cost::range(n * est.conjunct_selectivity(&range.consumed, n));
+            offer(Prop::Any, cost, &|| PhysNode::IndexRange {
+                qt,
+                index: ix.position,
+                lo: range.lo.clone(),
+                hi: range.hi.clone(),
+                consumed: range.consumed.clone(),
+                preds: rest(&range.consumed),
+                rows,
+                cost,
                 group,
-            };
-            Ok((*rows, node, *inner_cost, Vec::new(), None))
+            });
+        }
+        // A full ordered index scan delivers (all-ascending) required keys
+        // that are a prefix of the index's columns — forward B-tree
+        // iteration only, no backward scans.
+        if !req.is_empty()
+            && req.iter().all(|k| !k.desc)
+            && ix.columns.len() >= req.len()
+            && req.iter().zip(&ix.columns).all(|(k, &c)| k.col == c)
+        {
+            let cost = cost::ordered_scan(n);
+            offer(Prop::Ordered, cost, &|| PhysNode::IndexScan {
+                qt,
+                index: ix.position,
+                preds: local.to_vec(),
+                rows,
+                cost,
+                group,
+            });
         }
     }
-}
-
-/// `col(qt, c) = key` in either orientation, `key` free of `qt` → `(c, key)`.
-fn eq_col_key(p: &Expr, qt: usize) -> Option<(usize, &Expr)> {
-    if let Expr::Binary { op: BinOp::Eq, left, right } = p {
-        for (a, b) in [(left, right), (right, left)] {
-            if let Expr::Column(c) = a.as_ref() {
-                if c.table == qt && !b.referenced_tables().contains(&qt) {
-                    return Some((c.col, b));
+    // Cost-based IN-list rewrite: probe the index once per listed value
+    // instead of scanning, and let the cost model choose. Probe keys are
+    // sorted ascending and deduplicated, so the concatenated lookups also
+    // deliver the leading column ascending.
+    for ix in &indexes {
+        let Some(&lead) = ix.columns.first() else { continue };
+        for p in local {
+            let Expr::InList { expr, list, negated: false } = p else { continue };
+            if !matches!(expr.as_ref(), Expr::Column(c) if c.table == qt && c.col == lead) {
+                continue;
+            }
+            // Non-literal elements defeat a static probe list; NULL
+            // elements never produce a match under `=` and drop out (rows
+            // matching no element go from FALSE to UNKNOWN — filtered
+            // either way).
+            let mut vals: Vec<Value> = Vec::with_capacity(list.len());
+            let all_literal = list.iter().all(|e| match e {
+                Expr::Literal(v) => {
+                    if !v.is_null() {
+                        vals.push(v.clone());
+                    }
+                    true
                 }
+                _ => false,
+            });
+            if !all_literal || vals.is_empty() {
+                continue;
+            }
+            vals.sort_by(|a, b| a.total_cmp(b));
+            vals.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
+            let per = (n / est.ndv(ColRef { table: qt, col: lead }).max(1.0)).max(0.5);
+            let cost = cost::lookups(vals.len() as f64, per);
+            let consumed = std::slice::from_ref(p);
+            let node = || PhysNode::InListProbes {
+                qt,
+                index: ix.position,
+                keys: vals.iter().map(|v| Expr::Literal(v.clone())).collect(),
+                consumed: consumed.to_vec(),
+                preds: rest(consumed),
+                rows,
+                cost,
+                group,
+            };
+            offer(Prop::Any, cost, &node);
+            if matches!(req, [key] if !key.desc && key.col == lead) {
+                offer(Prop::Ordered, cost, &node);
             }
         }
     }
-    None
+    // Sort-ahead: a Sort enforcer over the cheapest access delivers any
+    // required order, and wins ties.
+    if let ([Some((any, any_cost)), ordered], false) = (&mut leaf, req.is_empty()) {
+        let cost = *any_cost + cost::sort(rows);
+        if ordered.as_ref().is_none_or(|(_, c)| cost <= *c) {
+            let (input, keys) = (Box::new(any.clone()), req.to_vec());
+            *ordered = Some((PhysNode::Sort { input, keys, rows, cost, group }, cost));
+        }
+    }
+    Ok((n, rows, leaf, indexes))
 }
 
 #[cfg(test)]

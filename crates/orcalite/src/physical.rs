@@ -147,20 +147,6 @@ impl PhysNode {
         }
     }
 
-    pub fn group(&self) -> usize {
-        match self {
-            PhysNode::Scan { group, .. }
-            | PhysNode::IndexRange { group, .. }
-            | PhysNode::IndexScan { group, .. }
-            | PhysNode::InListProbes { group, .. }
-            | PhysNode::IndexLookup { group, .. }
-            | PhysNode::DerivedScan { group, .. }
-            | PhysNode::NLJoin { group, .. }
-            | PhysNode::HashJoin { group, .. }
-            | PhysNode::Sort { group, .. } => *group,
-        }
-    }
-
     /// `(nested loop count, hash join count)` — the Fig 4/5 statistic.
     pub fn join_method_counts(&self) -> (usize, usize) {
         match self {
@@ -299,10 +285,6 @@ pub struct OrcaPlan {
     /// GbAgg pushed below a join) — the host must fall back to its own
     /// optimizer (§4.2.1).
     pub changed_block_structure: bool,
-    /// Degree of parallelism the cost model chose for this plan (1 =
-    /// serial; see [`crate::cost::choose_dop`]). The host's refinement
-    /// places the actual exchange operators.
-    pub dop: usize,
 }
 
 #[cfg(test)]

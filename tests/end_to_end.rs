@@ -7,7 +7,7 @@
 use taurus_orca::bridge::OrcaOptimizer;
 use taurus_orca::catalog::Catalog;
 use taurus_orca::common::{Column, DataType, Schema, Value};
-use taurus_orca::mylite::{Engine, MySqlOptimizer, SessionOpts};
+use taurus_orca::mylite::{CostBasedOptimizer, Engine, MySqlOptimizer, SessionOpts};
 use taurus_orca::orcalite::{JoinOrderStrategy, OrcaConfig};
 use taurus_orca::workloads::{tpcds, tpch, Scale};
 
@@ -167,6 +167,42 @@ fn correlated_not_in_reads_an_unknown_correlation_as_no_row() {
         detour.sort_by(|a, b| a[0].total_cmp(&b[0]));
         assert_eq!(mysql, want, "MySQL: {sql}");
         assert_eq!(detour, want, "Orca: {sql}");
+    }
+}
+
+#[test]
+fn index_ranges_with_two_bounds_on_one_side_keep_the_second_as_a_filter() {
+    // `t(a)` and `s(a)` both hold a = 0..100; only `t` has an index on `a`,
+    // so `s` answers by table scan. A range takes the first bound per side;
+    // a conjunct offering a bound it does not get stays a filter.
+    let mut cat = Catalog::new();
+    for name in ["t", "s"] {
+        let id =
+            cat.create_table(name, Schema::new(vec![Column::new("a", DataType::Int)])).unwrap();
+        cat.insert(id, (0..100i64).map(|a| vec![Value::Int(a)])).unwrap();
+        if name == "t" {
+            cat.create_index(id, "t_a", vec![0], false).unwrap();
+        }
+    }
+    let mut engine = Engine::new(cat);
+    engine.analyze();
+    let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
+    let cases = [
+        ("a >= 35 AND a BETWEEN 24 AND 54", 20),
+        ("a < 5 AND a < 50", 5),
+        ("a = 7 AND a = 8", 0),
+        // Selective enough that the range [85, 90] stays the cheaper access.
+        ("a >= 85 AND a BETWEEN 24 AND 90", 6),
+    ];
+    for (pred, want) in cases {
+        let reference = engine.query(&format!("SELECT a FROM s WHERE {pred}")).unwrap().rows;
+        assert_eq!(reference.len(), want, "table scan: {pred}");
+        let sql = format!("SELECT a FROM t WHERE {pred}");
+        for (name, opt) in [("MySQL", &MySqlOptimizer as &dyn CostBasedOptimizer), ("Orca", &orca)]
+        {
+            let got = engine.query_with(&sql, opt).unwrap().rows;
+            assert_eq!(canon(got), canon(reference.clone()), "{name}: {pred}");
+        }
     }
 }
 
