@@ -767,9 +767,7 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
         // themselves (the fragment's operators already counted every row).
         // Returning early — skipping the emit bump below — keeps a parallel
         // plan's total work_units identical to the serial plan's, so the
-        // harness speedup is pure critical-path math. The per-row transfer
-        // overhead an exchange does impose is modeled in the cost model
-        // (`TRANSFER_ROW`), not in runtime work counters.
+        // harness speedup is pure critical-path math.
         Plan::Exchange { kind, input, dop, .. } => {
             return match kind {
                 ExchangeKind::Gather | ExchangeKind::GatherMerge => {
