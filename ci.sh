@@ -50,7 +50,8 @@ cargo run --release --offline --manifest-path perf/Cargo.toml -- smoke
 echo "== size: Rust lines per crate (reported, not gated)"
 # The measure every "net-negative" claim in CHANGES.md uses: all .rs lines
 # under the crate, and of those the non-test ones — src/ files up to their
-# first #[cfg(test)].
+# first #[cfg(test)]. `total` covers crates/; the root tier-1 tests/ and the
+# examples/ get a row each, and `all` adds them to it.
 non_test='FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
 printf '%-12s %7s %9s\n' crate lines non-test
 for c in crates/*; do
@@ -61,5 +62,9 @@ done
 printf '%-12s %7s %9s\n' total \
     "$(find crates -name '*.rs' -exec cat {} + | wc -l)" \
     "$(find crates/*/src -name '*.rs' -exec awk "$non_test" {} +)"
+for d in tests examples; do
+    printf '%-12s %7s %9s\n' "$d/" "$(find "$d" -name '*.rs' -exec cat {} + | wc -l)" -
+done
+printf '%-12s %7s %9s\n' all "$(find crates tests examples -name '*.rs' -exec cat {} + | wc -l)" -
 
 echo "CI OK"

@@ -36,8 +36,6 @@ pub struct FeedbackReport {
     /// Re-optimization q-error threshold the engines ran with.
     pub threshold: f64,
     pub per_template: Vec<FeedbackMeasurement>,
-    /// Router-side re-optimization count summed over both workloads.
-    pub router_reoptimized: u64,
     /// Plan-cache re-optimization evictions summed over both workloads.
     pub cache_reoptimizations: u64,
 }
@@ -66,8 +64,8 @@ impl FeedbackReport {
     ///   guarantee (same observations never re-optimize twice);
     /// * at least one bad actor must exist — the loop must have something
     ///   to demonstrate on;
-    /// * router and plan-cache re-optimization counters must agree with
-    ///   the per-template outcomes.
+    /// * the plan cache's re-optimization counter must agree with the
+    ///   per-template outcomes.
     ///
     /// Note the first serve of a template is not necessarily a cache miss:
     /// generated templates that differ only in literals share a fingerprint
@@ -113,10 +111,10 @@ impl FeedbackReport {
             return Err("no template exceeded the threshold; nothing demonstrated".to_string());
         }
         let n = self.reoptimized() as u64;
-        if self.router_reoptimized != n || self.cache_reoptimizations != n {
+        if self.cache_reoptimizations != n {
             return Err(format!(
-                "re-optimization counters disagree: {} outcomes, router {}, cache {}",
-                n, self.router_reoptimized, self.cache_reoptimizations
+                "re-optimization counter disagrees: {} outcomes, cache {}",
+                n, self.cache_reoptimizations
             ));
         }
         Ok(())
@@ -157,7 +155,6 @@ pub fn run_feedback(scale: Scale) -> FeedbackReport {
     FeedbackReport {
         threshold,
         per_template,
-        router_reoptimized: beds.iter().map(|b| b.orca.stats().reoptimized).sum(),
         cache_reoptimizations: beds
             .iter()
             .map(|b| b.engine.plan_cache_stats().reoptimizations)

@@ -26,7 +26,7 @@ pub struct GovernanceReport {
     /// Runs over the injected memory budget even at the serial rung.
     pub memory_exceeded: usize,
     /// Over-budget runs rescued by the engine's retry at dop=1 (from the
-    /// routers' governed counters).
+    /// engines' governed counters).
     pub memory_degraded: u64,
     /// Executions that panicked instead of failing typed. Must be zero.
     pub panics: usize,
@@ -171,7 +171,7 @@ pub fn run_governance(scale: Scale, injections: usize) -> GovernanceReport {
             }
         }
     }
-    report.memory_degraded = beds.iter().map(|b| b.orca.stats().governed.memory_degraded).sum();
+    report.memory_degraded = beds.iter().map(|b| b.engine.governed_stats().memory_degraded).sum();
     report
 }
 

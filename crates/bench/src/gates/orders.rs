@@ -98,9 +98,10 @@ pub fn run_orders(scale: Scale) -> OrdersReport {
         let engine = &bed.engine;
         let sorts_and_plans_costed = |orca: &OrcaOptimizer| {
             let plan = engine.plan(&q.sql, &MySqlOptimizer).expect("workload query must plan");
-            engine.plan(&q.sql, orca).expect("workload query must plan");
+            let routed = engine.plan(&q.sql, orca).expect("workload query must plan");
             let sorts = mylite::orders::count_sorts(&plan.primary().plan);
-            (sorts, orca.last_search_stats().plans_costed)
+            let searches = routed.branches.iter().filter_map(|b| b.skeleton.search.as_ref());
+            (sorts, searches.map(|t| t.plans_costed).sum::<u64>())
         };
         engine.set_dop(1);
         engine.set_order_opt(false);

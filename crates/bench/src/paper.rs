@@ -22,7 +22,7 @@ use crate::plumbing::{md_table, median, testbeds, time_query, Testbed};
 use crate::registry::{Env, Outcome};
 use crate::Workload;
 use mylite::engine::CostBasedOptimizer;
-use mylite::{Engine, MySqlOptimizer, SessionOpts};
+use mylite::{Engine, GovernedCounts, MySqlOptimizer, SessionOpts};
 use orcalite::{JoinOrderStrategy, OrcaConfig, SearchStats};
 use std::fmt::Write;
 use std::time::{Duration, Instant};
@@ -451,6 +451,8 @@ pub struct RoutingReport {
     pub strategy: JoinOrderStrategy,
     pub queries: usize,
     pub stats: RouterStats,
+    /// The testbed engine's governed-execution outcomes.
+    pub governed: GovernedCounts,
 }
 
 /// Plan every template of `bed` through its router and collect the
@@ -464,13 +466,14 @@ pub fn run_routing(bed: &Testbed) -> RoutingReport {
         strategy: bed.orca.config.strategy,
         queries: bed.queries.len(),
         stats: bed.orca.stats(),
+        governed: bed.engine.governed_stats(),
     }
 }
 
 /// Format a routing report as a markdown table: one row per routing path,
 /// then one row per fallback reason (the taxonomy the router records).
 pub fn format_routing_table(report: &RoutingReport) -> String {
-    let s = &report.stats;
+    let (s, g) = (&report.stats, &report.governed);
     // The three routing paths always print; every other row only when it fired.
     let mut rows = vec![
         format!("routed to Orca | {}", s.routed),
@@ -487,10 +490,10 @@ pub fn format_routing_table(report: &RoutingReport) -> String {
     }
     fired("blocks rescued by the degradation ladder".into(), s.degraded);
     for (label, n) in [
-        ("cancelled", s.governed.cancelled),
-        ("deadline exceeded", s.governed.deadline_exceeded),
-        ("memory exceeded", s.governed.memory_exceeded),
-        ("retried serial under memory pressure", s.governed.memory_degraded),
+        ("cancelled", g.cancelled),
+        ("deadline exceeded", g.deadline_exceeded),
+        ("memory exceeded", g.memory_exceeded),
+        ("retried serial under memory pressure", g.memory_degraded),
     ] {
         fired(format!("— governed at execution: {label}"), n);
     }

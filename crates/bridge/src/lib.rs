@@ -35,5 +35,5 @@ pub mod tree_converter;
 pub mod validate;
 
 pub use provider::MySqlMdProvider;
-pub use router::{FallbackCounts, FallbackReason, GovernedCounts, OrcaOptimizer, RouterStats};
+pub use router::{FallbackCounts, FallbackReason, OrcaOptimizer, RouterStats};
 pub use validate::validate_skeleton;

@@ -30,7 +30,7 @@ use crate::provider::MySqlMdProvider;
 use crate::tree_converter::{convert_block, InnerEstimates};
 use crate::validate::validate_skeleton;
 use mylite::bound::{BoundQuery, BoundStatement, TableSource};
-use mylite::engine::{CostBasedOptimizer, ExecFaults, GovernedOutcome, MySqlOptimizer};
+use mylite::engine::{CostBasedOptimizer, MySqlOptimizer};
 use mylite::skeleton::{SearchTrace, Skeleton};
 use orcalite::config::{FaultSite, JoinOrderStrategy, OrcaConfig};
 use orcalite::desc::BlockDesc;
@@ -40,10 +40,11 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use taurus_catalog::feedback::CardOverrides;
 use taurus_catalog::Catalog;
 use taurus_common::error::{Error, Result};
+use taurus_common::sync::lock;
 
 /// Why an Orca detour was abandoned for the native optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,21 +61,15 @@ pub enum FallbackReason {
     /// Orca changed the query-block structure (§4.2.1), which MySQL's
     /// refinement cannot express.
     ChangedBlockStructure,
-    /// Execution (not planning) exceeded its memory budget even after the
-    /// engine's serial-retry degradation rung — the governor gave up on the
-    /// statement. Recorded here so resource abandonment shares the fallback
-    /// taxonomy the routing report and EXPLAIN banners already surface.
-    MemoryExceeded,
 }
 
 impl FallbackReason {
-    pub const ALL: [FallbackReason; 6] = [
+    pub const ALL: [FallbackReason; 5] = [
         FallbackReason::Unsupported,
         FallbackReason::BudgetExhausted,
         FallbackReason::Panicked,
         FallbackReason::InvalidSkeleton,
         FallbackReason::ChangedBlockStructure,
-        FallbackReason::MemoryExceeded,
     ];
 
     /// Stable name used in EXPLAIN banners and the bench routing table.
@@ -85,7 +80,6 @@ impl FallbackReason {
             FallbackReason::Panicked => "panicked",
             FallbackReason::InvalidSkeleton => "invalid-skeleton",
             FallbackReason::ChangedBlockStructure => "changed-block-structure",
-            FallbackReason::MemoryExceeded => "memory-exceeded",
         }
     }
 }
@@ -98,7 +92,6 @@ pub struct FallbackCounts {
     pub panicked: u64,
     pub invalid_skeleton: u64,
     pub changed_block_structure: u64,
-    pub memory_exceeded: u64,
 }
 
 impl FallbackCounts {
@@ -109,7 +102,6 @@ impl FallbackCounts {
             FallbackReason::Panicked => self.panicked,
             FallbackReason::InvalidSkeleton => self.invalid_skeleton,
             FallbackReason::ChangedBlockStructure => self.changed_block_structure,
-            FallbackReason::MemoryExceeded => self.memory_exceeded,
         }
     }
 
@@ -124,37 +116,14 @@ impl FallbackCounts {
             FallbackReason::Panicked => self.panicked += 1,
             FallbackReason::InvalidSkeleton => self.invalid_skeleton += 1,
             FallbackReason::ChangedBlockStructure => self.changed_block_structure += 1,
-            FallbackReason::MemoryExceeded => self.memory_exceeded += 1,
         }
     }
 }
 
-/// Per-outcome counters for executions run under the engine's query
-/// governor: how governed statements ended when governance intervened.
-/// `memory_degraded` counts rescues (the serial retry succeeded — not a
-/// failure); the other three count statements that surfaced a typed
-/// governance error to their caller.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GovernedCounts {
-    /// Executions stopped by [`mylite::Engine::cancel`] or a cancel fault.
-    pub cancelled: u64,
-    /// Executions that outran their wall-clock deadline.
-    pub deadline_exceeded: u64,
-    /// Executions over their memory budget even at the serial rung (each
-    /// also bumps [`FallbackCounts::memory_exceeded`]).
-    pub memory_exceeded: u64,
-    /// Parallel executions over budget that completed after the engine's
-    /// retry at dop=1 / GREEDY-equivalent serial plan.
-    pub memory_degraded: u64,
-}
-
-impl GovernedCounts {
-    pub fn total(&self) -> u64 {
-        self.cancelled + self.deadline_exceeded + self.memory_exceeded + self.memory_degraded
-    }
-}
-
-/// Routing counters (inspected by tests and the bench harness).
+/// Routing counters (inspected by tests and the bench harness). Each
+/// statement the router planned lands in exactly one of `routed`,
+/// `below_threshold` and `fallbacks`; what happens at execution is the
+/// engine's to count ([`mylite::Engine::governed_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RouterStats {
     /// Statements optimized by Orca end to end.
@@ -172,36 +141,15 @@ pub struct RouterStats {
     /// Cumulative search effort over every Orca optimization this router
     /// performed (groups, group expressions, rules, plans costed).
     pub search: SearchStats,
-    /// Governance outcomes of executions routed through this optimizer
-    /// (cancellations, deadline and memory-budget trips, serial-retry
-    /// rescues).
-    pub governed: GovernedCounts,
-    /// Cached statements the engine re-optimized through this backend with
-    /// runtime feedback (observed cardinalities) injected.
-    pub reoptimized: u64,
 }
 
-/// A classified detour failure: the fallback reason plus the underlying
-/// error text (kept for diagnostics; the reason drives behaviour).
-struct DetourFail {
-    reason: FallbackReason,
-    detail: String,
-}
-
-impl DetourFail {
-    fn new(reason: FallbackReason, err: &Error) -> DetourFail {
-        DetourFail { reason, detail: err.to_string() }
-    }
-
-    /// Budget errors keep their identity; everything else is "the detour
-    /// could not handle it".
-    fn classify(err: Error) -> DetourFail {
-        let reason = if err.is_resource_exhausted() {
-            FallbackReason::BudgetExhausted
-        } else {
-            FallbackReason::Unsupported
-        };
-        DetourFail::new(reason, &err)
+/// Classify a detour error: budget errors keep their identity; everything
+/// else is "the detour could not handle it".
+fn classify(err: Error) -> FallbackReason {
+    if err.is_resource_exhausted() {
+        FallbackReason::BudgetExhausted
+    } else {
+        FallbackReason::Unsupported
     }
 }
 
@@ -219,7 +167,7 @@ impl TraceAcc {
     /// the larger of the groups and plans-costed fractions against the
     /// *configured* budget (a fault-squeezed budget still reports against
     /// the configured one — the trace describes the session's settings).
-    fn into_trace(self, cfg: &OrcaConfig) -> SearchTrace {
+    fn into_trace(self, cfg: &OrcaConfig, md_traffic: (u64, u64)) -> SearchTrace {
         let frac = |used: f64, cap: f64| if cap <= 0.0 { 1.0 } else { (used / cap).min(1.0) };
         let budget_used = frac(self.stats.groups as f64, cfg.budget.max_groups as f64)
             .max(frac(self.stats.plans_costed as f64, cfg.budget.max_plans_costed as f64));
@@ -232,6 +180,7 @@ impl TraceAcc {
             budget_used,
             rung: self.rung,
             strategy: self.strategy,
+            md_traffic,
         }
     }
 }
@@ -266,25 +215,9 @@ fn ladder(strategy: JoinOrderStrategy) -> &'static [JoinOrderStrategy] {
     }
 }
 
-/// Lock a mutex, recovering the data if a previous holder panicked — the
-/// router's side-state is plain counters, so a poisoned guard is still
-/// structurally sound.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The Orca-backed cost-based optimizer.
+/// The Orca-backed cost-based optimizer. It keeps no per-statement state:
+/// what one statement's planning found rides on its skeleton
+/// (`orca_fallback`, `search`); the router keeps only routing counters.
 pub struct OrcaOptimizer {
     pub config: OrcaConfig,
     /// The §4.1 "complex query threshold": minimum table-reference count
@@ -292,16 +225,9 @@ pub struct OrcaOptimizer {
     pub complex_query_threshold: usize,
     routed: AtomicU64,
     below: AtomicU64,
-    fallbacks: AtomicU64,
     reasons: Mutex<FallbackCounts>,
-    governed: Mutex<GovernedCounts>,
     degraded: AtomicU64,
-    last_fallback: Mutex<Option<FallbackReason>>,
-    last_search: Mutex<SearchStats>,
     total_search: Mutex<SearchStats>,
-    last_trace: Mutex<Option<SearchTrace>>,
-    last_md_traffic: Mutex<(u64, u64)>,
-    reoptimized: AtomicU64,
 }
 
 impl Default for OrcaOptimizer {
@@ -317,65 +243,22 @@ impl OrcaOptimizer {
             complex_query_threshold,
             routed: AtomicU64::new(0),
             below: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
             reasons: Mutex::new(FallbackCounts::default()),
-            governed: Mutex::new(GovernedCounts::default()),
             degraded: AtomicU64::new(0),
-            last_fallback: Mutex::new(None),
-            last_search: Mutex::new(SearchStats::default()),
             total_search: Mutex::new(SearchStats::default()),
-            last_trace: Mutex::new(None),
-            last_md_traffic: Mutex::new((0, 0)),
-            reoptimized: AtomicU64::new(0),
         }
     }
 
     pub fn stats(&self) -> RouterStats {
+        let reasons = *lock(&self.reasons);
         RouterStats {
             routed: self.routed.load(Ordering::Relaxed),
             below_threshold: self.below.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            reasons: *lock(&self.reasons),
+            fallbacks: reasons.total(),
+            reasons,
             degraded: self.degraded.load(Ordering::Relaxed),
             search: *lock(&self.total_search),
-            governed: *lock(&self.governed),
-            reoptimized: self.reoptimized.load(Ordering::Relaxed),
         }
-    }
-
-    /// Search trace of the most recent Orca optimization (all blocks
-    /// summed), as attached to its skeleton and EXPLAIN output.
-    pub fn last_search_trace(&self) -> Option<SearchTrace> {
-        lock(&self.last_trace).clone()
-    }
-
-    /// Reason for the most recent fallback, if the last routed statement
-    /// fell back (cleared on each Orca success).
-    pub fn last_fallback(&self) -> Option<FallbackReason> {
-        *lock(&self.last_fallback)
-    }
-
-    /// Memo statistics of the most recent Orca optimization (all blocks
-    /// summed) — the Table 1 effort metric.
-    pub fn last_search_stats(&self) -> SearchStats {
-        *lock(&self.last_search)
-    }
-
-    /// Metadata-cache traffic `(provider round-trips, cache hits)` of the
-    /// most recent Orca optimization. One [`MdCache`] now spans the whole
-    /// statement — every block and every degradation-ladder rung — so
-    /// re-optimizing a block at a cheaper strategy re-reads metadata from
-    /// memory instead of the provider (§5.7).
-    ///
-    /// [`MdCache`]: orcalite::MdCache
-    pub fn last_md_traffic(&self) -> (u64, u64) {
-        *lock(&self.last_md_traffic)
-    }
-
-    fn note_fallback(&self, reason: FallbackReason) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        lock(&self.reasons).bump(reason);
-        *lock(&self.last_fallback) = Some(reason);
     }
 
     fn orca_optimize(
@@ -383,11 +266,12 @@ impl OrcaOptimizer {
         catalog: &Catalog,
         bound: &BoundStatement,
         fb: Option<&CardOverrides>,
-    ) -> std::result::Result<Skeleton, DetourFail> {
+    ) -> std::result::Result<Skeleton, FallbackReason> {
         let provider = MySqlMdProvider::new(catalog);
         // One metadata cache for the whole statement: all blocks and all
         // degradation-ladder rungs share it, so the provider is consulted
-        // at most once per (relation, statistics, indexes) key.
+        // at most once per (relation, statistics, indexes) key (§5.7); its
+        // traffic rides on the trace.
         let md = MdCache::new(&provider);
         // Observed-cardinality overrides ride the metadata cache: the memo
         // search consults them before the statistics-based estimates.
@@ -408,19 +292,8 @@ impl OrcaOptimizer {
             fb,
             &mut acc,
         )?;
-        *lock(&self.last_search) = acc.stats;
-        {
-            let mut cum = lock(&self.total_search);
-            cum.groups += acc.stats.groups;
-            cum.splits_explored += acc.stats.splits_explored;
-            cum.plans_costed += acc.stats.plans_costed;
-            cum.rules_applied += acc.stats.rules_applied;
-            cum.rules_hit += acc.stats.rules_hit;
-        }
-        *lock(&self.last_md_traffic) = md.traffic();
-        let trace = acc.into_trace(&self.config);
-        *lock(&self.last_trace) = Some(trace.clone());
-        skeleton.search = Some(trace);
+        *lock(&self.total_search) += acc.stats;
+        skeleton.search = Some(acc.into_trace(&self.config, md.traffic()));
         Ok(skeleton)
     }
 
@@ -432,8 +305,7 @@ impl OrcaOptimizer {
         &self,
         desc: &BlockDesc,
         md: &MdCache<'_>,
-    ) -> std::result::Result<(OrcaPlan, usize, JoinOrderStrategy), DetourFail> {
-        let mut exhausted: Option<Error> = None;
+    ) -> std::result::Result<(OrcaPlan, usize, JoinOrderStrategy), FallbackReason> {
         for (rung, &strategy) in ladder(self.config.strategy).iter().enumerate() {
             let cfg = OrcaConfig { strategy, ..self.config.clone() };
             match orcalite::optimize_block_cached(desc, md, &cfg) {
@@ -443,14 +315,12 @@ impl OrcaOptimizer {
                     }
                     return Ok((plan, rung, strategy));
                 }
-                Err(e) if e.is_resource_exhausted() => exhausted = Some(e),
-                Err(e) => return Err(DetourFail::classify(e)),
+                Err(e) if e.is_resource_exhausted() => {}
+                Err(e) => return Err(classify(e)),
             }
         }
-        // Ladders are non-empty, so reaching here means the final rung
-        // exhausted the budget too.
-        let e = exhausted.unwrap_or_else(|| Error::resource_exhausted("search budget", 0));
-        Err(DetourFail::new(FallbackReason::BudgetExhausted, &e))
+        // Every rung exhausted the budget.
+        Err(FallbackReason::BudgetExhausted)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -463,7 +333,7 @@ impl OrcaOptimizer {
         outer: &BTreeSet<usize>,
         fb: Option<&CardOverrides>,
         acc: &mut TraceAcc,
-    ) -> std::result::Result<Skeleton, DetourFail> {
+    ) -> std::result::Result<Skeleton, FallbackReason> {
         let faults = &self.config.faults;
         // Derived members' inner blocks first (bottom-up).
         let mut inner_estimates = InnerEstimates::new();
@@ -486,16 +356,12 @@ impl OrcaOptimizer {
             }
         }
 
-        faults.fire(FaultSite::TreeConvert).map_err(DetourFail::classify)?;
-        let (desc, _oids) = convert_block(bound, block, provider, &inner_estimates, outer)
-            .map_err(DetourFail::classify)?;
+        faults.fire(FaultSite::TreeConvert).map_err(classify)?;
+        let (desc, _oids) =
+            convert_block(bound, block, provider, &inner_estimates, outer).map_err(classify)?;
 
         let (plan, rung, strategy) = self.optimize_with_ladder(&desc, md)?;
-        acc.stats.groups += plan.stats.groups;
-        acc.stats.splits_explored += plan.stats.splits_explored;
-        acc.stats.plans_costed += plan.stats.plans_costed;
-        acc.stats.rules_applied += plan.stats.rules_applied;
-        acc.stats.rules_hit += plan.stats.rules_hit;
+        acc.stats += plan.stats;
         // The statement's trace reports the deepest rung any block needed,
         // and among its blocks a capped one.
         if rung > acc.rung || (rung == acc.rung && plan.strategy != strategy) {
@@ -503,27 +369,21 @@ impl OrcaOptimizer {
             acc.strategy = ran_as(strategy, plan.strategy, self.config.bushy_member_cap);
         }
         if plan.changed_block_structure {
-            return Err(DetourFail {
-                reason: FallbackReason::ChangedBlockStructure,
-                detail: "Orca changed the query block structure (§4.2.1)".to_string(),
-            });
+            return Err(FallbackReason::ChangedBlockStructure); // §4.2.1
         }
 
-        faults.fire(FaultSite::PlanConvert).map_err(DetourFail::classify)?;
-        let skeleton = to_skeleton(&plan, block, &inner_skeletons).map_err(|e| {
-            // The plan converter's own fallback errors are exactly its
-            // block-structure checks; anything else is unexpected.
-            let reason = match &e {
-                Error::OrcaFallback(_) => FallbackReason::ChangedBlockStructure,
-                _ => FallbackReason::Unsupported,
-            };
-            DetourFail::new(reason, &e)
+        faults.fire(FaultSite::PlanConvert).map_err(classify)?;
+        // The plan converter's own fallback errors are exactly its
+        // block-structure checks; anything else is unexpected.
+        let skeleton = to_skeleton(&plan, block, &inner_skeletons).map_err(|e| match e {
+            Error::OrcaFallback(_) => FallbackReason::ChangedBlockStructure,
+            _ => FallbackReason::Unsupported,
         })?;
 
         faults
             .fire(FaultSite::SkeletonValidate)
             .and_then(|()| validate_skeleton(&skeleton, block, bound))
-            .map_err(|e| DetourFail::new(FallbackReason::InvalidSkeleton, &e))?;
+            .map_err(|_| FallbackReason::InvalidSkeleton)?;
         Ok(skeleton)
     }
 
@@ -548,25 +408,20 @@ impl OrcaOptimizer {
         // The whole detour is panic-isolated: `OrcaOptimizer` only holds
         // atomics and mutex-guarded plain counters (locks are recovered
         // from poisoning), so observing a partially-updated state after an
-        // unwind is benign (at worst a stale last_search snapshot), which
-        // is what makes the `AssertUnwindSafe` sound.
+        // unwind is benign, which is what makes the `AssertUnwindSafe`
+        // sound.
         let attempt = catch_unwind(AssertUnwindSafe(|| self.orca_optimize(catalog, bound, fb)));
-        let fail = match attempt {
+        let reason = match attempt {
             Ok(Ok(skeleton)) => {
                 self.routed.fetch_add(1, Ordering::Relaxed);
-                *lock(&self.last_fallback) = None;
                 return Ok(skeleton);
             }
-            Ok(Err(fail)) => fail,
-            Err(payload) => DetourFail {
-                reason: FallbackReason::Panicked,
-                detail: panic_text(payload.as_ref()),
-            },
+            Ok(Err(reason)) => reason,
+            Err(_) => FallbackReason::Panicked,
         };
-        let _ = fail.detail; // reason drives behaviour; detail is for debuggers
-        self.note_fallback(fail.reason);
+        lock(&self.reasons).bump(reason);
         let mut skeleton = native(catalog, bound)?;
-        skeleton.orca_fallback = Some(fail.reason.name().to_string());
+        skeleton.orca_fallback = Some(reason.name().to_string());
         Ok(skeleton)
     }
 }
@@ -591,40 +446,6 @@ impl CostBasedOptimizer for OrcaOptimizer {
         fb: &CardOverrides,
     ) -> Result<Skeleton> {
         self.route(catalog, bound, Some(fb))
-    }
-
-    fn note_reoptimized(&self) {
-        self.reoptimized.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The engine consults this when it builds a statement's governor: an
-    /// armed [`FaultSite::ExecGovernor`] fault becomes a forced cancel
-    /// point or memory clamp on every execution routed through this
-    /// optimizer.
-    fn exec_faults(&self) -> Option<ExecFaults> {
-        let faults = &self.config.faults;
-        let ef =
-            ExecFaults { cancel_after: faults.cancel_point(), memory_clamp: faults.memory_clamp() };
-        (ef != ExecFaults::default()).then_some(ef)
-    }
-
-    /// Governance outcome attribution. A statement the governor gave up on
-    /// for memory joins the fallback taxonomy (`memory-exceeded`), so the
-    /// routing report's `reasons.total() == fallbacks` invariant covers
-    /// execution-time abandonment too.
-    fn note_governed(&self, outcome: GovernedOutcome) {
-        {
-            let mut g = lock(&self.governed);
-            match outcome {
-                GovernedOutcome::Cancelled => g.cancelled += 1,
-                GovernedOutcome::DeadlineExceeded => g.deadline_exceeded += 1,
-                GovernedOutcome::MemoryExceeded => g.memory_exceeded += 1,
-                GovernedOutcome::MemoryDegraded => g.memory_degraded += 1,
-            }
-        }
-        if outcome == GovernedOutcome::MemoryExceeded {
-            self.note_fallback(FallbackReason::MemoryExceeded);
-        }
     }
 }
 
@@ -684,6 +505,16 @@ mod tests {
     const THREE_WAY: &str = "SELECT v, name, name2 FROM fact, dim1, dim2 \
                              WHERE fk = pk AND k2 = pk2 AND v < 500";
 
+    /// The search trace `sql`'s routed plan carries.
+    fn routed_trace(e: &Engine, sql: &str, orca: &OrcaOptimizer) -> SearchTrace {
+        let planned = e.plan(sql, orca).unwrap();
+        planned.primary().skeleton.search.clone().expect("a routed plan carries a trace")
+    }
+
+    fn plans_costed(e: &Engine, orca: &OrcaOptimizer) -> u64 {
+        routed_trace(e, THREE_WAY, orca).plans_costed
+    }
+
     #[test]
     fn routed_query_gets_orca_assisted_skeleton() {
         let e = engine();
@@ -691,7 +522,7 @@ mod tests {
         let planned = e.plan(THREE_WAY, &orca).unwrap();
         assert!(planned.primary().skeleton.orca_assisted);
         assert_eq!(orca.stats().routed, 1);
-        assert!(orca.last_search_stats().groups > 0);
+        assert!(planned.primary().skeleton.search.as_ref().unwrap().groups > 0);
     }
 
     #[test]
@@ -734,7 +565,6 @@ mod tests {
         assert_eq!(orca.stats().fallbacks, 1);
         assert_eq!(orca.stats().reasons.changed_block_structure, 1);
         assert_eq!(orca.stats().reasons.total(), orca.stats().fallbacks);
-        assert_eq!(orca.last_fallback(), Some(FallbackReason::ChangedBlockStructure));
         assert_eq!(
             planned.primary().skeleton.orca_fallback.as_deref(),
             Some("changed-block-structure")
@@ -761,8 +591,7 @@ mod tests {
         // Measure the efforts of left-deep DP vs greedy on the same join.
         let effort = |strategy| {
             let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), 1);
-            e.plan(THREE_WAY, &orca).unwrap();
-            orca.last_search_stats().plans_costed
+            plans_costed(&e, &orca)
         };
         let dp = effort(JoinOrderStrategy::Exhaustive);
         let greedy = effort(JoinOrderStrategy::Greedy);
@@ -795,8 +624,7 @@ mod tests {
         // touches 3 relations × (relation, statistics, indexes) = 9 keys.
         let greedy = {
             let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(JoinOrderStrategy::Greedy), 1);
-            e.plan(THREE_WAY, &orca).unwrap();
-            orca.last_search_stats().plans_costed
+            plans_costed(&e, &orca)
         };
         let cfg = OrcaConfig {
             bushy_member_cap: 2,
@@ -804,9 +632,8 @@ mod tests {
             ..OrcaConfig::default()
         };
         let orca = OrcaOptimizer::new(cfg, 1);
-        e.plan(THREE_WAY, &orca).unwrap();
+        let (misses, hits) = routed_trace(&e, THREE_WAY, &orca).md_traffic;
         assert!(orca.stats().degraded >= 1, "two rungs must have run");
-        let (misses, hits) = orca.last_md_traffic();
         assert!(misses <= 9, "ladder rungs re-queried the provider: {misses} round-trips");
         assert!(hits > 0, "later rungs should be served from the statement cache");
         // Cross-block reuse: a correlated subquery optimizes two blocks
@@ -814,8 +641,7 @@ mod tests {
         let sql = "SELECT fk FROM fact WHERE v > \
                    (SELECT AVG(v) FROM fact f2 WHERE f2.fk = fact.fk) AND fk < 3";
         let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
-        e.plan(sql, &orca).unwrap();
-        let (misses, hits) = orca.last_md_traffic();
+        let (misses, hits) = routed_trace(&e, sql, &orca).md_traffic;
         assert!(misses <= 3, "one relation's keys only: {misses}");
         assert!(hits > 0);
     }
@@ -832,20 +658,11 @@ mod tests {
         let planned = e.plan(THREE_WAY, &orca).unwrap();
         assert!(!planned.primary().skeleton.orca_assisted);
         assert_eq!(orca.stats().reasons.budget_exhausted, 1);
-        assert_eq!(orca.last_fallback(), Some(FallbackReason::BudgetExhausted));
+        assert_eq!(
+            planned.primary().skeleton.orca_fallback.as_deref(),
+            Some(FallbackReason::BudgetExhausted.name())
+        );
         assert_eq!(e.execute_planned(&planned).unwrap().rows.len(), 500);
-    }
-
-    #[test]
-    fn orca_success_clears_last_fallback() {
-        let e = engine();
-        let cfg = OrcaConfig { enable_gbagg_below_join: true, ..OrcaConfig::default() };
-        let orca = OrcaOptimizer::new(cfg, 1);
-        e.plan("SELECT name, COUNT(*) AS n FROM fact, dim1 WHERE fk = pk GROUP BY name", &orca)
-            .unwrap();
-        assert!(orca.last_fallback().is_some());
-        e.plan(THREE_WAY, &orca).unwrap();
-        assert_eq!(orca.last_fallback(), None);
     }
 
     #[test]
@@ -884,7 +701,6 @@ mod tests {
         let stats = orca.stats();
         assert_eq!(stats.routed, 12);
         assert_eq!(stats.fallbacks, 0);
-        assert_eq!(orca.last_fallback(), None);
     }
 
     #[test]
@@ -907,7 +723,6 @@ mod tests {
         assert_eq!(trace.rung, 0, "configured strategy succeeded outright");
         assert_eq!(trace.strategy, "EXHAUSTIVE2");
         assert!(trace.budget_used > 0.0 && trace.budget_used <= 1.0, "{trace:?}");
-        assert_eq!(orca.last_search_trace(), Some(trace.clone()));
         // Cumulative counters in RouterStats match after a single route.
         let s = orca.stats();
         assert_eq!(s.search.groups, trace.groups);
@@ -930,9 +745,8 @@ mod tests {
         );
         let left_deep =
             OrcaOptimizer::new(OrcaConfig::with_strategy(JoinOrderStrategy::Exhaustive), 1);
-        e.plan(THREE_WAY, &left_deep).unwrap();
         let (capped, left_deep) =
-            (capped.last_search_trace().unwrap(), left_deep.last_search_trace().unwrap());
+            (routed_trace(&e, THREE_WAY, &capped), routed_trace(&e, THREE_WAY, &left_deep));
         assert_eq!(capped.strategy, "EXHAUSTIVE2→EXHAUSTIVE(cap 2)");
         assert_eq!(
             capped.group_exprs, left_deep.group_exprs,
@@ -946,8 +760,7 @@ mod tests {
         let e = engine();
         let greedy = {
             let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(JoinOrderStrategy::Greedy), 1);
-            e.plan(THREE_WAY, &orca).unwrap();
-            orca.last_search_stats().plans_costed
+            plans_costed(&e, &orca)
         };
         let cfg = OrcaConfig {
             bushy_member_cap: 2,
@@ -966,45 +779,6 @@ mod tests {
             "winning rung fits the budget: {trace:?}"
         );
         assert!(trace.budget_used > 0.9, "greedy landed at the budget edge: {trace:?}");
-    }
-
-    #[test]
-    fn governor_faults_attribute_to_router_stats() {
-        use orcalite::config::{FaultInjector, FaultKind};
-        let e = engine();
-        // Mid-query cancel: armed at the governor site, consulted by the
-        // engine when it builds the statement's governor.
-        let cfg = OrcaConfig {
-            faults: FaultInjector::default().arm(FaultSite::ExecGovernor, FaultKind::CancelQuery),
-            ..OrcaConfig::default()
-        };
-        let orca = OrcaOptimizer::new(cfg, 1);
-        let err = e.query_with(THREE_WAY, &orca).unwrap_err();
-        assert!(matches!(err, Error::Cancelled), "{err}");
-        let stats = orca.stats();
-        assert_eq!(stats.governed.cancelled, 1);
-        assert_eq!(stats.fallbacks, 0, "a cancel is not a fallback");
-
-        // Memory squeeze: the 1-byte clamp fails the sort buffer at the
-        // parallel rung and the serial retry alike, so the governor gives
-        // up and the abandonment joins the fallback taxonomy.
-        let cfg = OrcaConfig {
-            faults: FaultInjector::default().arm(FaultSite::ExecGovernor, FaultKind::MemorySqueeze),
-            ..OrcaConfig::default()
-        };
-        let orca = OrcaOptimizer::new(cfg, 1);
-        let err = e.query_with("SELECT v FROM fact ORDER BY v", &orca).unwrap_err();
-        assert!(matches!(err, Error::MemoryExceeded { .. }), "{err}");
-        let stats = orca.stats();
-        assert_eq!(stats.governed.memory_exceeded, 1);
-        assert_eq!(stats.reasons.memory_exceeded, 1);
-        assert_eq!(stats.reasons.total(), stats.fallbacks);
-        assert_eq!(orca.last_fallback(), Some(FallbackReason::MemoryExceeded));
-
-        // Disarmed, the same engine serves the same statements again.
-        let ok = OrcaOptimizer::new(OrcaConfig::default(), 1);
-        assert_eq!(e.query_with(THREE_WAY, &ok).unwrap().rows.len(), 500);
-        assert_eq!(ok.stats().governed.total(), 0);
     }
 
     #[test]

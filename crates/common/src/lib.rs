@@ -14,12 +14,14 @@
 //! * [`row`] — rows, schemas and the layout machinery that lets one
 //!   expression tree be evaluated against any join-order's concatenated rows.
 //! * [`error`] — the workspace-wide error type.
+//! * [`sync`] — poison-recovering lock helpers.
 
 pub mod datetime;
 pub mod error;
 pub mod expr;
 pub mod ids;
 pub mod row;
+pub mod sync;
 pub mod types;
 pub mod value;
 

@@ -25,18 +25,12 @@ use crate::parallel::morsel::{MorselSpec, DEFAULT_MORSEL_ROWS};
 use crate::plan::{AggStrategy, ExchangeKind, JoinKind, Plan, RowSpace};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use taurus_catalog::Catalog;
 use taurus_common::error::{Error, Result};
 use taurus_common::expr::EvalCtx;
+use taurus_common::sync::lock;
 use taurus_common::{BinOp, Expr, Layout, Row, Value};
-
-/// Lock a mutex, recovering from poisoning: a panicking worker is already
-/// surfaced as an execution error, and every value guarded here (caches of
-/// fully-computed results) is only ever written whole.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One `rebind = false` materialization slot: computed once (under the
 /// slot's lock) and then shared by reference across workers.

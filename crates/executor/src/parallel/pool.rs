@@ -5,11 +5,12 @@
 //! in *unit order* regardless of which worker ran what, which is what makes
 //! the exchange merges deterministic.
 
-use crate::exec::{lock, ExecContext, ExecStats};
+use crate::exec::{ExecContext, ExecStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use taurus_common::error::{Error, Result};
+use taurus_common::sync::lock;
 
 /// Run `n_units` closures on up to `dop` worker threads and return their
 /// results in unit order.

@@ -26,7 +26,7 @@
 //!   the condvar, and a waiting session's deadline bounds its queue time.
 //! * **In-flight registry** — sharded by query id.
 //!
-//! All locks are poison-recovering ([`crate::sync`]): one panicked query
+//! All locks are poison-recovering ([`taurus_common::sync`]): one panicked query
 //! under `catch_unwind` isolation cannot brick later sessions.
 //!
 //! # Layout
@@ -44,7 +44,7 @@ use crate::knobs::{KnobCell, KnobDefaults, KnobValue};
 use crate::optimizer::{optimize_statement, optimize_statement_feedback};
 use crate::plancache::{CacheOutcome, PlanCache, PlanCacheStats};
 use crate::skeleton::Skeleton;
-use crate::sync::{rlock, wlock};
+pub use admission::GovernedCounts;
 use admission::{AdmissionGate, Governors};
 use serve::{Analyze, Explain, Path, Plan as PlanOnly, Run};
 use std::ops::Deref;
@@ -53,6 +53,7 @@ use taurus_catalog::feedback::CardOverrides;
 use taurus_catalog::stats::AnalyzeOptions;
 use taurus_catalog::Catalog;
 use taurus_common::error::Result;
+use taurus_common::sync::{rlock, wlock};
 use taurus_common::Row;
 use taurus_executor::Plan;
 use taurus_sql::{parse, Statement};
@@ -65,49 +66,14 @@ mod tests;
 
 pub use crate::knobs::{SessionOpts, DEFAULT_REOPT_Q_THRESHOLD};
 
-/// Runtime-governance fault overrides an optimizer backend's fault injector
-/// wants applied to the engine's execution of its plans (chaos testing).
-/// The engine layers them on top of the session knobs when building each
-/// query's [`taurus_executor::QueryGovernor`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecFaults {
-    /// Trip the cancel token at the N-th governor check.
-    pub cancel_after: Option<u64>,
-    /// Clamp the query's memory budget to at most this many bytes.
-    pub memory_clamp: Option<u64>,
-}
-
-/// A runtime-governance outcome the engine reports back to the optimizer
-/// that planned the statement, so routers can count cancellations and
-/// resource-limit failures alongside their fallback taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GovernedOutcome {
-    /// The query was cancelled mid-execution.
-    Cancelled,
-    /// The query ran past its wall-clock deadline.
-    DeadlineExceeded,
-    /// The query exceeded its memory budget and the serial retry (if any)
-    /// did too — the error surfaced to the caller.
-    MemoryExceeded,
-    /// The query exceeded its memory budget at full dop but succeeded on
-    /// the degraded serial retry; the caller saw a normal answer.
-    MemoryDegraded,
-}
-
-/// A pluggable cost-based optimizer (the orange box in paper Fig 2).
+/// A pluggable cost-based optimizer (the orange box in paper Fig 2). It
+/// plans and nothing else: execution, governance and their counters belong
+/// to the engine.
 pub trait CostBasedOptimizer {
     /// Short name for EXPLAIN banners and logs.
     fn name(&self) -> &'static str;
     /// Produce a skeleton plan for a prepared statement.
     fn optimize(&self, catalog: &Catalog, bound: &BoundStatement) -> Result<Skeleton>;
-    /// Runtime-governance faults to inject into this optimizer's
-    /// executions. The default backend injects none.
-    fn exec_faults(&self) -> Option<ExecFaults> {
-        None
-    }
-    /// Observe a runtime-governance outcome for one of this optimizer's
-    /// statements. The default backend ignores them.
-    fn note_governed(&self, _outcome: GovernedOutcome) {}
     /// Re-optimize a prepared statement with observed cardinalities from a
     /// previous execution injected into the estimation path. Backends that
     /// cannot consume feedback just optimize statically.
@@ -119,9 +85,6 @@ pub trait CostBasedOptimizer {
     ) -> Result<Skeleton> {
         self.optimize(catalog, bound)
     }
-    /// Observe that the engine re-optimized one of this backend's cached
-    /// statements from runtime feedback. The default backend ignores it.
-    fn note_reoptimized(&self) {}
 }
 
 /// MySQL's native greedy optimizer.

@@ -2,15 +2,15 @@
 //! governed execution is registered, cancelled, and retried.
 
 use super::serve::ServeCx;
-use super::{CostBasedOptimizer, Engine, ExecFaults, GovernedOutcome, PlannedQuery, QueryOutput};
+use super::{Engine, PlannedQuery, QueryOutput};
 use crate::explain::NodeAnnotation;
 use crate::knobs::Knobs;
-use crate::sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use taurus_common::error::{Error, Result};
+use taurus_common::sync::lock;
 use taurus_executor::{GovernorSpec, Plan, QueryGovernor};
 
 /// The admission gate: at most `limit` callers execute at once, so they
@@ -119,6 +119,29 @@ impl Drop for AdmissionPermit<'_> {
 /// keyed; registration/finish touch one shard each).
 const IN_FLIGHT_SHARDS: usize = 8;
 
+/// Per-outcome counters for governed executions: how statements ended when
+/// governance intervened. `memory_degraded` counts rescues (the serial
+/// retry succeeded — not a failure); the other three count statements that
+/// surfaced a typed governance error to their caller.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GovernedCounts {
+    /// Executions stopped by [`Engine::cancel`] or a cancel point.
+    pub cancelled: u64,
+    /// Executions that outran their wall-clock deadline.
+    pub deadline_exceeded: u64,
+    /// Executions over their memory budget even at the serial rung.
+    pub memory_exceeded: u64,
+    /// Parallel executions over budget that completed after the engine's
+    /// serial retry.
+    pub memory_degraded: u64,
+}
+
+impl GovernedCounts {
+    pub fn total(&self) -> u64 {
+        self.cancelled + self.deadline_exceeded + self.memory_exceeded + self.memory_degraded
+    }
+}
+
 /// The registry of executing queries' governors.
 pub(super) struct Governors {
     /// Chaos knob: cancel each query at its N-th governor check (0 = off).
@@ -129,6 +152,8 @@ pub(super) struct Governors {
     in_flight: Vec<Mutex<HashMap<u64, Arc<QueryGovernor>>>>,
     /// Peak tracked memory of the most recently finished governed query.
     last_peak: AtomicU64,
+    /// [`GovernedCounts`], one atomic per field in declaration order.
+    outcomes: [AtomicU64; 4],
 }
 
 impl Governors {
@@ -138,6 +163,7 @@ impl Governors {
             next_query_id: AtomicU64::new(1),
             in_flight: (0..IN_FLIGHT_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             last_peak: AtomicU64::new(0),
+            outcomes: Default::default(),
         }
     }
 
@@ -146,21 +172,12 @@ impl Governors {
     }
 
     /// Build and register the governor for one execution from the resolved
-    /// knobs plus any chaos overrides the optimizer's fault injector
-    /// supplies.
-    fn start(&self, faults: ExecFaults, knobs: &Knobs) -> (u64, Arc<QueryGovernor>) {
-        let mut budget = knobs.memory_budget;
-        if let Some(clamp) = faults.memory_clamp {
-            budget = if budget == 0 { clamp } else { budget.min(clamp) };
-        }
-        let cancel = match faults.cancel_after {
-            Some(c) => c.max(1),
-            None => self.cancel_after.load(Ordering::Relaxed),
-        };
+    /// knobs and the chaos cancel point.
+    fn start(&self, knobs: &Knobs) -> (u64, Arc<QueryGovernor>) {
         let governor = Arc::new(QueryGovernor::from_spec(GovernorSpec {
             deadline_ms: knobs.deadline_ms,
-            memory_budget: budget,
-            cancel_after: cancel,
+            memory_budget: knobs.memory_budget,
+            cancel_after: self.cancel_after.load(Ordering::Relaxed),
         }));
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         lock(self.shard(id)).insert(id, governor.clone());
@@ -170,6 +187,19 @@ impl Governors {
     fn finish(&self, id: u64, governor: &QueryGovernor) {
         lock(self.shard(id)).remove(&id);
         self.last_peak.store(governor.peak_bytes(), Ordering::Relaxed);
+    }
+
+    /// Count a governed execution's outcome. Errors that are not
+    /// governance's (the statement's own) stay uncounted.
+    fn count(&self, result: &Result<QueryOutput>, degraded: bool) {
+        let slot = match result {
+            Ok(_) if degraded => 3,
+            Err(Error::Cancelled) => 0,
+            Err(Error::DeadlineExceeded { .. }) => 1,
+            Err(Error::MemoryExceeded { .. }) => 2,
+            _ => return,
+        };
+        self.outcomes[slot].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -232,6 +262,14 @@ impl Engine {
     pub fn last_peak_bytes(&self) -> u64 {
         self.governors.last_peak.load(Ordering::Relaxed)
     }
+
+    /// How governed executions on this engine ended when governance
+    /// intervened, whichever optimizer planned them.
+    pub fn governed_stats(&self) -> GovernedCounts {
+        let [cancelled, deadline_exceeded, memory_exceeded, memory_degraded] =
+            self.governors.outcomes.each_ref().map(|n| n.load(Ordering::Relaxed));
+        GovernedCounts { cancelled, deadline_exceeded, memory_exceeded, memory_degraded }
+    }
 }
 
 impl ServeCx<'_> {
@@ -241,7 +279,7 @@ impl ServeCx<'_> {
     /// buffers materialize) under a fresh governor with the same limits. An
     /// observed run (`EXPLAIN ANALYZE`) reports the plan it was asked
     /// about, so it surfaces the error instead of degrading. Governance
-    /// outcomes are reported to the optimizer either way.
+    /// outcomes are counted in [`Engine::governed_stats`] either way.
     pub(super) fn governed_execute(
         &self,
         planned: &PlannedQuery,
@@ -249,7 +287,7 @@ impl ServeCx<'_> {
     ) -> Result<QueryOutput> {
         let (governors, knobs) = (&self.engine.governors, self.knobs);
         let attempt = |planned: &PlannedQuery, observed: Option<&mut Vec<NodeAnnotation>>| {
-            let (id, governor) = governors.start(self.opt.exec_faults().unwrap_or_default(), knobs);
+            let (id, governor) = governors.start(knobs);
             let out = self.engine.execute_branches(
                 self.cat,
                 planned,
@@ -260,16 +298,13 @@ impl ServeCx<'_> {
             governors.finish(id, &governor);
             out
         };
-        let result = match attempt(planned, observed.as_deref_mut()) {
+        let (result, degraded) = match attempt(planned, observed.as_deref_mut()) {
             Err(Error::MemoryExceeded { .. }) if observed.is_none() => {
-                attempt(&degrade_serial(planned), None)
-                    .inspect(|_| self.opt.note_governed(GovernedOutcome::MemoryDegraded))
+                (attempt(&degrade_serial(planned), None), true)
             }
-            first => first,
+            first => (first, false),
         };
-        if let Err(e) = &result {
-            note_governed_error(self.opt, e);
-        }
+        governors.count(&result, degraded);
         result
     }
 }
@@ -293,16 +328,4 @@ fn degrade_serial(planned: &PlannedQuery) -> PlannedQuery {
         force_serial(&mut b.plan);
     }
     serial
-}
-
-/// Report a governance failure to the optimizer that planned the statement.
-/// Non-governance errors are the statement's own business and stay unnoted.
-fn note_governed_error(opt: &dyn CostBasedOptimizer, e: &Error) {
-    let outcome = match e {
-        Error::Cancelled => GovernedOutcome::Cancelled,
-        Error::DeadlineExceeded { .. } => GovernedOutcome::DeadlineExceeded,
-        Error::MemoryExceeded { .. } => GovernedOutcome::MemoryExceeded,
-        _ => return,
-    };
-    opt.note_governed(outcome);
 }

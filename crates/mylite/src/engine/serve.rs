@@ -11,13 +11,13 @@ use crate::explain::{annotate, explain_with, NodeAnnotation};
 use crate::feedback::{count_nodes, fold_plan, worst_q};
 use crate::knobs::{Knobs, SessionOpts};
 use crate::plancache::{CacheKey, CacheOutcome, Lookup};
-use crate::sync::rlock;
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 use taurus_catalog::Catalog;
 use taurus_common::error::{Error, Result};
 use taurus_common::expr::EvalCtx;
+use taurus_common::sync::rlock;
 use taurus_common::{Layout, Row, Value};
 use taurus_executor::{execute, ExecContext, ObserverIndex, QueryGovernor};
 use taurus_sql::fingerprint::{parameterize, token_digest};
@@ -30,12 +30,11 @@ pub(super) enum Path {
     Cached,
 }
 
-/// What one serve acts with: the engine, its catalog snapshot, the backend
-/// that planned (and is told how execution went), the resolved knobs.
+/// What one serve acts with: the engine, its catalog snapshot, the resolved
+/// knobs.
 pub(super) struct ServeCx<'a> {
     pub(super) engine: &'a Engine,
     pub(super) cat: &'a Catalog,
-    pub(super) opt: &'a dyn CostBasedOptimizer,
     pub(super) knobs: &'a Knobs,
 }
 
@@ -172,7 +171,7 @@ impl Engine {
             if A::EXECUTES { Some(self.admission.admit(knobs.deadline_ms)?) } else { None };
         let cat = rlock(&self.catalog);
         let version = cat.version();
-        let cx = ServeCx { engine: self, cat: &cat, opt, knobs: &knobs };
+        let cx = ServeCx { engine: self, cat: &cat, knobs: &knobs };
         // What the cached path knows the statement by; `None` on the fresh
         // path and for unlexable input (the parser produces the real error
         // for the latter).
@@ -233,9 +232,6 @@ impl Engine {
         };
         let p = parameterize(&stmt);
         let planned = compile(&cat, p.stmt, opt, feedback.as_deref(), &knobs)?;
-        if feedback.is_some() {
-            opt.note_reoptimized();
-        }
         let out = act_cached(&key, &planned, outcome)?;
         // This compile ran without any cache lock; a concurrent serve may
         // have re-optimized the same statement meanwhile. Never clobber

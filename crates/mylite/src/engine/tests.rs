@@ -1,5 +1,5 @@
 use super::*;
-use crate::plancache::CacheKey;
+use crate::plancache::{CacheKey, Lookup};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use taurus_common::error::Error;
@@ -742,20 +742,6 @@ fn admission_gate_bounds_concurrent_executions() {
 
 #[test]
 fn memory_degradation_rung_retries_parallel_plans_serially() {
-    struct CountingOpt(std::sync::atomic::AtomicUsize);
-    impl CostBasedOptimizer for CountingOpt {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-        fn optimize(&self, catalog: &Catalog, bound: &BoundStatement) -> Result<Skeleton> {
-            optimize_statement(catalog, bound)
-        }
-        fn note_governed(&self, outcome: GovernedOutcome) {
-            if outcome == GovernedOutcome::MemoryDegraded {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
     let e = big_engine(5000);
     e.set_dop(4);
     e.set_morsel_rows(256);
@@ -764,11 +750,10 @@ fn memory_degradation_rung_retries_parallel_plans_serially() {
     // plan never holds at once.
     let sql = "SELECT dept, COUNT(*) AS n, SUM(salary) AS s FROM emp \
                WHERE salary < 900 GROUP BY dept ORDER BY dept";
-    let opt = CountingOpt(std::sync::atomic::AtomicUsize::new(0));
-    let expected = e.query_with(sql, &opt).unwrap().rows;
+    let expected = e.query(sql).unwrap().rows;
     let parallel_peak = e.last_peak_bytes();
     e.set_dop(1);
-    e.query_with(sql, &opt).unwrap();
+    e.query(sql).unwrap();
     let serial_peak = e.last_peak_bytes();
     e.set_dop(4);
     assert!(
@@ -779,10 +764,53 @@ fn memory_degradation_rung_retries_parallel_plans_serially() {
     // A budget between the two peaks: the dop=4 attempt must exceed it
     // and the serial retry must fit — the caller sees a normal answer.
     e.set_memory_budget(Some((serial_peak + parallel_peak) / 2));
-    let out = e.query_with(sql, &opt).unwrap();
+    let out = e.query(sql).unwrap();
     assert_eq!(out.rows, expected, "degraded retry answers identically");
-    assert_eq!(opt.0.load(Ordering::Relaxed), 1, "one degraded outcome noted");
+    let governed = e.governed_stats();
+    assert_eq!(governed.memory_degraded, 1, "one degraded outcome counted: {governed:?}");
+    assert_eq!(governed.total(), 1, "and nothing else: {governed:?}");
     e.set_memory_budget(None);
+}
+
+#[test]
+fn a_panic_under_a_cache_entry_lock_leaves_the_engine_serving() {
+    // A panicked query under a held lock must not brick the engine: the
+    // sync helpers recover poisoned guards. Panic while holding a cached
+    // entry's plan guard — the lock a hit holds across rebind and
+    // execution — then keep serving the same entry from four threads.
+    let e = big_engine(500);
+    let sql = "SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY dept";
+    let expected = e.query_cached(sql, &MySqlOptimizer).unwrap().rows;
+    let key = CacheKey {
+        fingerprint: token_digest(sql).unwrap().fingerprint,
+        shape: e.defaults.resolve(&SessionOpts::default()).plan_shape(),
+    };
+    let Lookup::Hit(entry) = e.plan_cache.lookup(&key, e.catalog().version()) else {
+        panic!("the first serve cached the plan");
+    };
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _planned = entry.planned();
+        panic!("chaos: die while holding the cache entry lock");
+    }));
+    assert!(panicked.is_err(), "the panic propagated to the caller");
+    drop(entry);
+    // The entry lock was poisoned by the unwind; recovery must serve on.
+    let hits = e.plan_cache_stats().hits;
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                for _ in 0..5 {
+                    assert_eq!(
+                        e.query_cached(sql, &MySqlOptimizer).unwrap().rows,
+                        expected,
+                        "post-panic serves answer identically"
+                    );
+                }
+            });
+        }
+    });
+    assert_eq!(e.plan_cache_stats().hits, hits + 20, "every post-panic serve was a hit");
+    assert!(e.in_flight_ids().is_empty());
 }
 
 #[test]

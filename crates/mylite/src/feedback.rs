@@ -37,8 +37,9 @@
 
 use crate::explain::NodeAnnotation;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use taurus_catalog::CardOverrides;
+use taurus_common::sync::lock;
 use taurus_executor::Plan;
 
 /// Query tables referenced under a node, with derived tables opaque: a
@@ -187,10 +188,6 @@ pub struct FeedbackState {
     applied: Option<Vec<CardOverrides>>,
     /// Worst per-operator q-error of the most recent observed execution.
     pub worst_q: f64,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Fingerprint-keyed store of observed executions, shared by all sessions

@@ -36,12 +36,11 @@ pub mod plancache;
 pub mod refine;
 pub mod resolve;
 pub mod skeleton;
-mod sync;
 
 pub use bound::{BoundQuery, BoundStatement, JoinEntry, OutputCol, TableMeta, TableSource};
 pub use engine::{
-    AnalyzedQuery, CatalogRef, CostBasedOptimizer, Engine, ExecFaults, GovernedOutcome,
-    MySqlOptimizer, PlannedQuery, QueryOutput, SessionOpts,
+    AnalyzedQuery, CatalogRef, CostBasedOptimizer, Engine, GovernedCounts, MySqlOptimizer,
+    PlannedQuery, QueryOutput, SessionOpts,
 };
 pub use explain::NodeAnnotation;
 pub use feedback::{FeedbackState, ObservationStore};

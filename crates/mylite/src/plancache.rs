@@ -45,10 +45,10 @@
 
 use crate::engine::PlannedQuery;
 use crate::knobs::PlanShape;
-use crate::sync::{lock, rlock, wlock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use taurus_common::sync::{lock, rlock, wlock};
 
 /// Default maximum number of cached statements (across all shards).
 pub const DEFAULT_CAPACITY: usize = 256;
@@ -196,7 +196,7 @@ fn saturating_dec(a: &AtomicU64) {
 type Shard = HashMap<CacheKey, Arc<CacheEntry>>;
 
 /// Fingerprint-keyed, sharded LRU plan cache. All methods take `&self`;
-/// interior locks are poison-recovering (see [`crate::sync`]).
+/// interior locks are poison-recovering (see [`taurus_common::sync`]).
 pub struct PlanCache {
     shards: Vec<RwLock<Shard>>,
     /// Per-shard entry budget (global capacity / shard count).

@@ -183,6 +183,10 @@ pub struct SearchTrace {
     /// EXHAUSTIVE2 search was capped to left-deep DP reads
     /// `EXHAUSTIVE2→EXHAUSTIVE(cap 13)`.
     pub strategy: Cow<'static, str>,
+    /// The statement's metadata-cache traffic `(provider round-trips,
+    /// cache hits)`: one cache spans every block and ladder rung, so a
+    /// re-run rung re-reads metadata from memory (§5.7). Not rendered.
+    pub md_traffic: (u64, u64),
 }
 
 impl SearchTrace {
@@ -311,6 +315,7 @@ mod tests {
             budget_used: 0.25,
             rung: 1,
             strategy: "EXHAUSTIVE".into(),
+            md_traffic: (9, 4),
         };
         assert_eq!(
             t.display(),

@@ -66,21 +66,14 @@ pub enum FaultSite {
     PlanConvert,
     /// Bridge: skeleton validation pass before refinement.
     SkeletonValidate,
-    /// Engine: the query governor guarding execution. Faults armed here are
-    /// not fired during planning; the engine consults the injector when it
-    /// builds a statement's governor (mid-query cancellation and memory
-    /// clamps), so [`FaultKind::Panic`]/[`FaultKind::Error`] are inert at
-    /// this site.
-    ExecGovernor,
 }
 
 impl FaultSite {
-    pub const ALL: [FaultSite; 5] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::TreeConvert,
         FaultSite::OptimizeSearch,
         FaultSite::PlanConvert,
         FaultSite::SkeletonValidate,
-        FaultSite::ExecGovernor,
     ];
 
     pub fn name(&self) -> &'static str {
@@ -89,7 +82,6 @@ impl FaultSite {
             FaultSite::OptimizeSearch => "optimize-search",
             FaultSite::PlanConvert => "plan-convert",
             FaultSite::SkeletonValidate => "skeleton-validate",
-            FaultSite::ExecGovernor => "exec-governor",
         }
     }
 }
@@ -105,15 +97,6 @@ pub enum FaultKind {
     /// budget exhaustion and the degradation ladder. Only meaningful at
     /// [`FaultSite::OptimizeSearch`].
     BudgetSqueeze,
-    /// Trip the query's cancel token after a fixed number of governor
-    /// checks — exercises mid-query cancellation unwinds. Only meaningful
-    /// at [`FaultSite::ExecGovernor`].
-    CancelQuery,
-    /// Clamp the query's memory budget to a single byte, so the first
-    /// charging operator fails — exercises resource-exhaustion unwinds and
-    /// the engine's serial-retry degradation rung. Only meaningful at
-    /// [`FaultSite::ExecGovernor`].
-    MemorySqueeze,
 }
 
 /// Deterministic fault injector: fires every time an armed site is
@@ -153,29 +136,6 @@ impl FaultInjector {
     /// The budget override for `site`, if a squeeze is armed there.
     pub fn squeeze(&self, site: FaultSite) -> Option<SearchBudget> {
         self.is_armed(site, FaultKind::BudgetSqueeze).then_some(SearchBudget::SQUEEZED)
-    }
-
-    /// The governor check count after which an armed [`FaultKind::CancelQuery`]
-    /// trips the cancel token. Three checks lands mid-execution for any
-    /// multi-operator plan (check 1 is the root operator's opening).
-    pub const CANCEL_AT_CHECK: u64 = 3;
-
-    /// The memory budget an armed [`FaultKind::MemorySqueeze`] imposes: one
-    /// byte, so the first charging operator exhausts it deterministically.
-    pub const MEMORY_CLAMP_BYTES: u64 = 1;
-
-    /// The cancel point for queries run under this injector, if a
-    /// mid-query-cancel fault is armed at [`FaultSite::ExecGovernor`].
-    pub fn cancel_point(&self) -> Option<u64> {
-        self.is_armed(FaultSite::ExecGovernor, FaultKind::CancelQuery)
-            .then_some(Self::CANCEL_AT_CHECK)
-    }
-
-    /// The memory-budget clamp for queries run under this injector, if a
-    /// resource-exhaustion fault is armed at [`FaultSite::ExecGovernor`].
-    pub fn memory_clamp(&self) -> Option<u64> {
-        self.is_armed(FaultSite::ExecGovernor, FaultKind::MemorySqueeze)
-            .then_some(Self::MEMORY_CLAMP_BYTES)
     }
 }
 
@@ -276,26 +236,5 @@ mod tests {
     fn injector_panics_on_armed_panic() {
         let inj = FaultInjector::default().arm(FaultSite::TreeConvert, FaultKind::Panic);
         let _ = inj.fire(FaultSite::TreeConvert);
-    }
-
-    #[test]
-    fn governor_faults_surface_through_their_helpers() {
-        let inj = FaultInjector::default()
-            .arm(FaultSite::ExecGovernor, FaultKind::CancelQuery)
-            .arm(FaultSite::ExecGovernor, FaultKind::MemorySqueeze);
-        assert_eq!(inj.cancel_point(), Some(FaultInjector::CANCEL_AT_CHECK));
-        assert_eq!(inj.memory_clamp(), Some(FaultInjector::MEMORY_CLAMP_BYTES));
-        // They are governor-consulted faults, not planning-site trips.
-        assert!(inj.fire(FaultSite::ExecGovernor).is_ok());
-        assert!(inj.squeeze(FaultSite::ExecGovernor).is_none());
-        // Disarmed injectors report no overrides.
-        let off = FaultInjector::default();
-        assert_eq!(off.cancel_point(), None);
-        assert_eq!(off.memory_clamp(), None);
-        // Governor kinds armed at planning sites are inert there too.
-        let misplaced =
-            FaultInjector::default().arm(FaultSite::TreeConvert, FaultKind::CancelQuery);
-        assert!(misplaced.fire(FaultSite::TreeConvert).is_ok());
-        assert_eq!(misplaced.cancel_point(), None);
     }
 }

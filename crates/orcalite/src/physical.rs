@@ -273,6 +273,16 @@ pub struct SearchStats {
     pub rules_hit: u64,
 }
 
+impl std::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, o: SearchStats) {
+        self.groups += o.groups;
+        self.splits_explored += o.splits_explored;
+        self.plans_costed += o.plans_costed;
+        self.rules_applied += o.rules_applied;
+        self.rules_hit += o.rules_hit;
+    }
+}
+
 /// The optimizer's output for one block.
 #[derive(Debug, Clone)]
 pub struct OrcaPlan {

@@ -18,6 +18,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use taurus_common::sync::lock;
 
 /// The multi-session SQL server.
 pub struct Server;
@@ -99,10 +100,6 @@ impl ServerHandle {
             let _ = w.join();
         }
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {

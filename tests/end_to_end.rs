@@ -264,8 +264,8 @@ fn search_stats_scale_with_strategy() {
         [JoinOrderStrategy::Greedy, JoinOrderStrategy::Exhaustive, JoinOrderStrategy::Exhaustive2]
     {
         let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), 1);
-        engine.plan(&q72.sql, &orca).unwrap();
-        splits.push(orca.last_search_stats().splits_explored);
+        let planned = engine.plan(&q72.sql, &orca).unwrap();
+        splits.push(planned.primary().skeleton.search.as_ref().unwrap().group_exprs);
     }
     assert!(splits[0] <= splits[1], "greedy <= exhaustive: {splits:?}");
     assert!(splits[1] < splits[2], "exhaustive < exhaustive2 on an 11-way join: {splits:?}");

@@ -5,7 +5,8 @@
 //! converter, error out of the memo search, squeeze the search budget to
 //! nothing — the statement must still answer, the answer must match the
 //! native optimizer's, and the router must attribute the fallback to the
-//! right [`FallbackReason`].
+//! right [`FallbackReason`]. Execution faults are the engine's own levers
+//! (`set_cancel_after`, `set_memory_budget`), counted by the engine.
 
 use taurus_orca::bridge::{FallbackReason, OrcaOptimizer};
 use taurus_orca::common::{Error, Value};
@@ -62,32 +63,11 @@ fn faulty_router(site: FaultSite, kind: FaultKind) -> OrcaOptimizer {
 }
 
 /// Every fault kind the matrix drives.
-const ALL_KINDS: [FaultKind; 5] = [
-    FaultKind::Panic,
-    FaultKind::Error,
-    FaultKind::BudgetSqueeze,
-    FaultKind::CancelQuery,
-    FaultKind::MemorySqueeze,
-];
-
-/// Whether this combination arms a *live* governor fault — one the engine
-/// consults when it builds a statement's governor, so the query is meant
-/// to fail with a typed governance error rather than answer. The matrix
-/// tests skip these; the dedicated governor tests below drive them.
-fn live_governor_combo(site: FaultSite, kind: FaultKind) -> bool {
-    site == FaultSite::ExecGovernor
-        && matches!(kind, FaultKind::CancelQuery | FaultKind::MemorySqueeze)
-}
+const ALL_KINDS: [FaultKind; 3] = [FaultKind::Panic, FaultKind::Error, FaultKind::BudgetSqueeze];
 
 /// What the router should attribute a fault to, or `None` when the armed
 /// fault is inert at that site and the detour should succeed.
 fn expected_reason(site: FaultSite, kind: FaultKind) -> Option<FallbackReason> {
-    // Nothing fires at the governor site during planning: the engine
-    // consults its faults when it builds a governor, so planning-kind
-    // faults armed there never trip.
-    if site == FaultSite::ExecGovernor {
-        return None;
-    }
     match kind {
         FaultKind::Panic => Some(FallbackReason::Panicked),
         // Injected errors are not budget errors, so they classify as
@@ -102,9 +82,6 @@ fn expected_reason(site: FaultSite, kind: FaultKind) -> Option<FallbackReason> {
         FaultKind::BudgetSqueeze => {
             (site == FaultSite::OptimizeSearch).then_some(FallbackReason::BudgetExhausted)
         }
-        // Governor kinds are consulted at the governor site only; armed at
-        // a planning site they are no-ops.
-        FaultKind::CancelQuery | FaultKind::MemorySqueeze => None,
     }
 }
 
@@ -117,14 +94,13 @@ fn every_site_and_kind_answers_correctly_with_the_right_reason() {
 
     for site in FaultSite::ALL {
         for kind in ALL_KINDS {
-            if live_governor_combo(site, kind) {
-                continue; // typed-failure path: governor_faults_* below
-            }
             let combo = format!("{kind:?} at {}", site.name());
             let orca = faulty_router(site, kind);
-            let out = engine
-                .query_with(&q3.sql, &orca)
+            let planned = engine
+                .plan(&q3.sql, &orca)
                 .unwrap_or_else(|e| panic!("{combo}: the detour must never fail a query: {e}"));
+            let landed = planned.primary().skeleton.orca_fallback.clone();
+            let out = engine.execute_planned(&planned).expect("the planned statement runs");
             assert_eq!(canon(out.rows), reference, "{combo}: answers must not change");
 
             let stats = orca.stats();
@@ -138,12 +114,12 @@ fn every_site_and_kind_answers_correctly_with_the_right_reason() {
                         reason.name()
                     );
                     assert_eq!(stats.reasons.total(), 1, "{combo}: one reason only: {stats:?}");
-                    assert_eq!(orca.last_fallback(), Some(reason), "{combo}");
+                    assert_eq!(landed.as_deref(), Some(reason.name()), "{combo}");
                 }
                 None => {
                     assert_eq!(stats.fallbacks, 0, "{combo}: inert fault must not trip: {stats:?}");
                     assert_eq!(stats.routed, 1, "{combo}: detour must succeed: {stats:?}");
-                    assert_eq!(orca.last_fallback(), None, "{combo}");
+                    assert_eq!(landed, None, "{combo}");
                 }
             }
         }
@@ -163,9 +139,6 @@ fn explain_analyze_is_inert_under_every_fault() {
 
     for site in FaultSite::ALL {
         for kind in ALL_KINDS {
-            if live_governor_combo(site, kind) {
-                continue;
-            }
             let combo = format!("{kind:?} at {}", site.name());
             // Uninstrumented run through one armed router, instrumented
             // through another: their routing decisions must agree.
@@ -182,11 +155,10 @@ fn explain_analyze_is_inert_under_every_fault() {
                 "{combo}: instrumentation changed the answer"
             );
             assert_eq!(
-                orca.last_fallback(),
-                plain.last_fallback(),
+                orca.stats(),
+                plain.stats(),
                 "{combo}: instrumentation changed the fallback attribution"
             );
-            assert_eq!(orca.stats().fallbacks, plain.stats().fallbacks, "{combo}");
             assert!(analyzed.text.starts_with("EXPLAIN ANALYZE ("), "{combo}: {}", analyzed.text);
             for line in analyzed.text.lines().skip(1) {
                 if line.is_empty() || line.starts_with("[search:") {
@@ -243,8 +215,8 @@ fn explicit_budget_degrades_through_the_ladder_but_stays_on_orca() {
     let q5 = &tpch::queries()[4]; // six-table single-block join
     let costed = |strategy| {
         let orca = OrcaOptimizer::new(OrcaConfig::with_strategy(strategy), 1);
-        engine.plan(&q5.sql, &orca).expect("plan");
-        orca.last_search_stats().plans_costed
+        let planned = engine.plan(&q5.sql, &orca).expect("plan");
+        planned.primary().skeleton.search.as_ref().expect("routed").plans_costed
     };
     let greedy = costed(JoinOrderStrategy::Greedy);
     let bushy = costed(JoinOrderStrategy::Exhaustive2);
@@ -271,38 +243,57 @@ fn explicit_budget_degrades_through_the_ladder_but_stays_on_orca() {
 
 #[test]
 fn governor_faults_fail_typed_and_leave_the_engine_serviceable() {
-    // The two live governor faults: unlike every planning fault, these are
-    // *meant* to fail the statement — but with a typed governance error,
-    // correct counter attribution, and no residue. The same engine must
-    // answer the same statement correctly right afterwards.
+    // The engine's two execution-fault levers: unlike every planning fault,
+    // these are *meant* to fail the statement — but with a typed governance
+    // error, counted once by the engine, never as a routing fallback, and
+    // with no residue. The same engine must answer the same statement
+    // correctly right afterwards.
     let engine = Engine::new(tpch::build_catalog(Scale(0.02)));
     let q3 = &tpch::queries()[2];
     let reference = canon(engine.query(&q3.sql).expect("native baseline").rows);
+    let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
 
-    // Mid-query cancel: the engine consults the injector, plants a cancel
-    // point, and the unwind surfaces as `Cancelled` — not a fallback.
-    let orca = faulty_router(FaultSite::ExecGovernor, FaultKind::CancelQuery);
+    // Mid-query cancel: the third governor check lands mid-execution for
+    // any multi-operator plan (check 1 is the root operator's opening).
+    engine.set_cancel_after(Some(3));
     let err = engine.query_with(&q3.sql, &orca).unwrap_err();
+    engine.set_cancel_after(None);
     assert!(matches!(err, Error::Cancelled), "typed cancel, got: {err}");
-    let stats = orca.stats();
-    assert_eq!(stats.governed.cancelled, 1, "{stats:?}");
-    assert_eq!(stats.fallbacks, 0, "a governed cancel is not a fallback: {stats:?}");
+    let governed = engine.governed_stats();
+    assert_eq!(governed.cancelled, 1, "{governed:?}");
 
-    // Memory squeeze: the one-byte clamp defeats the serial retry too, so
-    // the statement surfaces `MemoryExceeded` and the abandonment joins
-    // the fallback taxonomy.
-    let orca = faulty_router(FaultSite::ExecGovernor, FaultKind::MemorySqueeze);
+    // A one-byte budget defeats the serial retry too, so the statement
+    // surfaces `MemoryExceeded`.
+    engine.set_memory_budget(Some(1));
+    let err = engine.query_with(&q3.sql, &orca).unwrap_err();
+    engine.set_memory_budget(None);
+    assert!(matches!(err, Error::MemoryExceeded { .. }), "typed exhaustion, got: {err}");
+    let governed = engine.governed_stats();
+    assert_eq!(governed.memory_exceeded, 1, "{governed:?}");
+    assert_eq!(governed.total(), 2, "{governed:?}");
+    let stats = orca.stats();
+    assert_eq!(stats.routed, 2, "both statements were planned by Orca: {stats:?}");
+    assert_eq!(stats.fallbacks, 0, "a governed failure is not a fallback: {stats:?}");
+
+    // No residue: the same router on the same engine answers correctly,
+    // and the governed counters stay untouched.
+    let out = canon(engine.query_with(&q3.sql, &orca).expect("serviceable").rows);
+    assert_eq!(out, reference, "the failures must not poison later statements");
+    assert_eq!(engine.governed_stats(), governed);
+}
+
+#[test]
+fn a_memory_failure_is_routed_once_and_is_not_a_fallback() {
+    // The routing ledger counts planning decisions only: a statement Orca
+    // planned that then runs out of memory at execution is one routed
+    // statement, not also a fallback.
+    let engine = Engine::new(tpch::build_catalog(Scale(0.02)));
+    let q3 = &tpch::queries()[2];
+    let orca = OrcaOptimizer::new(OrcaConfig::default(), 1);
+    engine.set_memory_budget(Some(1));
     let err = engine.query_with(&q3.sql, &orca).unwrap_err();
     assert!(matches!(err, Error::MemoryExceeded { .. }), "typed exhaustion, got: {err}");
-    let stats = orca.stats();
-    assert_eq!(stats.governed.memory_exceeded, 1, "{stats:?}");
-    assert_eq!(stats.reasons.memory_exceeded, 1, "{stats:?}");
-    assert_eq!(stats.reasons.total(), stats.fallbacks, "{stats:?}");
-
-    // No residue: a disarmed router on the same engine answers correctly,
-    // and the governed counters stay untouched.
-    let clean = OrcaOptimizer::new(OrcaConfig::default(), 1);
-    let out = canon(engine.query_with(&q3.sql, &clean).expect("serviceable").rows);
-    assert_eq!(out, reference, "the failures must not poison later statements");
-    assert_eq!(clean.stats().governed.total(), 0);
+    let s = orca.stats();
+    assert_eq!(s.routed + s.below_threshold + s.fallbacks, 1, "one statement, one entry: {s:?}");
+    assert_eq!(s.fallbacks, 0, "an execution failure is not a fallback: {s:?}");
 }

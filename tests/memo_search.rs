@@ -216,14 +216,16 @@ fn sweep_record(engine: &Engine, which: &str, limit: u64) -> String {
         _ => SearchBudget { max_plans_costed: limit, ..SearchBudget::UNLIMITED },
     };
     let orca = OrcaOptimizer::new(OrcaConfig { budget, ..OrcaConfig::default() }, 1);
-    engine.plan(SWEEP_SQL, &orca).expect("the router never fails a plannable statement");
-    let landed = match orca.last_fallback() {
-        Some(reason) => {
-            assert_eq!(reason, FallbackReason::BudgetExhausted);
+    let planned =
+        engine.plan(SWEEP_SQL, &orca).expect("the router never fails a plannable statement");
+    let skeleton = &planned.primary().skeleton;
+    let landed = match &skeleton.search {
+        None => {
+            let reason = skeleton.orca_fallback.as_deref();
+            assert_eq!(reason, Some(FallbackReason::BudgetExhausted.name()));
             "native\t-\t-\t-".to_string()
         }
-        None => {
-            let t = orca.last_search_trace().expect("a routed statement has a trace");
+        Some(t) => {
             format!(
                 "rung{} {}\t{}\t{}\t{}",
                 t.rung, t.strategy, t.groups, t.group_exprs, t.plans_costed
