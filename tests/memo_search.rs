@@ -23,6 +23,8 @@
 //!   a capped block is traced, the EXHAUSTIVE2 : EXHAUSTIVE split ratio over
 //!   TPC-DS, and blocks whose predicates leave the join graph in pieces.
 
+mod golden;
+
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write;
 use taurus_bench::gates::fuzz::{build_adversarial_catalog, gen_spec, schema_of};
@@ -275,25 +277,7 @@ fn golden_text() -> String {
 
 #[test]
 fn memo_plans_match_golden() {
-    let got = golden_text();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(GOLDEN, &got).expect("write the golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(GOLDEN).expect("tests/golden/memo_plans.tsv (BLESS=1)");
-    let diffs: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("- {w}\n+ {g}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && want.lines().count() == got.lines().count(),
-        "{} of {} records differ from {GOLDEN}:\n{}",
-        diffs.len(),
-        want.lines().count(),
-        diffs.join("\n")
-    );
+    golden::check(GOLDEN, &golden_text());
 }
 
 /// Whether a block's conjuncts (the WHERE pool and the ON lists) leave its

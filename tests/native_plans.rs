@@ -7,6 +7,8 @@
 //! test --test native_plans` rewrites the file; a change to the native
 //! optimizer that is meant to keep its plans must pass without re-blessing.
 
+mod golden;
+
 use std::fmt::Write;
 use taurus_orca::mylite::{Engine, MySqlOptimizer};
 use taurus_orca::workloads::{tpcds, tpch, Scale};
@@ -32,23 +34,5 @@ fn golden_text() -> String {
 
 #[test]
 fn native_plans_match_golden() {
-    let got = golden_text();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(GOLDEN, &got).expect("write the golden file");
-        return;
-    }
-    let want = std::fs::read_to_string(GOLDEN).expect("tests/golden/native_plans.tsv (BLESS=1)");
-    let diffs: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("- {w}\n+ {g}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && want.lines().count() == got.lines().count(),
-        "{} of {} records differ from {GOLDEN}:\n{}",
-        diffs.len(),
-        want.lines().count(),
-        diffs.join("\n")
-    );
+    golden::check(GOLDEN, &golden_text());
 }
