@@ -133,7 +133,7 @@ impl Engine {
     /// the next serve's snapshot sees the bump and invalidates.
     ///
     /// **Hit.** On [`Path::Cached`] the statement is only digested
-    /// ([`token_digest`]): one pass over the source bytes yields the
+    /// ([`token_digest`]): one fold over the lexer's tokens yields the
     /// fingerprint and the literal binds — no parse tree. The cached plan's
     /// parameters are re-bound *in place* and the action runs against the
     /// shared plan under the entry's own lock (sessions serving other
@@ -152,10 +152,10 @@ impl Engine {
     /// parameterized (planning still sees the peeked literal values),
     /// compiled without any cache lock, acted on, and moved into the cache
     /// keyed by the digest fingerprint. The digest extracts binds in token
-    /// order while [`parameterize`] numbers parameters in AST order; the
-    /// two agree for this grammar, and the insert verifies it per shape — a
-    /// statement whose orders diverge is simply never cached (compiled
-    /// every time, correct either way).
+    /// order while [`parameterize`]'s in-place walk numbers parameters in
+    /// the AST's textual order; the two agree for this grammar, and the
+    /// insert verifies it per shape — a statement whose orders diverge is
+    /// simply never cached (compiled every time, correct either way).
     ///
     /// Lock order: admission → catalog read → cache shard → entry →
     /// feedback; the feedback store never takes a cache or catalog lock.

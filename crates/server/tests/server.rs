@@ -156,6 +156,18 @@ fn malformed_frame_gets_an_error_but_keeps_the_session() {
     write_frame(&mut raw, &[0xEE, 0xFF]).unwrap();
     let reply = read_frame(&mut raw).unwrap().expect("server answers garbage with an error");
     assert!(matches!(decode_reply(&reply).unwrap(), Reply::Err(_)));
+    // A well-framed statement with a multi-byte character where an operand
+    // belongs is a typed parse error too, answered in time, not a dead
+    // session the client would wait on forever.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let sql = "SELECT id FROM emp WHERE id =€";
+    let req = Request::Query { opts: SessionOpts::default(), sql: sql.into() };
+    write_frame(&mut raw, &encode_request(&req)).unwrap();
+    let reply = read_frame(&mut raw).expect("a reply within the read timeout").unwrap();
+    match decode_reply(&reply).unwrap() {
+        Reply::Err(Error::Parse { offset, .. }) => assert_eq!(offset, sql.find('€').unwrap()),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
     // Same socket, now a well-formed request: the framing stayed in sync.
     let req =
         Request::Query { opts: SessionOpts::default(), sql: "SELECT COUNT(*) FROM emp".into() };

@@ -26,16 +26,6 @@ impl SelectStmt {
     pub fn simple(block: QueryBlock) -> SelectStmt {
         SelectStmt { ctes: Vec::new(), body: QueryExpr::Block(Box::new(block)) }
     }
-
-    /// Count of table references in the whole statement — the paper's
-    /// "query complexity" metric for the complex-query threshold (§4.1).
-    pub fn table_ref_count(&self) -> usize {
-        let mut n = 0;
-        for cte in &self.ctes {
-            n += cte.query.table_ref_count();
-        }
-        n + self.body.table_ref_count()
-    }
 }
 
 /// A common table expression.
@@ -54,17 +44,6 @@ pub struct Cte {
 pub enum QueryExpr {
     Block(Box<QueryBlock>),
     SetOp { op: SetOp, all: bool, left: Box<QueryExpr>, right: Box<QueryExpr> },
-}
-
-impl QueryExpr {
-    fn table_ref_count(&self) -> usize {
-        match self {
-            QueryExpr::Block(b) => b.table_ref_count(),
-            QueryExpr::SetOp { left, right, .. } => {
-                left.table_ref_count() + right.table_ref_count()
-            }
-        }
-    }
 }
 
 /// Set operators. MySQL supports only `UNION` (paper §6.2, lesson §7
@@ -87,28 +66,6 @@ pub struct QueryBlock {
     pub having: Option<AstExpr>,
     pub order_by: Vec<OrderItem>,
     pub limit: Option<u64>,
-}
-
-impl QueryBlock {
-    fn table_ref_count(&self) -> usize {
-        let mut n = 0;
-        for t in &self.from {
-            n += t.table_ref_count();
-        }
-        // Subqueries in WHERE/HAVING/SELECT count too — they reference
-        // tables that Orca will have to order.
-        let mut exprs: Vec<&AstExpr> = Vec::new();
-        exprs.extend(self.select.iter().filter_map(|s| match s {
-            SelectItem::Expr { expr, .. } => Some(expr),
-            SelectItem::Wildcard => None,
-        }));
-        exprs.extend(self.where_clause.iter());
-        exprs.extend(self.having.iter());
-        for e in exprs {
-            n += e.subquery_table_refs();
-        }
-        n
-    }
 }
 
 /// A projection item.
@@ -140,16 +97,6 @@ pub enum TableRef {
     Join { left: Box<TableRef>, right: Box<TableRef>, kind: JoinKind, on: Option<AstExpr> },
 }
 
-impl TableRef {
-    fn table_ref_count(&self) -> usize {
-        match self {
-            TableRef::Base { .. } => 1,
-            TableRef::Derived { query, .. } => query.table_ref_count(),
-            TableRef::Join { left, right, .. } => left.table_ref_count() + right.table_ref_count(),
-        }
-    }
-}
-
 /// Join kinds the dialect supports. (Semi/anti joins are produced by the
 /// prepare phase's subquery rewrites, never written directly.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,9 +123,10 @@ pub enum AstExpr {
     /// `col` or `tbl.col` (or `schema.tbl.col`, kept as segments).
     Name(Vec<String>),
     Lit(Value),
-    /// A bind parameter minted by statement fingerprinting
-    /// ([`crate::fingerprint`]): literal number `index` in the statement,
-    /// with the peeked `value` it replaced. Never produced by the parser.
+    /// A bind parameter: [`crate::fingerprint::parameterize`] swaps it in
+    /// place for the statement's `index`th bindable literal (counted in
+    /// textual order) and keeps the peeked `value` it replaced. Never
+    /// produced by the parser.
     Param {
         index: usize,
         value: Value,
@@ -252,47 +200,6 @@ pub enum AstExpr {
 }
 
 impl AstExpr {
-    /// Number of table references inside subqueries of this expression.
-    fn subquery_table_refs(&self) -> usize {
-        match self {
-            AstExpr::Name(_)
-            | AstExpr::Lit(_)
-            | AstExpr::Param { .. }
-            | AstExpr::Interval { .. } => 0,
-            AstExpr::Binary { left, right, .. } => {
-                left.subquery_table_refs() + right.subquery_table_refs()
-            }
-            AstExpr::Not(e) | AstExpr::Neg(e) => e.subquery_table_refs(),
-            AstExpr::IsNull { expr, .. } => expr.subquery_table_refs(),
-            AstExpr::Func { args, .. } => args.iter().map(|a| a.subquery_table_refs()).sum(),
-            AstExpr::Case { operand, branches, else_expr } => {
-                operand.as_deref().map_or(0, |o| o.subquery_table_refs())
-                    + branches
-                        .iter()
-                        .map(|(w, t)| w.subquery_table_refs() + t.subquery_table_refs())
-                        .sum::<usize>()
-                    + else_expr.as_deref().map_or(0, |e| e.subquery_table_refs())
-            }
-            AstExpr::InList { expr, list, .. } => {
-                expr.subquery_table_refs()
-                    + list.iter().map(|e| e.subquery_table_refs()).sum::<usize>()
-            }
-            AstExpr::InSubquery { expr, query, .. } => {
-                expr.subquery_table_refs() + query.table_ref_count()
-            }
-            AstExpr::Exists { query, .. } => query.table_ref_count(),
-            AstExpr::ScalarSubquery(q) => q.table_ref_count(),
-            AstExpr::Like { expr, pattern, .. } => {
-                expr.subquery_table_refs() + pattern.subquery_table_refs()
-            }
-            AstExpr::Between { expr, low, high, .. } => {
-                expr.subquery_table_refs() + low.subquery_table_refs() + high.subquery_table_refs()
-            }
-            AstExpr::Cast { expr, .. } => expr.subquery_table_refs(),
-            AstExpr::Extract { expr, .. } => expr.subquery_table_refs(),
-        }
-    }
-
     /// Convenience: name expression from one segment.
     pub fn name(s: &str) -> AstExpr {
         AstExpr::Name(vec![s.to_string()])

@@ -1078,16 +1078,11 @@ mod tests {
 
     #[test]
     fn highlighted_queries_have_expected_structure() {
-        // Q72 references 11 tables (the Listing 1 snowflake).
-        let q72 = query(72);
-        let stmt = parse_select(&q72.sql).unwrap();
-        assert_eq!(stmt.table_ref_count(), 11);
-        // Q41's OR arms share the factorable self-join equality.
+        // Q41's OR arms share the factorable self-join equality. (The
+        // table counts of q72, q14 and q64 are held on the resolved
+        // statement, in the root end-to-end tests.)
         let q41 = query(41);
         assert!(q41.sql.matches("i2.i_manufact = i1.i_manufact").count() >= 3);
-        // Q14/Q64 are the wide-join compile stressors.
-        assert!(parse_select(&query(14).sql).unwrap().table_ref_count() >= 11);
-        assert!(parse_select(&query(64).sql).unwrap().table_ref_count() >= 12);
     }
 
     #[test]

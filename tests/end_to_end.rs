@@ -7,8 +7,11 @@
 use taurus_orca::bridge::OrcaOptimizer;
 use taurus_orca::catalog::Catalog;
 use taurus_orca::common::{Column, DataType, Schema, Value};
+use taurus_orca::mylite::resolve::resolve_statement;
 use taurus_orca::mylite::{CostBasedOptimizer, Engine, MySqlOptimizer, SessionOpts};
 use taurus_orca::orcalite::{JoinOrderStrategy, OrcaConfig};
+use taurus_orca::sql::parser::parse_select;
+use taurus_orca::sql::rewrite::rewrite_set_ops;
 use taurus_orca::workloads::{tpcds, tpch, Scale};
 
 /// Canonicalize result rows: doubles round (summation order is
@@ -73,6 +76,19 @@ fn tpcds_agrees_under_every_search_strategy() {
             let q = tpcds::query(n);
             assert_agree(&engine, &orca, q.name, &q.sql);
         }
+    }
+}
+
+#[test]
+fn highlighted_tpcds_queries_reference_their_table_counts() {
+    // The §4.1 complexity the router's threshold reads: q72 is the
+    // 11-table Listing 1 snowflake, q14 and q64 the wide-join compile
+    // stressors (every subquery's and CTE reference's tables count).
+    let catalog = tpcds::build_catalog(Scale(0.01));
+    for (n, tables) in [(72, 11), (14, 24), (64, 26)] {
+        let stmt = rewrite_set_ops(parse_select(&tpcds::query(n).sql).unwrap()).unwrap();
+        let bound = resolve_statement(&catalog, &stmt).unwrap();
+        assert_eq!(bound.num_tables(), tables, "tpcds q{n}");
     }
 }
 
