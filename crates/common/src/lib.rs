@@ -28,6 +28,6 @@ pub mod value;
 pub use error::{Error, Result};
 pub use expr::{AggFunc, BinOp, ColRef, Expr, ScalarFunc, UnOp};
 pub use ids::{ColumnId, IndexId, Oid, TableId};
-pub use row::{Column, Layout, Row, Schema};
+pub use row::{read_columns, Column, Layout, Row, Schema, ALL_COLUMNS};
 pub use types::{DataType, MySqlType, TypeCategory};
 pub use value::Value;

@@ -84,7 +84,14 @@ mod tests {
     use taurus_common::TableId;
 
     fn scan(qt: usize) -> Plan {
-        Plan::TableScan { table: TableId(0), qt, width: 1, filter: vec![], est: Est::default() }
+        Plan::TableScan {
+            table: TableId(0),
+            qt,
+            width: 1,
+            mask: taurus_common::ALL_COLUMNS,
+            filter: vec![],
+            est: Est::default(),
+        }
     }
 
     #[test]

@@ -285,7 +285,7 @@ mod tests {
     use super::*;
     use crate::plan::{AggSpec, AggStrategy, Est};
     use taurus_catalog::Catalog;
-    use taurus_common::{AggFunc, Column, DataType, Schema, Value};
+    use taurus_common::{AggFunc, Column, DataType, Schema, Value, ALL_COLUMNS};
 
     /// A catalog with one 100-row table `t(a, b)` and a tiny table `s(a)`.
     fn setup() -> Catalog {
@@ -307,6 +307,7 @@ mod tests {
             table: TableId(0),
             qt: 0,
             width: 2,
+            mask: ALL_COLUMNS,
             filter: vec![],
             est: Est::new(100.0, 100.0),
         }
@@ -317,6 +318,7 @@ mod tests {
             table: TableId(1),
             qt: 1,
             width: 1,
+            mask: ALL_COLUMNS,
             filter: vec![],
             est: Est::new(3.0, 3.0),
         }

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use taurus_catalog::Catalog;
-use taurus_common::{BinOp, Column, DataType, Expr, Row, Schema, TableId, Value};
+use taurus_common::{BinOp, Column, DataType, Expr, Row, Schema, TableId, Value, ALL_COLUMNS};
 use taurus_executor::{execute, Est, ExecContext, JoinKind, Plan};
 
 thread_local! {
@@ -109,6 +109,7 @@ fn catalog() -> Catalog {
         })
         .collect();
     cat.insert(lineitem, rows).unwrap();
+    cat.create_index(lineitem, "lineitem_partkey", vec![0], false).unwrap();
 
     let bucket = cat.create_table("bucket", Schema::new(vec![int("b_key"), int("b_val")])).unwrap();
     let rows: Vec<Row> = (0..400i64).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect();
@@ -117,7 +118,7 @@ fn catalog() -> Catalog {
 }
 
 fn scan(table: TableId, qt: usize, width: usize) -> Plan {
-    Plan::TableScan { table, qt, width, filter: vec![], est: Est::default() }
+    Plan::TableScan { table, qt, width, mask: ALL_COLUMNS, filter: vec![], est: Est::default() }
 }
 
 /// One arm of TPC-H q19's un-factored OR, over qt 0 = part, qt 1 = lineitem.
@@ -205,4 +206,37 @@ fn hash_join_whose_residual_rejects_every_match_allocates_per_row_not_per_match(
         allocations < BUDGET_PER_LEFT_ROW * LEFT_ROWS as u64,
         "{allocations} allocations for {LEFT_ROWS} probe rows × 100 rejected matches each"
     );
+}
+
+#[test]
+fn an_index_lookup_opening_copies_its_key_once() {
+    let cat = catalog();
+    // 200 correlated lookups of four lineitem rows each; the filter turns
+    // every row down, so what is left per outer row is its own copy and its
+    // opening's fixed bill: the key values, their one copy as the index
+    // range's bound, and the filter's two layouts. A second copy of the key
+    // (the lookup's `take_while` once kept one) makes it six.
+    let plan = Plan::NestedLoop {
+        kind: JoinKind::Inner,
+        left: Box::new(scan(PART, 0, 4)),
+        right: Box::new(Plan::IndexLookup {
+            table: LINEITEM,
+            qt: 1,
+            width: 3,
+            mask: ALL_COLUMNS,
+            index: 0,
+            keys: vec![Expr::col(0, 0)],
+            filter: vec![Expr::binary(BinOp::Lt, Expr::col(1, 1), Expr::int(0))],
+            est: Est::default(),
+        }),
+        on: vec![],
+        null_aware: false,
+        est: Est::default(),
+    };
+    let ctx = ExecContext::new(&cat, 2, 0);
+    let (rows, allocations) = allocations_during(|| execute(&plan, &ctx).unwrap());
+    assert!(rows.is_empty());
+    assert_eq!(ctx.stats.index_lookups.get(), LEFT_ROWS as u64);
+    assert_eq!(ctx.stats.rows_scanned.get(), (LEFT_ROWS * 5) as u64, "four rows per lookup");
+    assert!(allocations <= 5 * LEFT_ROWS as u64 + 16, "{allocations} allocations for 200 lookups");
 }

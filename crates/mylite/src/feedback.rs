@@ -285,6 +285,7 @@ mod tests {
             table: taurus_common::TableId(qt as u32),
             qt,
             width: 1,
+            mask: taurus_common::ALL_COLUMNS,
             filter: vec![],
             est: Est::default(),
         }

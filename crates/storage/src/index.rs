@@ -82,20 +82,17 @@ impl OrderedIndex {
 
     /// Exact-match lookup on a *prefix* of the key columns. With fewer
     /// values than key columns, returns every row whose key starts with the
-    /// given values (MySQL's "ref" access on a composite index).
-    pub fn lookup<'a>(&'a self, prefix: &[Value]) -> impl Iterator<Item = RowId> + 'a {
+    /// given values (MySQL's "ref" access on a composite index). The prefix
+    /// is borrowed for the iterator's lifetime; the range bound is its only
+    /// copy.
+    pub fn lookup<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
         assert!(prefix.len() <= self.def.columns.len(), "lookup prefix longer than index key");
         let lo = IndexKey(prefix.to_vec());
-        let prefix_len = prefix.len();
-        let owned: Vec<Value> = prefix.to_vec();
         self.map
             .range((Bound::Included(lo), Bound::Unbounded))
             .take_while(move |(k, _)| {
-                k.0.len() >= prefix_len
-                    && k.0[..prefix_len]
-                        .iter()
-                        .zip(&owned)
-                        .all(|(a, b)| a.total_cmp(b) == Ordering::Equal)
+                k.0.len() >= prefix.len()
+                    && k.0.iter().zip(prefix).all(|(a, b)| a.total_cmp(b) == Ordering::Equal)
             })
             .flat_map(|(_, ids)| ids.iter().copied())
     }

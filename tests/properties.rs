@@ -21,7 +21,7 @@ use taurus_orca::catalog::encode_str_prefix;
 use taurus_orca::catalog::histogram::Histogram;
 use taurus_orca::common::expr::{factor_or, like_match, EvalCtx};
 use taurus_orca::common::expr::{ScalarFunc, UnOp};
-use taurus_orca::common::{BinOp, Expr, Layout, Value};
+use taurus_orca::common::{BinOp, Expr, Layout, Value, ALL_COLUMNS};
 use taurus_orca::orcalite::OrcaConfig;
 use taurus_orca::workloads::gen::SmallRng;
 use taurus_orca::workloads::{tpch, Scale};
@@ -383,6 +383,7 @@ fn guarded_or_decides_every_pair_like_truth_at_the_join_and_the_filter() {
             table: TableId(t as u32),
             qt: t,
             width: 2,
+            mask: ALL_COLUMNS,
             filter: vec![],
             est: Est::default(),
         };
