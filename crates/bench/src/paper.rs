@@ -599,6 +599,18 @@ pub fn hot_report(env: &Env) -> Outcome {
         hot.len(),
         env.reps.max(1)
     );
+    // q19 is a third of the pass's work at a tenth of the others' cost per
+    // unit, so the cost is given with and without it.
+    let ns_per_unit = |skip: &str| {
+        let rows = hot.iter().filter(|h| h.name != skip);
+        let (secs, units) = rows.fold((0.0, 0), |(s, u), h| (s + h.warm.as_secs_f64(), u + h.work));
+        secs * 1e9 / units.max(1) as f64
+    };
+    let (all, no_q19) = (ns_per_unit(""), ns_per_unit("TPC-H/q19"));
+    let _ = writeln!(
+        s,
+        "cost per work unit: {all:.1} ns over the pass, {no_q19:.1} ns without TPC-H/q19"
+    );
     Outcome::report(s)
 }
 
@@ -633,11 +645,11 @@ mod tests {
         let rows = compile_totals(Workload::TpcH, Scale(0.02), 3);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].compiler, "MySQL");
-        // Orca compilation is slower than MySQL compilation (§6.3 obs. 1).
-        assert!(rows[1].total > rows[0].total);
         assert_eq!(rows[0].per_query.len(), 22);
-        // Counts are per compile, not summed over the reps: the bushy search
-        // explores at least the left-deep one's splits, the native none.
+        // Orca's compile does more than MySQL's (§6.3 obs. 1), witnessed by
+        // its search counters rather than a wall clock. Counts are per
+        // compile, not summed over the reps: the bushy search explores at
+        // least the left-deep one's splits, the native none.
         let splits =
             |row: usize| rows[row].per_query.iter().map(|q| q.2.splits_explored).sum::<u64>();
         assert_eq!(splits(0), 0);
