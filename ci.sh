@@ -50,9 +50,32 @@ cargo run --release --offline --manifest-path perf/Cargo.toml -- smoke
 echo "== size: Rust lines per crate (reported, not gated)"
 # The measure every "net-negative" claim in CHANGES.md uses: all .rs lines
 # under the crate, and of those the non-test ones — src/ files up to their
-# first #[cfg(test)]. `total` covers crates/; the root tier-1 tests/ and the
-# examples/ get a row each, and `all` adds them to it.
-non_test='FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+# first #[cfg(test)] item. A #[cfg(test)] that only declares an out-of-line
+# module (`mod tests;`) is product and does not end its file's count; the
+# module file it declares, and anything under that module's directory, is
+# test. `total` covers crates/; the root tier-1 tests/ and the examples/ get
+# a row each, and `all` adds them to it.
+test_mod_decls='FNR == 1 { c = 0 }
+/#\[cfg\(test\)\]/ { c = FNR }
+/(^|[[:space:]])mod [A-Za-z0-9_]+;[[:space:]]*$/ && c && FNR - c <= 1 {
+    name = $0; sub(/.*mod /, "", name); sub(/;.*/, "", name)
+    dir = FILENAME
+    if (dir ~ /\/(mod|lib|main)\.rs$/) sub(/\/[^\/]*$/, "", dir); else sub(/\.rs$/, "", dir)
+    print dir "/" name ".rs"; print dir "/" name "/"
+}'
+TEST_MODS=$(find crates/*/src -name '*.rs' -exec awk "$test_mod_decls" {} +)
+export TEST_MODS
+non_test='BEGIN { k = split(ENVIRON["TEST_MODS"], mods, "\n") }
+FNR == 1 {
+    t = 0; held = 0
+    for (i = 1; i <= k; i++)
+        if (FILENAME == mods[i] || (mods[i] ~ /\/$/ && index(FILENAME, mods[i]) == 1)) t = 1
+}
+t { next }
+held { held = 0; if ($0 ~ /^[[:space:]]*(pub )?mod [A-Za-z0-9_]+;/) { n += 2; next } t = 1; next }
+/#\[cfg\(test\)\]/ { if ($0 ~ /mod [A-Za-z0-9_]+;/) n++; else held = 1; next }
+{ n++ }
+END { print n + 0 }'
 printf '%-12s %7s %9s\n' crate lines non-test
 for c in crates/*; do
     printf '%-12s %7s %9s\n' "${c#crates/}" \
