@@ -70,7 +70,7 @@ pub(super) fn compile(
 pub(super) fn rebind_planned(planned: &mut PlannedQuery, binds: &[Value]) -> Result<()> {
     let mut err: Option<Error> = None;
     for b in &mut planned.branches {
-        b.plan.for_each_expr_mut(&mut |e| {
+        b.plan.for_each_expr_mut(&mut |_, e| {
             if err.is_none() {
                 if let Err(x) = e.rebind_params(binds) {
                     err = Some(x);
