@@ -12,10 +12,13 @@ cd "$(dirname "$0")"
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
+# perf/ is a workspace of its own, which `--all` does not reach.
+cargo fmt --manifest-path perf/Cargo.toml -- --check
 
 if [ -z "${SKIP_LINT:-}" ]; then
     echo "== cargo clippy (workspace, warnings are errors)"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+    cargo clippy --offline --manifest-path perf/Cargo.toml --all-targets -- -D warnings
     echo "== cargo clippy (bridge, unwrap/expect audit — advisory)"
     # The detour must never panic past the router's catch_unwind boundary;
     # keep new unwrap()/expect() in the bridge visible in review. Warnings

@@ -147,6 +147,15 @@ impl Layout {
         Layout { offsets, width: self.width + right.width }
     }
 
+    /// `self.join(&Layout::single(..., t, width))` in one allocation: `self`'s
+    /// slots, then all `width` columns of table `t`.
+    pub fn with_table(&self, t: usize, width: usize) -> Layout {
+        let mut offsets = self.offsets.clone();
+        assert!(offsets[t].is_none(), "table {t} on both sides of a join");
+        offsets[t] = Some((self.width, ALL_COLUMNS));
+        Layout { offsets, width: self.width + width }
+    }
+
     /// Slot of `(table, col)`, or `None` when the table is absent or its
     /// read set leaves the column out.
     pub fn slot(&self, table: usize, col: usize) -> Option<usize> {
@@ -215,6 +224,7 @@ mod tests {
         let j2 = l2.join(&l1);
         assert_eq!(j2.slot(2, 0), Some(0));
         assert_eq!(j2.slot(1, 0), Some(3));
+        assert_eq!(l2.with_table(1, 2), j2, "one-allocation join of a whole table");
     }
 
     #[test]

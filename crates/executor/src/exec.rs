@@ -22,7 +22,7 @@ use crate::governor::{rows_bytes, QueryGovernor};
 use crate::observe::{NodeObservation, ObserverIndex};
 use crate::parallel::exchange::{self, BuildTable};
 use crate::parallel::morsel::{MorselSpec, DEFAULT_MORSEL_ROWS};
-use crate::plan::{AggStrategy, ExchangeKind, JoinKind, Plan, RowSpace};
+use crate::plan::{AccessPath, AggStrategy, ExchangeKind, JoinKind, Plan, RowSpace, TableRead};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -31,6 +31,7 @@ use taurus_common::error::{Error, Result};
 use taurus_common::expr::EvalCtx;
 use taurus_common::sync::lock;
 use taurus_common::{read_columns, BinOp, Expr, Layout, Row, Value};
+use taurus_storage::RowId;
 
 /// One `rebind = false` materialization slot: computed once (under the
 /// slot's lock) and then shared by reference across workers.
@@ -562,72 +563,70 @@ pub(crate) fn exec(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> 
 
 fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result<Rows> {
     let out: Vec<Row> = match plan {
-        Plan::TableScan { table, qt, width, mask, filter, .. } => {
-            let t = ctx.catalog.table(*table)?;
+        Plan::Scan { read, path, .. } => {
+            let t = ctx.catalog.table(read.table)?;
+            let index =
+                |i: &usize| t.indexes.get(*i).ok_or_else(|| Error::internal("bad index id"));
             // Inside a parallel worker the driving scan only visits its
-            // morsel's slice of the heap order.
-            let (skip, take) = scan_window(ctx.morsel_range(*qt));
-            let rows = t.data.scan().skip(skip).take(take).map(|(_, row)| row);
-            scan_rows((*qt, *width, *mask), filter, rows, ctx, binding)?
-        }
-        Plan::IndexScan { table, qt, width, mask, index, filter, .. } => {
-            let t = ctx.catalog.table(*table)?;
-            let ix = t.indexes.get(*index).ok_or_else(|| Error::internal("bad index id"))?;
-            // Morsels over an index scan slice its *key order* positions.
-            let (skip, take) = scan_window(ctx.morsel_range(*qt));
-            let rows = ix.scan_ordered().skip(skip).take(take).map(|rid| t.data.row(rid));
-            scan_rows((*qt, *width, *mask), filter, rows, ctx, binding)?
-        }
-        Plan::IndexRange { table, qt, width, mask, index, lo, hi, filter, .. } => {
-            let t = ctx.catalog.table(*table)?;
-            let ix = t.indexes.get(*index).ok_or_else(|| Error::internal("bad index id"))?;
-            // Bounds evaluate against the binding only (usually constants).
-            let lo_v =
-                lo.as_ref().map(|(e, inc)| Ok::<_, Error>((binding.eval(e)?, *inc))).transpose()?;
-            let hi_v =
-                hi.as_ref().map(|(e, inc)| Ok::<_, Error>((binding.eval(e)?, *inc))).transpose()?;
-            // A NULL bound makes the consumed comparison UNKNOWN for every
-            // row: the range matches nothing. (NULL sorts first in the
-            // index's total order, so [NULL, ∞) would otherwise cover the
-            // whole table.)
-            let null_bound = lo_v.as_ref().is_some_and(|(v, _)| v.is_null())
-                || hi_v.as_ref().is_some_and(|(v, _)| v.is_null());
-            if null_bound {
-                Vec::new()
-            } else {
-                // An unbounded-below range must still start *after* the
-                // index's NULL prefix: the range comes from a comparison
-                // predicate, which is UNKNOWN for a NULL key, yet NULL
-                // sorts first in the key order — `k <= hi` with no lower
-                // bound would otherwise sweep every NULL row in. An
-                // exclusive NULL bound is exactly "skip the NULL prefix".
-                let lo_arg = match lo_v.as_ref() {
-                    Some((v, i)) => Some((v, *i)),
-                    None => Some((&Value::Null, false)),
-                };
-                let rids = ix.range(lo_arg, hi_v.as_ref().map(|(v, i)| (v, *i)));
-                let rows = rids.map(|rid| t.data.row(rid));
-                scan_rows((*qt, *width, *mask), filter, rows, ctx, binding)?
-            }
-        }
-        Plan::IndexLookup { table, qt, width, mask, index, keys, filter, .. } => {
-            let t = ctx.catalog.table(*table)?;
-            let ix = t.indexes.get(*index).ok_or_else(|| Error::internal("bad index id"))?;
-            let mut key_vals = Vec::with_capacity(keys.len());
-            let mut any_null = false;
-            for k in keys {
-                let v = binding.eval(k)?;
-                any_null |= v.is_null();
-                key_vals.push(v);
-            }
-            ExecStats::bump(&ctx.stats.index_lookups, 1);
-            // A NULL key never matches anything under `=` semantics.
-            if any_null {
-                Vec::new()
-            } else {
-                let rows = ix.lookup(&key_vals).map(|rid| t.data.row(rid));
-                scan_rows((*qt, *width, *mask), filter, rows, ctx, binding)?
-            }
+            // morsel's slice of the heap order (of the key order, for a full
+            // index scan).
+            let (skip, take) = scan_window(ctx.morsel_range(read.qt));
+            // Each path's row ids go behind one `&mut dyn Iterator` on the
+            // stack, so the four paths share one `scan_rows` unboxed.
+            let (key_vals, mut heap, mut ordered, mut range, mut lookup);
+            let mut none = std::iter::empty();
+            let rids: &mut dyn Iterator<Item = RowId> = match path {
+                AccessPath::Heap => {
+                    heap = (0..t.num_rows() as RowId).skip(skip).take(take);
+                    &mut heap
+                }
+                AccessPath::Index { index: i } => {
+                    ordered = index(i)?.scan_ordered().skip(skip).take(take);
+                    &mut ordered
+                }
+                AccessPath::Range { index: i, lo, hi } => {
+                    let ix = index(i)?;
+                    // Bounds evaluate against the binding only (usually
+                    // constants).
+                    let bound = |b: &Option<(Expr, bool)>| {
+                        b.as_ref()
+                            .map(|(e, inc)| Ok::<_, Error>((binding.eval(e)?, *inc)))
+                            .transpose()
+                    };
+                    let (lo_v, hi_v) = (bound(lo)?, bound(hi)?);
+                    // A NULL bound makes the consumed comparison UNKNOWN for
+                    // every row: the range matches nothing. (NULL sorts first
+                    // in the index's total order, so [NULL, ∞) would
+                    // otherwise cover the whole table.)
+                    if lo_v.iter().chain(&hi_v).any(|(v, _)| v.is_null()) {
+                        &mut none
+                    } else {
+                        // An unbounded-below range must still start *after*
+                        // the index's NULL prefix: the range comes from a
+                        // comparison predicate, which is UNKNOWN for a NULL
+                        // key, yet NULL sorts first in the key order — `k <=
+                        // hi` with no lower bound would otherwise sweep every
+                        // NULL row in. An exclusive NULL bound is exactly
+                        // "skip the NULL prefix".
+                        let lo_arg = lo_v.as_ref().map_or((&Value::Null, false), |(v, i)| (v, *i));
+                        range = ix.range(Some(lo_arg), hi_v.as_ref().map(|(v, i)| (v, *i)));
+                        &mut range
+                    }
+                }
+                AccessPath::Lookup { index: i, keys } => {
+                    let ix = index(i)?;
+                    key_vals = keys.iter().map(|k| binding.eval(k)).collect::<Result<Vec<_>>>()?;
+                    ExecStats::bump(&ctx.stats.index_lookups, 1);
+                    // A NULL key never matches anything under `=` semantics.
+                    if key_vals.iter().any(Value::is_null) {
+                        &mut none
+                    } else {
+                        lookup = ix.lookup(&key_vals);
+                        &mut lookup
+                    }
+                }
+            };
+            scan_rows(read, rids.map(|rid| t.data.row(rid)), ctx, binding)?
         }
         Plan::NestedLoop { kind, left, right, on, null_aware, .. } => {
             exec_nested_loop(*kind, left, right, on, *null_aware, ctx, binding)?
@@ -789,29 +788,30 @@ fn emitted(rows: Rows, ctx: &ExecContext<'_>) -> Result<Rows> {
 
 /// What every leaf scan does with the rows its access path yields: count
 /// each as scanned, test the pushed-down filter on the stored row (under the
-/// table's full layout) and copy the read set of those that pass. With no
-/// filter there is nothing to evaluate, so no environment (a layout per
-/// `num_tables`) is built — the usual shape of a correlated index lookup,
-/// which is re-opened once per outer row.
+/// binding's layout followed by the table's full one) and copy the read set
+/// of those that pass. The environment (a layout per `num_tables`) is built
+/// at the first row, so a leaf with no filter, or an opening that yields no
+/// row (a correlated lookup that misses, or one keyed by NULL), builds none.
 fn scan_rows<'r>(
-    (qt, width, mask): (usize, usize, u64),
-    filter: &[Expr],
+    read: &TableRead,
     rows: impl Iterator<Item = &'r Row>,
     ctx: &ExecContext<'_>,
     binding: Binding<'_>,
 ) -> Result<Vec<Row>> {
-    let stored = || RowSpace::Tables(Layout::single(ctx.num_tables, qt, width));
-    let env = (!filter.is_empty()).then(|| Env::new(binding, &stored(), ctx.num_tables));
+    let mut env = None;
     let mut out = Vec::new();
     for row in rows {
         ExecStats::bump(&ctx.stats.rows_scanned, 1);
-        let keep = match &env {
-            Some(env) => env.passes(filter, row)?,
-            None => true,
-        };
-        if keep {
-            out.push(read_columns(row, mask));
+        if !read.filter.is_empty() {
+            let env = env.get_or_insert_with(|| Env {
+                layout: binding.layout.with_table(read.qt, read.width),
+                prefix: binding.row,
+            });
+            if !env.passes(&read.filter, row)? {
+                continue;
+            }
         }
+        out.push(read_columns(row, read.mask));
     }
     Ok(out)
 }
@@ -1214,26 +1214,24 @@ mod tests {
     const EMP: TableId = TableId(0);
     const DEPT: TableId = TableId(1);
 
+    fn leaf(read: TableRead, path: AccessPath) -> Plan {
+        Plan::Scan { read, path, est: Est::default() }
+    }
+
     fn emp_scan(filter: Vec<Expr>) -> Plan {
-        Plan::TableScan {
-            table: EMP,
-            qt: 0,
-            width: 3,
-            mask: ALL_COLUMNS,
-            filter,
-            est: Est::default(),
-        }
+        leaf(TableRead::all(EMP, 0, 3, filter), AccessPath::Heap)
     }
 
     fn dept_scan() -> Plan {
-        Plan::TableScan {
-            table: DEPT,
-            qt: 1,
-            width: 2,
-            mask: ALL_COLUMNS,
-            filter: vec![],
-            est: Est::default(),
-        }
+        leaf(TableRead::all(DEPT, 1, 2, vec![]), AccessPath::Heap)
+    }
+
+    /// `dept_pk` lookups keyed by `emp.dept_id` from the binding.
+    fn dept_by_emp() -> Plan {
+        leaf(
+            TableRead::all(DEPT, 1, 2, vec![]),
+            AccessPath::Lookup { index: 0, keys: vec![Expr::col(0, 1)] },
+        )
     }
 
     fn run(plan: &Plan, cat: &Catalog) -> (Vec<Row>, u64) {
@@ -1259,16 +1257,7 @@ mod tests {
         let plan = Plan::NestedLoop {
             kind: JoinKind::Inner,
             left: Box::new(emp_scan(vec![])),
-            right: Box::new(Plan::IndexLookup {
-                table: DEPT,
-                qt: 1,
-                width: 2,
-                mask: ALL_COLUMNS,
-                index: 0,
-                keys: vec![Expr::col(0, 1)], // emp.dept_id from the binding
-                filter: vec![],
-                est: Est::default(),
-            }),
+            right: Box::new(dept_by_emp()),
             on: vec![],
             null_aware: false,
             est: Est::default(),
@@ -1537,17 +1526,15 @@ mod tests {
     #[test]
     fn index_range_scan() {
         let cat = setup();
-        let plan = Plan::IndexRange {
-            table: EMP,
-            qt: 0,
-            width: 3,
-            mask: ALL_COLUMNS,
-            index: 0, // emp_dept on dept_id
-            lo: Some((Expr::int(10), true)),
-            hi: Some((Expr::int(10), true)),
-            filter: vec![],
-            est: Est::default(),
-        };
+        let plan = leaf(
+            TableRead::all(EMP, 0, 3, vec![]),
+            // emp_dept on dept_id
+            AccessPath::Range {
+                index: 0,
+                lo: Some((Expr::int(10), true)),
+                hi: Some((Expr::int(10), true)),
+            },
+        );
         let (rows, _) = run(&plan, &cat);
         assert_eq!(rows.len(), 2);
     }
@@ -1579,12 +1566,8 @@ mod tests {
     /// `plan` with each leaf of query table `qt` reading `masks[qt]`.
     fn with_read_sets(mut plan: Plan, masks: &[u64]) -> Plan {
         fn set(p: &mut Plan, masks: &[u64]) {
-            if let Plan::TableScan { qt, mask, .. }
-            | Plan::IndexScan { qt, mask, .. }
-            | Plan::IndexRange { qt, mask, .. }
-            | Plan::IndexLookup { qt, mask, .. } = p
-            {
-                *mask = masks[*qt];
+            if let Plan::Scan { read, .. } = p {
+                read.mask = masks[read.qt];
             }
             p.children_mut().into_iter().for_each(|c| set(c, masks));
         }
@@ -1612,16 +1595,7 @@ mod tests {
         let join = Plan::NestedLoop {
             kind: JoinKind::Inner,
             left: Box::new(emp_scan(vec![])),
-            right: Box::new(Plan::IndexLookup {
-                table: DEPT,
-                qt: 1,
-                width: 2,
-                mask: ALL_COLUMNS,
-                index: 0,
-                keys: vec![Expr::col(0, 1)],
-                filter: vec![],
-                est: Est::default(),
-            }),
+            right: Box::new(dept_by_emp()),
             on: vec![],
             null_aware: false,
             est: Est::default(),
@@ -1688,15 +1662,12 @@ mod tests {
     fn in_list_probes_share_one_read_set() {
         let cat = setup();
         // emp.dept_id IN (10, 20): one lookup per literal, concatenated.
-        let lookup = |key: i64| Plan::IndexLookup {
-            table: EMP,
-            qt: 0,
-            width: 3,
-            mask: ALL_COLUMNS,
-            index: 0,
-            keys: vec![Expr::int(key)],
-            filter: vec![Expr::binary(BinOp::Gt, Expr::col(0, 2), Expr::int(100))],
-            est: Est::default(),
+        let lookup = |key: i64| {
+            let filter = vec![Expr::binary(BinOp::Gt, Expr::col(0, 2), Expr::int(100))];
+            leaf(
+                TableRead::all(EMP, 0, 3, filter),
+                AccessPath::Lookup { index: 0, keys: vec![Expr::int(key)] },
+            )
         };
         let union = Plan::Union {
             inputs: vec![lookup(10), lookup(20)],
@@ -1715,14 +1686,8 @@ mod tests {
         let wide = cat.create_table("wide", Schema::new(cols)).unwrap();
         let row = |i: i64| (0..70).map(|c| Value::Int(i * 100 + c)).collect::<Row>();
         cat.insert(wide, vec![row(1), row(2)]).unwrap();
-        let scan = Plan::TableScan {
-            table: wide,
-            qt: 0,
-            width: 70,
-            mask: ALL_COLUMNS,
-            filter: vec![Expr::binary(BinOp::Gt, Expr::col(0, 68), Expr::int(200))],
-            est: Est::default(),
-        };
+        let filter = vec![Expr::binary(BinOp::Gt, Expr::col(0, 68), Expr::int(200))];
+        let scan = leaf(TableRead::all(wide, 0, 70, filter), AccessPath::Heap);
         assert_eq!(scan.space(1).width(), 70);
         let ctx = ExecContext::new(&cat, 1, 0);
         let rows = execute(&project(scan, vec![Expr::col(0, 69)]), &ctx).unwrap();

@@ -28,4 +28,7 @@ pub use exec::{execute, ExecContext, ExecStats};
 pub use governor::{GovernorSpec, QueryGovernor};
 pub use observe::{q_error, NodeObservation, ObserverIndex};
 pub use parallel::{parallelize, ParallelOpts, DEFAULT_MORSEL_ROWS};
-pub use plan::{AggSpec, AggStrategy, Est, ExchangeKind, JoinKind, Plan, RowSpace, SortKey};
+pub use plan::{
+    AccessPath, AggSpec, AggStrategy, Est, ExchangeKind, JoinKind, Plan, RowSpace, SortKey,
+    TableRead,
+};

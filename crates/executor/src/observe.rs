@@ -80,18 +80,12 @@ pub fn q_error(est_rows: f64, actual_rows: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Est;
+    use crate::plan::{AccessPath, Est, TableRead};
     use taurus_common::TableId;
 
     fn scan(qt: usize) -> Plan {
-        Plan::TableScan {
-            table: TableId(0),
-            qt,
-            width: 1,
-            mask: taurus_common::ALL_COLUMNS,
-            filter: vec![],
-            est: Est::default(),
-        }
+        let read = TableRead::all(TableId(0), qt, 1, vec![]);
+        Plan::Scan { read, path: AccessPath::Heap, est: Est::default() }
     }
 
     #[test]

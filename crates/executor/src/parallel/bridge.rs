@@ -19,7 +19,7 @@
 //!    re-opens per outer row under a binding, where exchanges cannot help.
 
 use crate::parallel::morsel::DEFAULT_MORSEL_ROWS;
-use crate::plan::{ExchangeKind, Plan, SortKey};
+use crate::plan::{AccessPath, ExchangeKind, Plan, SortKey};
 use taurus_catalog::Catalog;
 use taurus_common::{Expr, TableId};
 
@@ -183,12 +183,7 @@ fn pipeline_ok(plan: &Plan, catalog: &Catalog, opts: &ParallelOpts) -> bool {
 /// Aggregates, sorts, limits, unions and existing exchanges end a pipeline.
 fn shape_ok(plan: &Plan) -> bool {
     match plan {
-        Plan::TableScan { .. }
-        | Plan::IndexScan { .. }
-        | Plan::IndexRange { .. }
-        | Plan::IndexLookup { .. }
-        | Plan::Derived { .. }
-        | Plan::Materialize { .. } => true,
+        Plan::Scan { .. } | Plan::Derived { .. } | Plan::Materialize { .. } => true,
         Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
             shape_ok(left) && shape_ok(right)
         }
@@ -205,8 +200,8 @@ fn shape_ok(plan: &Plan) -> bool {
 /// results are shared or already exchanged).
 pub(crate) fn find_driving_scan(plan: &Plan) -> Option<(usize, TableId)> {
     match plan {
-        Plan::TableScan { qt, table, .. } | Plan::IndexScan { qt, table, .. } => {
-            Some((*qt, *table))
+        Plan::Scan { read, path: AccessPath::Heap | AccessPath::Index { .. }, .. } => {
+            Some((read.qt, read.table))
         }
         Plan::NestedLoop { left, .. } => find_driving_scan(left),
         Plan::HashJoin { build_left, left, right, .. } => {
@@ -283,9 +278,9 @@ fn mark_dop(mut plan: Plan, dop: usize) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{AggSpec, AggStrategy, Est};
+    use crate::plan::{AggSpec, AggStrategy, Est, TableRead};
     use taurus_catalog::Catalog;
-    use taurus_common::{AggFunc, Column, DataType, Schema, Value, ALL_COLUMNS};
+    use taurus_common::{AggFunc, Column, DataType, Schema, Value};
 
     /// A catalog with one 100-row table `t(a, b)` and a tiny table `s(a)`.
     fn setup() -> Catalog {
@@ -303,25 +298,13 @@ mod tests {
     }
 
     fn t_scan() -> Plan {
-        Plan::TableScan {
-            table: TableId(0),
-            qt: 0,
-            width: 2,
-            mask: ALL_COLUMNS,
-            filter: vec![],
-            est: Est::new(100.0, 100.0),
-        }
+        let read = TableRead::all(TableId(0), 0, 2, vec![]);
+        Plan::Scan { read, path: AccessPath::Heap, est: Est::new(100.0, 100.0) }
     }
 
     fn s_scan() -> Plan {
-        Plan::TableScan {
-            table: TableId(1),
-            qt: 1,
-            width: 1,
-            mask: ALL_COLUMNS,
-            filter: vec![],
-            est: Est::new(3.0, 3.0),
-        }
+        let read = TableRead::all(TableId(1), 1, 1, vec![]);
+        Plan::Scan { read, path: AccessPath::Heap, est: Est::new(3.0, 3.0) }
     }
 
     fn opts(dop: usize) -> ParallelOpts {
@@ -453,7 +436,7 @@ mod tests {
         let placed = parallelize(nl, &cat, &opts(4));
         match &placed {
             Plan::NestedLoop { right, .. } => {
-                assert!(matches!(right.as_ref(), Plan::TableScan { .. }), "{right:?}")
+                assert!(matches!(right.as_ref(), Plan::Scan { .. }), "{right:?}")
             }
             other => panic!("{other:?}"),
         }

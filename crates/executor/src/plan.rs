@@ -12,11 +12,11 @@
 //! `Aggregate` emit *slot space* rows addressed by `Expr::Slot`, and
 //! `Derived` re-homes a slot-space subplan's output as a fresh query table.
 //!
-//! A leaf's `mask` is its *read set*: the columns of its table it emits (bit
-//! `c` = column `c`, [`taurus_common::ALL_COLUMNS`] for all), as refinement
-//! computes them from every expression of the plan.
+//! A scan's `read.mask` is its *read set*: the columns of its table it emits
+//! (bit `c` = column `c`, [`ALL_COLUMNS`] for all), as refinement computes
+//! them from every expression of the plan.
 
-use taurus_common::{AggFunc, Expr, Layout, TableId};
+use taurus_common::{AggFunc, Expr, Layout, TableId, ALL_COLUMNS};
 
 /// Cardinality/cost estimate attached to a node for EXPLAIN output. The
 /// estimates come from whichever optimizer produced the plan — for the Orca
@@ -155,47 +155,48 @@ impl RowSpace {
     }
 }
 
-/// A physical plan node.
+/// The table a [`Plan::Scan`] reads, whatever its access path: base table
+/// `table` as query table `qt` of `width` columns, the columns it emits
+/// (`mask`, its read set) and the pushed-down `filter` it tests on the
+/// stored row.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Plan {
-    /// Full heap scan of a base table, with a pushed-down filter.
-    TableScan { table: TableId, qt: usize, width: usize, mask: u64, filter: Vec<Expr>, est: Est },
+pub struct TableRead {
+    pub table: TableId,
+    pub qt: usize,
+    pub width: usize,
+    pub mask: u64,
+    pub filter: Vec<Expr>,
+}
+
+impl TableRead {
+    /// A read of every column of `table`, filtered by `filter`.
+    pub fn all(table: TableId, qt: usize, width: usize, filter: Vec<Expr>) -> TableRead {
+        TableRead { table, qt, width, mask: ALL_COLUMNS, filter }
+    }
+}
+
+/// How a [`Plan::Scan`] reaches its table's rows.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AccessPath {
+    /// Full heap scan, in insertion order.
+    Heap,
     /// Full scan of an index in key order (may supply an ORDER BY).
-    IndexScan {
-        table: TableId,
-        qt: usize,
-        width: usize,
-        mask: u64,
-        index: usize,
-        filter: Vec<Expr>,
-        est: Est,
-    },
+    Index { index: usize },
     /// Range scan on an index's leading column. Bounds are constant
     /// expressions (or correlated expressions over outer bindings).
-    IndexRange {
-        table: TableId,
-        qt: usize,
-        width: usize,
-        mask: u64,
-        index: usize,
-        lo: Option<(Expr, bool)>,
-        hi: Option<(Expr, bool)>,
-        filter: Vec<Expr>,
-        est: Est,
-    },
+    Range { index: usize, lo: Option<(Expr, bool)>, hi: Option<(Expr, bool)> },
     /// Index lookup ("ref" access): key expressions are evaluated against
     /// the *outer binding* each time the node is opened — this is the inner
     /// side of an index nested-loop join.
-    IndexLookup {
-        table: TableId,
-        qt: usize,
-        width: usize,
-        mask: u64,
-        index: usize,
-        keys: Vec<Expr>,
-        filter: Vec<Expr>,
-        est: Est,
-    },
+    Lookup { index: usize, keys: Vec<Expr> },
+}
+
+/// A physical plan node.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Plan {
+    /// A base-table leaf: the table it reads and the access path it reads it
+    /// by (MySQL's `AccessPath`).
+    Scan { read: TableRead, path: AccessPath, est: Est },
     /// Nested-loop join. The right side re-opens per left row with the left
     /// row added to the binding (which is how correlation works).
     /// `null_aware` applies to anti joins only (`NOT IN` semantics: an
@@ -263,11 +264,8 @@ impl Plan {
     /// The row space this node emits, given the number of query tables.
     pub fn space(&self, num_tables: usize) -> RowSpace {
         match self {
-            Plan::TableScan { qt, width, mask, .. }
-            | Plan::IndexScan { qt, width, mask, .. }
-            | Plan::IndexRange { qt, width, mask, .. }
-            | Plan::IndexLookup { qt, width, mask, .. } => {
-                RowSpace::Tables(Layout::read_set(num_tables, *qt, *width, *mask))
+            Plan::Scan { read, .. } => {
+                RowSpace::Tables(Layout::read_set(num_tables, read.qt, read.width, read.mask))
             }
             Plan::Derived { qt, width, .. } => {
                 RowSpace::Tables(Layout::single(num_tables, *qt, *width))
@@ -296,10 +294,7 @@ impl Plan {
     /// Estimate attached to this node.
     pub fn est(&self) -> Est {
         match self {
-            Plan::TableScan { est, .. }
-            | Plan::IndexScan { est, .. }
-            | Plan::IndexRange { est, .. }
-            | Plan::IndexLookup { est, .. }
+            Plan::Scan { est, .. }
             | Plan::NestedLoop { est, .. }
             | Plan::HashJoin { est, .. }
             | Plan::Filter { est, .. }
@@ -318,10 +313,7 @@ impl Plan {
     /// stamp the fragment's degree of parallelism for EXPLAIN).
     pub fn est_mut(&mut self) -> &mut Est {
         match self {
-            Plan::TableScan { est, .. }
-            | Plan::IndexScan { est, .. }
-            | Plan::IndexRange { est, .. }
-            | Plan::IndexLookup { est, .. }
+            Plan::Scan { est, .. }
             | Plan::NestedLoop { est, .. }
             | Plan::HashJoin { est, .. }
             | Plan::Filter { est, .. }
@@ -339,10 +331,7 @@ impl Plan {
     /// Children, for generic traversals.
     pub fn children(&self) -> Vec<&Plan> {
         match self {
-            Plan::TableScan { .. }
-            | Plan::IndexScan { .. }
-            | Plan::IndexRange { .. }
-            | Plan::IndexLookup { .. } => vec![],
+            Plan::Scan { .. } => vec![],
             Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
                 vec![left, right]
             }
@@ -361,10 +350,7 @@ impl Plan {
     /// Mutable children, mirroring [`Plan::children`].
     pub fn children_mut(&mut self) -> Vec<&mut Plan> {
         match self {
-            Plan::TableScan { .. }
-            | Plan::IndexScan { .. }
-            | Plan::IndexRange { .. }
-            | Plan::IndexLookup { .. } => vec![],
+            Plan::Scan { .. } => vec![],
             Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
                 vec![left, right]
             }
@@ -384,10 +370,7 @@ impl Plan {
     /// its `Materialize` nodes — read without touching (or copying) the plan.
     pub fn cache_slots(&self) -> usize {
         match self {
-            Plan::TableScan { .. }
-            | Plan::IndexScan { .. }
-            | Plan::IndexRange { .. }
-            | Plan::IndexLookup { .. } => 0,
+            Plan::Scan { .. } => 0,
             Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
                 left.cache_slots() + right.cache_slots()
             }
@@ -453,18 +436,15 @@ impl Plan {
     /// reconstructing the plan; refinement, to compute leaves' read sets.
     pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(Option<usize>, &mut Expr)) {
         match self {
-            Plan::TableScan { qt, filter, .. } | Plan::IndexScan { qt, filter, .. } => {
-                filter.iter_mut().for_each(|e| f(Some(*qt), e));
-            }
-            Plan::IndexRange { qt, lo, hi, filter, .. } => {
-                for (e, _) in lo.iter_mut().chain(hi) {
-                    f(None, e);
+            Plan::Scan { read, path, .. } => {
+                match path {
+                    AccessPath::Heap | AccessPath::Index { .. } => {}
+                    AccessPath::Range { lo, hi, .. } => {
+                        lo.iter_mut().chain(hi).for_each(|(e, _)| f(None, e))
+                    }
+                    AccessPath::Lookup { keys, .. } => keys.iter_mut().for_each(|e| f(None, e)),
                 }
-                filter.iter_mut().for_each(|e| f(Some(*qt), e));
-            }
-            Plan::IndexLookup { qt, keys, filter, .. } => {
-                keys.iter_mut().for_each(|e| f(None, e));
-                filter.iter_mut().for_each(|e| f(Some(*qt), e));
+                read.filter.iter_mut().for_each(|e| f(Some(read.qt), e));
             }
             Plan::NestedLoop { left, right, on, .. } => {
                 on.iter_mut().for_each(|e| f(None, e));
@@ -542,11 +522,7 @@ impl Plan {
     pub fn is_left_deep(&self) -> bool {
         fn leafish(p: &Plan) -> bool {
             match p {
-                Plan::TableScan { .. }
-                | Plan::IndexScan { .. }
-                | Plan::IndexRange { .. }
-                | Plan::IndexLookup { .. }
-                | Plan::Derived { .. } => true,
+                Plan::Scan { .. } | Plan::Derived { .. } => true,
                 Plan::Filter { input, .. }
                 | Plan::Materialize { input, .. }
                 | Plan::Exchange { input, .. } => leafish(input),
@@ -568,17 +544,10 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taurus_common::ALL_COLUMNS;
 
     fn scan(qt: usize, width: usize) -> Plan {
-        Plan::TableScan {
-            table: TableId(qt as u32),
-            qt,
-            width,
-            mask: ALL_COLUMNS,
-            filter: vec![],
-            est: Est::default(),
-        }
+        let read = TableRead::all(TableId(qt as u32), qt, width, vec![]);
+        Plan::Scan { read, path: AccessPath::Heap, est: Est::default() }
     }
 
     fn inner_nl(l: Plan, r: Plan) -> Plan {
@@ -659,34 +628,39 @@ mod tests {
     #[test]
     fn expr_visitor_reaches_range_bounds_and_filters() {
         use taurus_common::Value;
-        let mut p = Plan::Filter {
-            input: Box::new(Plan::IndexRange {
-                table: TableId(0),
-                qt: 0,
-                width: 1,
-                mask: ALL_COLUMNS,
-                index: 0,
-                lo: Some((Expr::param(0, Value::Int(1)), true)),
-                hi: Some((Expr::param(1, Value::Int(9)), false)),
-                filter: vec![Expr::param(2, Value::Int(3))],
-                est: Est::default(),
-            }),
-            predicate: vec![Expr::param(3, Value::Int(4))],
+        let param = |i: usize| Expr::param(i, Value::Int(i as i64));
+        let leaf = |qt: usize, path: AccessPath, filter: Expr| Plan::Scan {
+            read: TableRead::all(TableId(qt as u32), qt, 1, vec![filter]),
+            path,
             est: Est::default(),
         };
-        let mut seen = 0;
-        p.for_each_expr_mut(&mut |_, e| {
-            e.rebind_params(&[Value::Int(10), Value::Int(20), Value::Int(30), Value::Int(40)])
-                .unwrap();
+        let range =
+            AccessPath::Range { index: 0, lo: Some((param(0), true)), hi: Some((param(1), false)) };
+        let lookup = AccessPath::Lookup { index: 0, keys: vec![param(4)] };
+        let mut p = Plan::Filter {
+            input: Box::new(inner_nl(
+                inner_nl(leaf(0, range, param(2)), leaf(1, AccessPath::Heap, param(3))),
+                leaf(2, lookup, param(5)),
+            )),
+            predicate: vec![param(6)],
+            est: Est::default(),
+        };
+        let values: Vec<Value> = (0..7).map(|i| Value::Int(10 * i)).collect();
+        let (mut seen, mut leaf_filters) = (0, Vec::new());
+        p.for_each_expr_mut(&mut |leaf, e| {
+            e.rebind_params(&values).unwrap();
             seen += 1;
+            leaf_filters.extend(leaf);
         });
-        assert_eq!(seen, 4);
-        match &p {
-            Plan::Filter { predicate, .. } => {
-                assert_eq!(predicate[0], Expr::param(3, Value::Int(40)));
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(seen, 7, "both range bounds, three leaf filters, the key and the predicate");
+        assert_eq!(leaf_filters, [0, 1, 2], "each leaf filter is tagged with its own table");
+        let Plan::Filter { input, predicate, .. } = &p else { panic!("{p:?}") };
+        assert_eq!(predicate[0], Expr::param(6, Value::Int(60)));
+        let Plan::NestedLoop { right, .. } = input.as_ref() else { panic!("{input:?}") };
+        let Plan::Scan { path: AccessPath::Lookup { keys, .. }, .. } = right.as_ref() else {
+            panic!("{right:?}")
+        };
+        assert_eq!(keys[0], Expr::param(4, Value::Int(40)));
     }
 
     #[test]
@@ -755,12 +729,9 @@ mod tests {
         use taurus_common::Value;
         let mut p = Plan::Exchange {
             kind: ExchangeKind::Repartition { keys: vec![Expr::param(0, Value::Int(1))] },
-            input: Box::new(Plan::TableScan {
-                table: TableId(0),
-                qt: 0,
-                width: 1,
-                mask: ALL_COLUMNS,
-                filter: vec![Expr::param(1, Value::Int(2))],
+            input: Box::new(Plan::Scan {
+                read: TableRead::all(TableId(0), 0, 1, vec![Expr::param(1, Value::Int(2))]),
+                path: AccessPath::Heap,
                 est: Est::default(),
             }),
             dop: 2,

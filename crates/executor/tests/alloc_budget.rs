@@ -11,8 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use taurus_catalog::Catalog;
-use taurus_common::{BinOp, Column, DataType, Expr, Row, Schema, TableId, Value, ALL_COLUMNS};
-use taurus_executor::{execute, Est, ExecContext, JoinKind, Plan};
+use taurus_common::{BinOp, Column, DataType, Expr, Row, Schema, TableId, Value};
+use taurus_executor::{execute, AccessPath, Est, ExecContext, JoinKind, Plan, TableRead};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own,
@@ -118,7 +118,11 @@ fn catalog() -> Catalog {
 }
 
 fn scan(table: TableId, qt: usize, width: usize) -> Plan {
-    Plan::TableScan { table, qt, width, mask: ALL_COLUMNS, filter: vec![], est: Est::default() }
+    Plan::Scan {
+        read: TableRead::all(table, qt, width, vec![]),
+        path: AccessPath::Heap,
+        est: Est::default(),
+    }
 }
 
 /// One arm of TPC-H q19's un-factored OR, over qt 0 = part, qt 1 = lineitem.
@@ -214,19 +218,20 @@ fn an_index_lookup_opening_copies_its_key_once() {
     // 200 correlated lookups of four lineitem rows each; the filter turns
     // every row down, so what is left per outer row is its own copy and its
     // opening's fixed bill: the key values, their one copy as the index
-    // range's bound, and the filter's two layouts. A second copy of the key
-    // (the lookup's `take_while` once kept one) makes it six.
+    // range's bound, and the filter's one layout (the binding's followed by
+    // the table's). A second copy of the key (the lookup's `take_while` once
+    // kept one) or a second layout makes it five.
     let plan = Plan::NestedLoop {
         kind: JoinKind::Inner,
         left: Box::new(scan(PART, 0, 4)),
-        right: Box::new(Plan::IndexLookup {
-            table: LINEITEM,
-            qt: 1,
-            width: 3,
-            mask: ALL_COLUMNS,
-            index: 0,
-            keys: vec![Expr::col(0, 0)],
-            filter: vec![Expr::binary(BinOp::Lt, Expr::col(1, 1), Expr::int(0))],
+        right: Box::new(Plan::Scan {
+            read: TableRead::all(
+                LINEITEM,
+                1,
+                3,
+                vec![Expr::binary(BinOp::Lt, Expr::col(1, 1), Expr::int(0))],
+            ),
+            path: AccessPath::Lookup { index: 0, keys: vec![Expr::col(0, 0)] },
             est: Est::default(),
         }),
         on: vec![],
@@ -238,5 +243,5 @@ fn an_index_lookup_opening_copies_its_key_once() {
     assert!(rows.is_empty());
     assert_eq!(ctx.stats.index_lookups.get(), LEFT_ROWS as u64);
     assert_eq!(ctx.stats.rows_scanned.get(), (LEFT_ROWS * 5) as u64, "four rows per lookup");
-    assert!(allocations <= 5 * LEFT_ROWS as u64 + 16, "{allocations} allocations for 200 lookups");
+    assert!(allocations <= 4 * LEFT_ROWS as u64 + 16, "{allocations} allocations for 200 lookups");
 }

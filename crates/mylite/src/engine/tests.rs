@@ -888,12 +888,8 @@ fn session_zero_deadline_disables_the_engine_default() {
 /// Each leaf's read set in the planned statement, pre-order.
 fn read_sets(e: &Engine, sql: &str) -> Vec<u64> {
     fn walk(p: &Plan, out: &mut Vec<u64>) {
-        if let Plan::TableScan { mask, .. }
-        | Plan::IndexScan { mask, .. }
-        | Plan::IndexRange { mask, .. }
-        | Plan::IndexLookup { mask, .. } = p
-        {
-            out.push(*mask);
+        if let Plan::Scan { read, .. } = p {
+            out.push(read.mask);
         }
         p.children().into_iter().for_each(|c| walk(c, out));
     }

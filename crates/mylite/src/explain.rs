@@ -12,7 +12,9 @@ use crate::skeleton::Skeleton;
 use std::fmt::Write;
 use taurus_catalog::Catalog;
 use taurus_common::{ColRef, Expr};
-use taurus_executor::{q_error, AggStrategy, JoinKind, NodeObservation, ObserverIndex, Plan};
+use taurus_executor::{
+    q_error, AccessPath, AggStrategy, JoinKind, NodeObservation, ObserverIndex, Plan,
+};
 
 /// Render an executable plan as an EXPLAIN tree — or, with `ann` (from
 /// [`annotate`] over the same plan shape), an EXPLAIN ANALYZE tree: the same
@@ -248,51 +250,29 @@ impl Render<'_> {
         let asuf = format!("{}{asuf}", self.order_suffix(plan));
         let namer = self.namer;
         match plan {
-            Plan::TableScan { qt, filter, .. } => {
-                let d = self.leaf_filter(plan, filter, &asuf, out, depth);
+            Plan::Scan { read, path, .. } => {
+                let d = self.leaf_filter(plan, &read.filter, &asuf, out, depth);
                 indent(out, d);
-                let _ = writeln!(
-                    out,
-                    "Table scan on {}{}{asuf}",
-                    self.table_name(*qt),
-                    est_suffix(plan)
-                );
-            }
-            Plan::IndexScan { qt, index, filter, .. } => {
-                let d = self.leaf_filter(plan, filter, &asuf, out, depth);
-                indent(out, d);
-                let _ = writeln!(
-                    out,
-                    "Index scan on {} using {}{}{asuf}",
-                    self.table_name(*qt),
-                    self.index_name(*qt, *index),
-                    est_suffix(plan)
-                );
-            }
-            Plan::IndexRange { qt, index, filter, .. } => {
-                let d = self.leaf_filter(plan, filter, &asuf, out, depth);
-                indent(out, d);
-                let _ = writeln!(
-                    out,
-                    "Index range scan on {} using {}{}{asuf}",
-                    self.table_name(*qt),
-                    self.index_name(*qt, *index),
-                    est_suffix(plan)
-                );
-            }
-            Plan::IndexLookup { qt, index, keys, filter, .. } => {
-                let d = self.leaf_filter(plan, filter, &asuf, out, depth);
-                indent(out, d);
-                let keys_text =
-                    keys.iter().map(|k| k.display_with(namer)).collect::<Vec<_>>().join(", ");
-                let _ = writeln!(
-                    out,
-                    "Index lookup on {} using {} ({}){}{asuf}",
-                    self.table_name(*qt),
-                    self.index_name(*qt, *index),
-                    keys_text,
-                    est_suffix(plan)
-                );
+                let table = self.table_name(read.qt);
+                let using = |index: &usize| self.index_name(read.qt, *index);
+                let access = match path {
+                    AccessPath::Heap => format!("Table scan on {table}"),
+                    AccessPath::Index { index } => {
+                        format!("Index scan on {table} using {}", using(index))
+                    }
+                    AccessPath::Range { index, .. } => {
+                        format!("Index range scan on {table} using {}", using(index))
+                    }
+                    AccessPath::Lookup { index, keys } => {
+                        let keys = keys.iter().map(|k| k.display_with(namer)).collect::<Vec<_>>();
+                        format!(
+                            "Index lookup on {table} using {} ({})",
+                            using(index),
+                            keys.join(", ")
+                        )
+                    }
+                };
+                let _ = writeln!(out, "{access}{}{asuf}", est_suffix(plan));
             }
             Plan::NestedLoop { kind, left, right, on, .. } => {
                 indent(out, depth);

@@ -30,7 +30,7 @@
 //! their observed totals are sums over bindings, not whole-relation
 //! cardinalities, so nothing is recorded inside such a subtree — *except*
 //! under a non-rebinding `Materialize`, whose input executed exactly once
-//! and is whole-relation again. `IndexLookup` leaves are inherently
+//! and is whole-relation again. Index lookup leaves are inherently
 //! per-probe and never recorded. Slot-space regions (above a `Project`,
 //! `Aggregate` or `Union`) are not join trees; rel recording stops there,
 //! which keeps HAVING filters from masquerading as join cardinalities.
@@ -40,18 +40,17 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 use taurus_catalog::CardOverrides;
 use taurus_common::sync::lock;
-use taurus_executor::Plan;
+use taurus_executor::{AccessPath, Plan};
 
 /// Query tables referenced under a node, with derived tables opaque: a
 /// `Derived` contributes its own qt and masks its inner block's members —
 /// the same identity the optimizers key join sets by.
 fn qts_under(p: &Plan, out: &mut BTreeSet<usize>) {
     match p {
-        Plan::TableScan { qt, .. }
-        | Plan::IndexScan { qt, .. }
-        | Plan::IndexRange { qt, .. }
-        | Plan::IndexLookup { qt, .. }
-        | Plan::Derived { qt, .. } => {
+        Plan::Scan { read, .. } => {
+            out.insert(read.qt);
+        }
+        Plan::Derived { qt, .. } => {
             out.insert(*qt);
         }
         _ => {
@@ -74,11 +73,7 @@ fn qt_set(p: &Plan) -> BTreeSet<usize> {
 /// these qts with all local predicates applied".
 fn join_tree(p: &Plan) -> bool {
     match p {
-        Plan::TableScan { .. }
-        | Plan::IndexScan { .. }
-        | Plan::IndexRange { .. }
-        | Plan::IndexLookup { .. }
-        | Plan::Derived { .. } => true,
+        Plan::Scan { .. } | Plan::Derived { .. } => true,
         Plan::Filter { input, .. }
         | Plan::Materialize { input, .. }
         | Plan::Exchange { input, .. } => join_tree(input),
@@ -132,10 +127,10 @@ fn fold_walk(
             }
         });
         match p {
-            Plan::TableScan { qt, .. }
-            | Plan::IndexScan { qt, .. }
-            | Plan::IndexRange { qt, .. }
-            | Plan::Derived { qt, .. } => out.record_rel(BTreeSet::from([*qt]), actual),
+            Plan::Scan { read, path, .. } if !matches!(path, AccessPath::Lookup { .. }) => {
+                out.record_rel(BTreeSet::from([read.qt]), actual)
+            }
+            Plan::Derived { qt, .. } => out.record_rel(BTreeSet::from([*qt]), actual),
             Plan::NestedLoop { .. }
             | Plan::HashJoin { .. }
             | Plan::Filter { .. }
@@ -274,21 +269,15 @@ impl ObservationStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taurus_executor::{Est, JoinKind, Plan};
+    use taurus_executor::{Est, JoinKind, Plan, TableRead};
 
     fn set(qts: &[usize]) -> BTreeSet<usize> {
         qts.iter().copied().collect()
     }
 
     fn scan(qt: usize) -> Plan {
-        Plan::TableScan {
-            table: taurus_common::TableId(qt as u32),
-            qt,
-            width: 1,
-            mask: taurus_common::ALL_COLUMNS,
-            filter: vec![],
-            est: Est::default(),
-        }
+        let read = TableRead::all(taurus_common::TableId(qt as u32), qt, 1, vec![]);
+        Plan::Scan { read, path: AccessPath::Heap, est: Est::default() }
     }
 
     fn ann(rows: u64, loops: u64) -> NodeAnnotation {

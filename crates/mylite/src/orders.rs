@@ -25,7 +25,7 @@
 
 use taurus_catalog::Catalog;
 use taurus_common::{BinOp, Expr};
-use taurus_executor::{JoinKind, Plan, SortKey};
+use taurus_executor::{AccessPath, JoinKind, Plan, SortKey};
 
 /// Keys proven constant at a block's sort nodes: any expression equated to
 /// a literal or parameter by a WHERE-conjunct (`a = 5`, `a = ?`), in either
@@ -83,18 +83,21 @@ pub fn reduce_order_keys(keys: &[(Expr, bool)], consts: &[Expr]) -> Vec<(Expr, b
 /// projection that only exposes `b`.
 pub fn delivered_order(plan: &Plan, catalog: &Catalog, consts: &[Expr]) -> Vec<SortKey> {
     match plan {
-        // Heap order is insertion order — deterministic, but not a key order.
-        Plan::TableScan { .. } => Vec::new(),
-        // A full index scan iterates the B-tree: key columns ascending
-        // (NULLs first under `total_cmp`), ties in insertion order — i.e. a
-        // stable sort of the heap by every index column ascending.
-        Plan::IndexScan { table, qt, index, .. } => index_order(catalog, *table, *qt, *index),
-        // A range scan iterates the same B-tree over a key subrange: the
-        // delivered order is the full index column list, identically.
-        Plan::IndexRange { table, qt, index, .. } => index_order(catalog, *table, *qt, *index),
-        // One point lookup per (re)opening; rows share the looked-up key
-        // prefix and arrive in insertion order — nothing worth claiming.
-        Plan::IndexLookup { .. } => Vec::new(),
+        Plan::Scan { read, path, .. } => match path {
+            // Heap order is insertion order — deterministic, but not a key
+            // order. A lookup makes one point lookup per (re)opening; rows
+            // share the looked-up key prefix and arrive in insertion order —
+            // nothing worth claiming.
+            AccessPath::Heap | AccessPath::Lookup { .. } => Vec::new(),
+            // A full index scan iterates the B-tree: key columns ascending
+            // (NULLs first under `total_cmp`), ties in insertion order — i.e.
+            // a stable sort of the heap by every index column ascending. A
+            // range scan iterates the same B-tree over a key subrange: the
+            // delivered order is the full index column list, identically.
+            AccessPath::Index { index } | AccessPath::Range { index, .. } => {
+                index_order(catalog, read.table, read.qt, *index)
+            }
+        },
         // Filters drop rows in place; limits truncate; materialization
         // buffers and replays — all order-preserving.
         Plan::Filter { input, .. }
@@ -208,17 +211,19 @@ fn index_order(
         .collect()
 }
 
-/// Delivered order of a `Union` of same-index `IndexLookup`s with strictly
+/// Delivered order of a `Union` of same-index lookups with strictly
 /// ascending single-column constant keys (the cost-based IN-list rewrite's
 /// shape): the index's leading column, ascending.
 fn in_list_union_order(inputs: &[Plan], catalog: &Catalog) -> Vec<SortKey> {
     let mut sig: Option<(taurus_common::TableId, usize, usize)> = None;
     let mut prev: Option<taurus_common::Value> = None;
     for p in inputs {
-        let Plan::IndexLookup { table, qt, index, keys, .. } = p else { return Vec::new() };
+        let Plan::Scan { read, path: AccessPath::Lookup { index, keys }, .. } = p else {
+            return Vec::new();
+        };
         match sig {
-            None => sig = Some((*table, *qt, *index)),
-            Some(s) if s == (*table, *qt, *index) => {}
+            None => sig = Some((read.table, read.qt, *index)),
+            Some(s) if s == (read.table, read.qt, *index) => {}
             _ => return Vec::new(),
         }
         let [Expr::Literal(v)] = keys.as_slice() else { return Vec::new() };

@@ -26,7 +26,9 @@ use taurus_catalog::{CardOverrides, Catalog};
 use taurus_common::error::{Error, Result};
 use taurus_common::expr::split_hash_keys;
 use taurus_common::{AggFunc, Expr, ALL_COLUMNS};
-use taurus_executor::{AggSpec, AggStrategy, Est, JoinKind, Plan, RowSpace, SortKey};
+use taurus_executor::{
+    AccessPath, AggSpec, AggStrategy, Est, JoinKind, Plan, RowSpace, SortKey, TableRead,
+};
 
 /// Refine a whole statement's skeleton into an executable plan and, when
 /// `opts.dop > 1`, place exchange operators for parallel execution.
@@ -89,27 +91,10 @@ fn assign_read_sets(plan: &mut Plan, num_tables: usize) {
 }
 
 fn set_read_sets(plan: &mut Plan, masks: &[u64]) {
-    match plan {
-        Plan::TableScan { qt, width, mask, .. }
-        | Plan::IndexScan { qt, width, mask, .. }
-        | Plan::IndexRange { qt, width, mask, .. }
-        | Plan::IndexLookup { qt, width, mask, .. } => {
-            *mask = if *width > 64 { ALL_COLUMNS } else { masks[*qt] };
-        }
-        Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-            set_read_sets(left, masks);
-            set_read_sets(right, masks);
-        }
-        Plan::Filter { input, .. }
-        | Plan::Derived { input, .. }
-        | Plan::Materialize { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::Exchange { input, .. } => set_read_sets(input, masks),
-        Plan::Union { inputs, .. } => inputs.iter_mut().for_each(|p| set_read_sets(p, masks)),
+    if let Plan::Scan { read, .. } = plan {
+        read.mask = if read.width > 64 { ALL_COLUMNS } else { masks[read.qt] };
     }
+    plan.children_mut().into_iter().for_each(|c| set_read_sets(c, masks));
 }
 
 /// One aggregate occurrence collected from the output clauses.
@@ -191,7 +176,7 @@ pub(crate) fn refine_block_opts(
 /// Try to make the plan deliver the block's ORDER BY natively: when the
 /// block is a single base-table access with no aggregation/DISTINCT, the
 /// ORDER BY keys are ascending bare columns, and an index's leading columns
-/// match them, the table scan becomes an ordered index scan and the final
+/// match them, the heap scan becomes an ordered index scan and the final
 /// sort can be skipped. Returns `true` when the order is now guaranteed.
 ///
 /// Projections, filters, and limits preserve row order in this executor, so
@@ -217,26 +202,18 @@ fn apply_index_order(catalog: &Catalog, block: &BoundQuery, plan: &mut Plan) -> 
             _ => return false,
         }
     }
-    let Plan::TableScan { table, qt, width, mask, filter, est } = plan else { return false };
-    if order_cols.iter().any(|c| c.table != *qt) {
+    let Plan::Scan { read, path: path @ AccessPath::Heap, .. } = plan else { return false };
+    if order_cols.iter().any(|c| c.table != read.qt) {
         return false;
     }
-    let Ok(t) = catalog.table(*table) else { return false };
+    let Ok(t) = catalog.table(read.table) else { return false };
     let wanted: Vec<usize> = order_cols.iter().map(|c| c.col).collect();
     let Some(index) = t.indexes.iter().position(|ix| {
         ix.def().columns.len() >= wanted.len() && ix.def().columns[..wanted.len()] == wanted[..]
     }) else {
         return false;
     };
-    *plan = Plan::IndexScan {
-        table: *table,
-        qt: *qt,
-        width: *width,
-        mask: *mask,
-        index,
-        filter: std::mem::take(filter),
-        est: *est,
-    };
+    *path = AccessPath::Index { index };
     true
 }
 
@@ -670,88 +647,34 @@ impl<'a> Refiner<'a> {
         }
 
         let est = Est::new(leaf.rows, leaf.cost);
-        let plan = match &leaf.access {
-            AccessChoice::TableScan => {
-                let id = base_id(meta)?;
-                Plan::TableScan { table: id, qt, width, mask: ALL_COLUMNS, filter, est }
-            }
-            AccessChoice::IndexScan { index } => {
-                let id = base_id(meta)?;
-                Plan::IndexScan {
-                    table: id,
-                    qt,
-                    width,
-                    mask: ALL_COLUMNS,
-                    index: *index,
-                    filter,
-                    est,
-                }
-            }
+        let path = match &leaf.access {
+            AccessChoice::TableScan => AccessPath::Heap,
+            AccessChoice::IndexScan { index } => AccessPath::Index { index: *index },
             AccessChoice::IndexRange { index, lo, hi, consumed } => {
-                let id = base_id(meta)?;
-                filter.retain(|f| !consumed.contains(f));
-                self.pending.retain(|p| !consumed.contains(p));
-                Plan::IndexRange {
-                    table: id,
-                    qt,
-                    width,
-                    mask: ALL_COLUMNS,
-                    index: *index,
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                    filter,
-                    est,
-                }
+                self.consume(consumed, &mut filter, false);
+                AccessPath::Range { index: *index, lo: lo.clone(), hi: hi.clone() }
             }
             AccessChoice::IndexLookup { index, keys, consumed } => {
-                let id = base_id(meta)?;
-                filter.retain(|f| !consumed.contains(f));
-                self.pending.retain(|p| !consumed.contains(p));
-                // Lookup-consumed ON conjuncts must not re-apply at the join.
-                for c in consumed {
-                    if !self.consumed_on.contains(c) {
-                        self.consumed_on.push(c.clone());
-                    }
-                }
-                Plan::IndexLookup {
-                    table: id,
-                    qt,
-                    width,
-                    mask: ALL_COLUMNS,
-                    index: *index,
-                    keys: keys.clone(),
-                    filter,
-                    est,
-                }
+                self.consume(consumed, &mut filter, true);
+                AccessPath::Lookup { index: *index, keys: keys.clone() }
             }
             AccessChoice::InListProbes { index, keys, consumed } => {
-                let id = base_id(meta)?;
-                filter.retain(|f| !consumed.contains(f));
-                self.pending.retain(|p| !consumed.contains(p));
-                for c in consumed {
-                    if !self.consumed_on.contains(c) {
-                        self.consumed_on.push(c.clone());
-                    }
-                }
+                self.consume(consumed, &mut filter, true);
                 // One point lookup per (sorted, deduplicated) literal,
                 // concatenated: the shape `orders::in_list_union_order`
                 // recognizes as delivering the leading column ascending.
+                let read = TableRead::all(base_id(meta)?, qt, width, filter);
                 let k = keys.len().max(1) as f64;
                 let per = Est::new(leaf.rows / k, leaf.cost / k);
                 let inputs: Vec<Plan> = keys
                     .iter()
-                    .map(|key| Plan::IndexLookup {
-                        table: id,
-                        qt,
-                        width,
-                        mask: ALL_COLUMNS,
-                        index: *index,
-                        keys: vec![key.clone()],
-                        filter: filter.clone(),
+                    .map(|key| Plan::Scan {
+                        read: read.clone(),
+                        path: AccessPath::Lookup { index: *index, keys: vec![key.clone()] },
                         est: per,
                     })
                     .collect();
-                Plan::Union { inputs, distinct: false, est }
+                return Ok((Plan::Union { inputs, distinct: false, est }, covered));
             }
             AccessChoice::Derived { skeleton } => {
                 let (inner_block, correlated, label) = match &meta.source {
@@ -815,25 +738,58 @@ impl<'a> Refiner<'a> {
                 return Ok((plan, covered));
             }
         };
-        Ok((plan, covered))
+        let read = TableRead::all(base_id(meta)?, qt, width, filter);
+        Ok((Plan::Scan { read, path, est }, covered))
+    }
+
+    /// Drop the conjuncts an index access consumed from the leaf's filter and
+    /// from the pending WHERE conjuncts. A `lookup`'s consumed ON conjuncts
+    /// must not re-apply at the join either.
+    fn consume(&mut self, consumed: &[Expr], filter: &mut Vec<Expr>, lookup: bool) {
+        filter.retain(|f| !consumed.contains(f));
+        self.pending.retain(|p| !consumed.contains(p));
+        if lookup {
+            for c in consumed {
+                if !self.consumed_on.contains(c) {
+                    self.consumed_on.push(c.clone());
+                }
+            }
+        }
     }
 
     /// Buffer an uncorrelated nested-loop inner side so it is not re-scanned
     /// per outer row (MySQL's join buffering). Correlated subtrees (index
     /// lookups, rebind-materialized deriveds, filters over outer columns)
     /// must re-open per row and are left alone.
-    fn maybe_materialize(&self, plan: Plan, rcov: &BTreeSet<usize>) -> Plan {
-        if matches!(plan, Plan::IndexLookup { .. } | Plan::Materialize { .. }) {
+    fn maybe_materialize(&self, mut plan: Plan, rcov: &BTreeSet<usize>) -> Plan {
+        if matches!(
+            plan,
+            Plan::Scan { path: AccessPath::Lookup { .. }, .. } | Plan::Materialize { .. }
+        ) {
             return plan;
         }
+        // Tables outside this block (outer correlation) make it rebindable;
+        // the derived tables under the plan are its own.
         let mut allowed = rcov.clone();
-        // Tables outside this block (outer correlation) make it rebindable.
-        if plan_references_outside(&plan, &mut allowed) {
+        derived_qts(&plan, &mut allowed);
+        let mut outside = false;
+        plan.for_each_expr_mut(&mut |_, e| {
+            outside |= e.referenced_tables().iter().any(|t| !allowed.contains(t))
+        });
+        if outside {
             return plan;
         }
         let est = plan.est();
         Plan::Materialize { input: Box::new(plan), rebind: false, cache_slot: 0, est }
     }
+}
+
+/// Add the query table of every `Derived` node under `plan` to `out`.
+fn derived_qts(plan: &Plan, out: &mut BTreeSet<usize>) {
+    if let Plan::Derived { qt, .. } = plan {
+        out.insert(*qt);
+    }
+    plan.children().into_iter().for_each(|c| derived_qts(c, out));
 }
 
 /// Overwrite the estimates on a derived block's head — every node above its
@@ -852,70 +808,6 @@ fn stamp_observed_output(plan: &mut Plan, rows: f64) {
         Plan::Limit { est, .. } => est.rows = rows,
         _ => {}
     }
-}
-
-/// Does any expression in the plan reference a table not in `allowed`?
-/// (Grows `allowed` with tables the plan itself produces.)
-fn plan_references_outside(plan: &Plan, allowed: &mut BTreeSet<usize>) -> bool {
-    let mut outside = false;
-    let mut check = |e: &Expr| {
-        for t in e.referenced_tables() {
-            if !allowed.contains(&t) {
-                outside = true;
-            }
-        }
-    };
-    match plan {
-        Plan::TableScan { filter, .. } | Plan::IndexScan { filter, .. } => {
-            filter.iter().for_each(&mut check)
-        }
-        Plan::IndexRange { lo, hi, filter, .. } => {
-            if let Some((e, _)) = lo {
-                check(e);
-            }
-            if let Some((e, _)) = hi {
-                check(e);
-            }
-            filter.iter().for_each(&mut check);
-        }
-        Plan::IndexLookup { keys, filter, .. } => {
-            keys.iter().for_each(&mut check);
-            filter.iter().for_each(&mut check);
-        }
-        Plan::NestedLoop { on, .. } => on.iter().for_each(&mut check),
-        Plan::HashJoin { keys, residual, .. } => {
-            keys.iter().for_each(|(a, b)| {
-                check(a);
-                check(b);
-            });
-            residual.iter().for_each(&mut check);
-        }
-        Plan::Filter { predicate, .. } => predicate.iter().for_each(&mut check),
-        Plan::Project { exprs, .. } => exprs.iter().for_each(&mut check),
-        Plan::Aggregate { group_by, aggs, .. } => {
-            group_by.iter().for_each(&mut check);
-            aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(&mut check);
-        }
-        Plan::Sort { keys, .. } => keys.iter().for_each(|k| check(&k.expr)),
-        Plan::Derived { qt, .. } => {
-            allowed.insert(*qt);
-        }
-        Plan::Exchange { kind, .. } => {
-            if let taurus_executor::ExchangeKind::Repartition { keys } = kind {
-                keys.iter().for_each(&mut check);
-            }
-        }
-        Plan::Materialize { .. } | Plan::Limit { .. } | Plan::Union { .. } => {}
-    }
-    if outside {
-        return true;
-    }
-    for c in plan.children() {
-        if plan_references_outside(c, allowed) {
-            return true;
-        }
-    }
-    false
 }
 
 fn base_id(meta: &crate::bound::TableMeta) -> Result<taurus_common::TableId> {

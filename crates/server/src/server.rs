@@ -8,16 +8,21 @@
 //! handle's [`ServerHandle::stop`] wakes the accept loop with a
 //! self-connection (the portable std trick), shuts down live sockets, and
 //! joins every thread, so tests and benches can bring a server up and down
-//! repeatedly in one process without leaking threads.
+//! repeatedly in one process without leaking threads. A session that ends
+//! closes its socket at once, and a panic while serving a request is that
+//! request's typed error, not the session's end.
 
 use crate::protocol::{encode_reply, read_frame, write_frame, Reply};
 use crate::session::Session;
 use mylite::{CostBasedOptimizer, Engine};
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use taurus_common::error::Error;
 use taurus_common::sync::lock;
 
 /// The multi-session SQL server.
@@ -29,9 +34,11 @@ struct Shared {
     optimizer: Arc<dyn CostBasedOptimizer + Send + Sync>,
     stopping: AtomicBool,
     next_session: AtomicU64,
-    /// Live client sockets, shut down on stop so session threads unblock.
-    conns: Mutex<Vec<TcpStream>>,
-    /// Session threads, joined on stop.
+    /// Live client sockets by session id, shut down on stop so session
+    /// threads unblock; a session removes its own when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Session threads, joined on stop; finished ones are dropped as new
+    /// connections arrive.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -66,7 +73,7 @@ impl Server {
             optimizer,
             stopping: AtomicBool::new(false),
             next_session: AtomicU64::new(1),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             workers: Mutex::new(Vec::new()),
         });
         let acceptor = {
@@ -92,7 +99,7 @@ impl ServerHandle {
             let _ = t.join();
         }
         // Hang up live sessions so their read loops see EOF.
-        for conn in lock(&self.shared.conns).drain(..) {
+        for (_, conn) in lock(&self.shared.conns).drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let workers: Vec<_> = std::mem::take(&mut *lock(&self.shared.workers));
@@ -120,18 +127,31 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let _ = stream.set_nodelay(true);
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            lock(&shared.conns).push(clone);
+            lock(&shared.conns).insert(id, clone);
         }
         let worker = {
             let shared = shared.clone();
             std::thread::spawn(move || serve_connection(stream, id, shared))
         };
-        lock(&shared.workers).push(worker);
+        let mut workers = lock(&shared.workers);
+        workers.retain(|w| !w.is_finished());
+        workers.push(worker);
+    }
+}
+
+/// Removes its session's socket from [`Shared::conns`] however the session
+/// ends, so the connection closes with it.
+struct ConnGuard<'a>(&'a Shared, u64);
+
+impl Drop for ConnGuard<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.conns).remove(&self.1);
     }
 }
 
 /// One connection's blocking serve loop: frame in, dispatch, frame out.
 fn serve_connection(mut stream: TcpStream, id: u64, shared: Arc<Shared>) {
+    let _conn = ConnGuard(&shared, id);
     let mut session = Session::new(id, shared.engine.clone(), shared.optimizer.clone());
     loop {
         let payload = match read_frame(&mut stream) {
@@ -140,9 +160,10 @@ fn serve_connection(mut stream: TcpStream, id: u64, shared: Arc<Shared>) {
             Ok(None) | Err(_) => return,
         };
         let reply = match crate::protocol::decode_request(&payload) {
-            Ok(req) => match session.dispatch(req) {
-                Some(r) => r,
-                None => return, // Quit
+            Ok(req) => match catch_unwind(AssertUnwindSafe(|| session.dispatch(req))) {
+                Ok(Some(r)) => r,
+                Ok(None) => return, // Quit
+                Err(_) => Reply::Err(Error::internal("panic while serving the request")),
             },
             // Malformed frame: report it and keep the session alive — the
             // framing layer is still in sync (we read a whole frame).

@@ -1,9 +1,11 @@
 //! End-to-end tests: real sockets, real sessions, shared engine.
 
-use mylite::{Engine, MySqlOptimizer, SessionOpts};
+use mylite::{BoundStatement, CostBasedOptimizer, Engine, MySqlOptimizer, SessionOpts, Skeleton};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use taurus_catalog::Catalog;
-use taurus_common::error::Error;
+use taurus_common::error::{Error, Result};
 use taurus_common::{Column, DataType, Schema, Value};
 use taurus_server::protocol::{
     decode_reply, encode_request, read_frame, write_frame, Reply, Request,
@@ -244,5 +246,65 @@ fn many_concurrent_clients_agree_with_the_single_session_reference() {
             });
         }
     });
+    handle.stop();
+}
+
+/// The native optimizer, except that its first `optimize` panics.
+struct PanicsOnce(AtomicBool);
+
+impl CostBasedOptimizer for PanicsOnce {
+    fn name(&self) -> &'static str {
+        "panics-once"
+    }
+
+    fn optimize(&self, catalog: &Catalog, bound: &BoundStatement) -> Result<Skeleton> {
+        if !self.0.swap(true, Ordering::SeqCst) {
+            panic!("optimizer panic on the first statement");
+        }
+        MySqlOptimizer.optimize(catalog, bound)
+    }
+}
+
+#[test]
+fn a_panic_while_serving_is_a_typed_error_and_the_session_survives() {
+    let handle =
+        Server::start(build_engine(10), Arc::new(PanicsOnce(AtomicBool::new(false)))).unwrap();
+    let addr = handle.addr();
+    // The client runs on its own thread, so a session that never answers
+    // fails this test by timeout instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        for _ in 0..2 {
+            tx.send(c.query("SELECT COUNT(*) FROM emp").map(|r| r.rows)).unwrap();
+        }
+    });
+    let reply = |which| rx.recv_timeout(Duration::from_secs(5)).expect(which);
+    let first = reply("the panicking statement gets a reply");
+    assert!(matches!(first, Err(Error::Internal(_))), "{first:?}");
+    let second = reply("the same connection answers the next statement");
+    assert_eq!(second.unwrap(), vec![vec![Value::Int(10)]]);
+    client.join().unwrap();
+    handle.stop();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_sessions_release_their_sockets() {
+    let (_engine, handle) = start(10);
+    let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+    let idle = open_fds();
+    for _ in 0..200 {
+        let mut c = Client::connect(handle.addr()).unwrap();
+        assert_eq!(c.query("SELECT COUNT(*) FROM emp").unwrap().rows, vec![vec![Value::Int(10)]]);
+        c.quit();
+    }
+    // Session threads close their sockets as they see the quit; other tests
+    // in this process open and close theirs meanwhile, so poll.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open_fds() > idle {
+        assert!(Instant::now() < deadline, "{} fds open, {idle} before 200 sessions", open_fds());
+        std::thread::sleep(Duration::from_millis(10));
+    }
     handle.stop();
 }

@@ -21,7 +21,7 @@ use taurus_orca::catalog::encode_str_prefix;
 use taurus_orca::catalog::histogram::Histogram;
 use taurus_orca::common::expr::{factor_or, like_match, EvalCtx};
 use taurus_orca::common::expr::{ScalarFunc, UnOp};
-use taurus_orca::common::{BinOp, Expr, Layout, Value, ALL_COLUMNS};
+use taurus_orca::common::{BinOp, Expr, Layout, Value};
 use taurus_orca::orcalite::OrcaConfig;
 use taurus_orca::workloads::gen::SmallRng;
 use taurus_orca::workloads::{tpch, Scale};
@@ -294,7 +294,7 @@ fn guard_conjunct(r: &mut SmallRng, kind: i32) -> Expr {
 fn guarded_or_decides_every_pair_like_truth_at_the_join_and_the_filter() {
     use taurus_orca::catalog::Catalog;
     use taurus_orca::common::{Column, DataType, Schema, TableId};
-    use taurus_orca::executor::{execute, Est, ExecContext, JoinKind, Plan};
+    use taurus_orca::executor::{execute, AccessPath, Est, ExecContext, JoinKind, Plan, TableRead};
 
     let mut r = rng("guarded_or");
     let layout = Layout::single(3, 0, 2).join(&Layout::single(3, 1, 2));
@@ -379,12 +379,9 @@ fn guarded_or_decides_every_pair_like_truth_at_the_join_and_the_filter() {
             }
             Ok(out)
         };
-        let scan = |t: usize| Plan::TableScan {
-            table: TableId(t as u32),
-            qt: t,
-            width: 2,
-            mask: ALL_COLUMNS,
-            filter: vec![],
+        let scan = |t: usize| Plan::Scan {
+            read: TableRead::all(TableId(t as u32), t, 2, vec![]),
+            path: AccessPath::Heap,
             est: Est::default(),
         };
         let join = |on: Vec<Expr>| Plan::NestedLoop {

@@ -24,13 +24,10 @@ fn nodes(plan: &Plan) -> Vec<&Plan> {
     out
 }
 
-/// The leaf's mask, for the four leaf variants.
+/// The leaf's mask.
 fn mask_mut(plan: &mut Plan) -> Option<&mut u64> {
     match plan {
-        Plan::TableScan { mask, .. }
-        | Plan::IndexScan { mask, .. }
-        | Plan::IndexRange { mask, .. }
-        | Plan::IndexLookup { mask, .. } => Some(mask),
+        Plan::Scan { read, .. } => Some(&mut read.mask),
         _ => None,
     }
 }
@@ -49,13 +46,9 @@ fn read_everything(plan: &mut Plan) {
 fn leaf_widths(plan: &Plan, num_tables: usize) -> (usize, usize) {
     let mut widths = (0, 0);
     for node in nodes(plan) {
-        if let Plan::TableScan { width, .. }
-        | Plan::IndexScan { width, .. }
-        | Plan::IndexRange { width, .. }
-        | Plan::IndexLookup { width, .. } = node
-        {
+        if let Plan::Scan { read, .. } = node {
             widths.0 += node.space(num_tables).width();
-            widths.1 += width;
+            widths.1 += read.width;
         }
     }
     widths
@@ -69,19 +62,16 @@ fn assert_columns_resolve(plan: &Plan, num_tables: usize, name: &str) {
     let mut emitted = vec![None; num_tables];
     let mut stored = vec![None; num_tables];
     for node in nodes(plan) {
-        let (Plan::TableScan { qt, width, .. }
-        | Plan::IndexScan { qt, width, .. }
-        | Plan::IndexRange { qt, width, .. }
-        | Plan::IndexLookup { qt, width, .. }
-        | Plan::Derived { qt, width, .. }) = node
-        else {
-            continue;
+        let (qt, width) = match node {
+            Plan::Scan { read, .. } => (read.qt, read.width),
+            Plan::Derived { qt, width, .. } => (*qt, *width),
+            _ => continue,
         };
         let RowSpace::Tables(layout) = node.space(num_tables) else {
             panic!("{name}: a leaf in slot space")
         };
-        emitted[*qt] = Some(layout);
-        stored[*qt] = Some(Layout::single(num_tables, *qt, *width));
+        emitted[qt] = Some(layout);
+        stored[qt] = Some(Layout::single(num_tables, qt, width));
     }
     let mut plan = plan.clone();
     plan.for_each_expr_mut(&mut |leaf, e| {
