@@ -750,6 +750,9 @@ impl Expr {
                 Ok(or3(l, right.truth(ctx)?))
             }
             Expr::Binary { op, left, right } if op.is_comparison() => {
+                if let (Some(l), Some(r)) = (left.leaf(ctx), right.leaf(ctx)) {
+                    return Ok(op.compare(l, r));
+                }
                 let l = left.operand(ctx)?;
                 let r = right.operand(ctx)?;
                 Ok(op.compare(&l, &r))
@@ -795,6 +798,19 @@ impl Expr {
             }
             // Everything else yields a value; its truth is the value's.
             _ => Ok(self.operand(ctx)?.truth()),
+        }
+    }
+
+    /// A leaf's value by reference: a `Column` the layout covers, a `Slot`,
+    /// a `Literal` or a `Param`. `None` for anything else (and for an
+    /// uncovered column, whose error [`Expr::operand`] reports).
+    #[inline]
+    fn leaf<'a>(&'a self, ctx: EvalCtx<'a>) -> Option<&'a Value> {
+        match self {
+            Expr::Column(c) => ctx.layout.slot(c.table, c.col).map(|s| ctx.value(s)),
+            Expr::Slot(i) => Some(ctx.value(*i)),
+            Expr::Literal(v) | Expr::Param { value: v, .. } => Some(v),
+            _ => None,
         }
     }
 

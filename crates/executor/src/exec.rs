@@ -19,6 +19,7 @@
 
 use crate::agg::Accumulator;
 use crate::governor::{rows_bytes, QueryGovernor};
+use crate::keyhash::{Chains, Key};
 use crate::observe::{NodeObservation, ObserverIndex};
 use crate::parallel::exchange::{self, BuildTable};
 use crate::parallel::morsel::{MorselSpec, DEFAULT_MORSEL_ROWS};
@@ -414,8 +415,13 @@ impl<'b> Env<'b> {
 
     /// The view of `binding ++ left ++ right` (`right` empty for one row).
     #[inline]
-    fn view<'a>(&'a self, left: &'a [Value], right: &'a [Value]) -> EvalCtx<'a> {
+    pub(crate) fn view<'a>(&'a self, left: &'a [Value], right: &'a [Value]) -> EvalCtx<'a> {
         EvalCtx::split(self.prefix, left, right, &self.layout)
+    }
+
+    /// A key over this environment's rows, its columns resolved to slots.
+    pub(crate) fn key<'p>(&self, exprs: impl IntoIterator<Item = &'p Expr>) -> Key<'p> {
+        Key::new(exprs, &self.layout)
     }
 
     pub(crate) fn eval(&self, e: &Expr, row: &[Value]) -> Result<Value> {
@@ -570,19 +576,17 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
             // Inside a parallel worker the driving scan only visits its
             // morsel's slice of the heap order (of the key order, for a full
             // index scan).
-            let (skip, take) = scan_window(ctx.morsel_range(read.qt));
-            // Each path's row ids go behind one `&mut dyn Iterator` on the
-            // stack, so the four paths share one `scan_rows` unboxed.
-            let (key_vals, mut heap, mut ordered, mut range, mut lookup);
-            let mut none = std::iter::empty();
-            let rids: &mut dyn Iterator<Item = RowId> = match path {
-                AccessPath::Heap => {
-                    heap = (0..t.num_rows() as RowId).skip(skip).take(take);
-                    &mut heap
-                }
+            let (skip, take) = ctx
+                .morsel_range(read.qt)
+                .map_or((0, usize::MAX), |(lo, hi)| (lo, hi.saturating_sub(lo)));
+            // An index path yields a slice of its row ids; the heap counts
+            // its own.
+            let key_vals;
+            let ids: &[RowId] = match path {
+                AccessPath::Heap => &[],
                 AccessPath::Index { index: i } => {
-                    ordered = index(i)?.scan_ordered().skip(skip).take(take);
-                    &mut ordered
+                    let all = index(i)?.scan_ordered().get(skip..).unwrap_or_default();
+                    &all[..take.min(all.len())]
                 }
                 AccessPath::Range { index: i, lo, hi } => {
                     let ix = index(i)?;
@@ -599,7 +603,7 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
                     // in the index's total order, so [NULL, ∞) would
                     // otherwise cover the whole table.)
                     if lo_v.iter().chain(&hi_v).any(|(v, _)| v.is_null()) {
-                        &mut none
+                        &[]
                     } else {
                         // An unbounded-below range must still start *after*
                         // the index's NULL prefix: the range comes from a
@@ -609,8 +613,7 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
                         // NULL row in. An exclusive NULL bound is exactly
                         // "skip the NULL prefix".
                         let lo_arg = lo_v.as_ref().map_or((&Value::Null, false), |(v, i)| (v, *i));
-                        range = ix.range(Some(lo_arg), hi_v.as_ref().map(|(v, i)| (v, *i)));
-                        &mut range
+                        ix.range(Some(lo_arg), hi_v.as_ref().map(|(v, i)| (v, *i)))
                     }
                 }
                 AccessPath::Lookup { index: i, keys } => {
@@ -619,14 +622,18 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
                     ExecStats::bump(&ctx.stats.index_lookups, 1);
                     // A NULL key never matches anything under `=` semantics.
                     if key_vals.iter().any(Value::is_null) {
-                        &mut none
+                        &[]
                     } else {
-                        lookup = ix.lookup(&key_vals);
-                        &mut lookup
+                        ix.lookup(&key_vals)
                     }
                 }
             };
-            scan_rows(read, rids.map(|rid| t.data.row(rid)), ctx, binding)?
+            if let AccessPath::Heap = path {
+                let rids = (0..t.num_rows() as RowId).skip(skip).take(take);
+                scan_rows(read, rids.map(|rid| t.data.row(rid)), ctx, binding)?
+            } else {
+                scan_rows(read, ids.iter().map(|&rid| t.data.row(rid)), ctx, binding)?
+            }
         }
         Plan::NestedLoop { kind, left, right, on, null_aware, .. } => {
             exec_nested_loop(*kind, left, right, on, *null_aware, ctx, binding)?
@@ -752,10 +759,19 @@ fn exec_node(plan: &Plan, ctx: &ExecContext<'_>, binding: Binding<'_>) -> Result
                 out.extend(exec(p, ctx, binding)?.into_owned());
             }
             if *distinct {
-                let mut seen = std::collections::HashSet::new();
-                out.retain(|r| seen.insert(r.clone()));
+                // The first of each set of equal rows, chained by its hash.
+                let (mut chains, mut kept) = (Chains::with_capacity(out.len()), Vec::new());
+                for row in out {
+                    let hash = chains.hash(&row);
+                    if !chains.get(hash).any(|k| kept[k] == row) {
+                        chains.push(Some(hash));
+                        kept.push(row);
+                    }
+                }
+                kept
+            } else {
+                out
             }
-            out
         }
         // Exchanges move buffers between workers; they never process rows
         // themselves (the fragment's operators already counted every row).
@@ -814,14 +830,6 @@ fn scan_rows<'r>(
         out.push(read_columns(row, read.mask));
     }
     Ok(out)
-}
-
-/// `(skip, take)` for a scan iterator under an optional morsel restriction.
-fn scan_window(range: Option<(usize, usize)>) -> (usize, usize) {
-    match range {
-        Some((lo, hi)) => (lo, hi.saturating_sub(lo)),
-        None => (0, usize::MAX),
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -935,16 +943,8 @@ fn exec_hash_join(
     let probe_env = Env::new(binding, &probe_plan.space(ctx.num_tables), ctx.num_tables);
     let join_space = whole_join_space(ctx.num_tables, left, right)?;
     let join_env = Env::new(binding, &join_space, ctx.num_tables);
-    let build_keys: Vec<&Expr> = if build_is_left {
-        keys.iter().map(|(l, _)| l).collect()
-    } else {
-        keys.iter().map(|(_, r)| r).collect()
-    };
-    let probe_keys: Vec<&Expr> = if build_is_left {
-        keys.iter().map(|(_, r)| r).collect()
-    } else {
-        keys.iter().map(|(l, _)| l).collect()
-    };
+    let build_key = build_env.key(keys.iter().map(|(l, r)| if build_is_left { l } else { r }));
+    let probe_key = probe_env.key(keys.iter().map(|(l, r)| if build_is_left { r } else { l }));
 
     // A Broadcast exchange on the build side shares one build table across
     // all parallel workers (built once, under the broadcast cache's lock);
@@ -961,41 +961,41 @@ fn exec_hash_join(
                 // so credit it here — only on the one actual build, not on
                 // cache-served accesses.
                 ctx.record(build_plan, rows.len() as u64);
-                build_table(rows, &build_keys, &build_env, ctx)
+                build_table(rows, &build_key, &build_env, ctx)
             })?
         }
         _ => {
             let rows = exec(build_plan, ctx, binding)?.into_owned();
-            Arc::new(build_table(rows, &build_keys, &build_env, ctx)?)
+            Arc::new(build_table(rows, &build_key, &build_env, ctx)?)
         }
     };
     let probe_rows = exec(probe_plan, ctx, binding)?;
-    let (table, build_rows, build_has_null_key) = (&built.index, &built.rows, built.has_null_key);
+    let (build_rows, build_has_null_key) = (&built.rows, built.has_null_key);
+    let stride = build_key.computed();
 
     let right_width = right.space(ctx.num_tables).width();
     let mut out = Vec::new();
-    // One key buffer for every probe; the table is looked up by slice.
-    let mut kv: Vec<Value> = Vec::with_capacity(probe_keys.len());
+    // One buffer for every probe's evaluated key parts; slots are read in
+    // place.
+    let mut kv: Vec<Value> = Vec::new();
     for prow in probe_rows.iter() {
         ExecStats::bump(&ctx.stats.hash_probes, 1);
-        kv.clear();
-        let mut any_null = false;
-        for k in &probe_keys {
-            let v = probe_env.eval(k, prow)?;
-            any_null |= v.is_null();
-            kv.push(v);
-        }
-        let matches: &[usize] = if any_null {
-            &[]
-        } else {
-            table.get(kv.as_slice()).map(|v| v.as_slice()).unwrap_or(&[])
-        };
+        let view = probe_env.view(prow, &[]);
+        probe_key.eval(view, &mut kv)?;
+        let any_null = probe_key.values(view, &kv).any(Value::is_null);
+        let hash =
+            if any_null { None } else { Some(built.chains.hash(probe_key.values(view, &kv))) };
 
         let mut matched = false;
-        for &bi in matches {
-            let brow = build_rows
-                .get(bi)
-                .ok_or_else(|| Error::internal("hash-join build index out of range"))?;
+        for bi in hash.into_iter().flat_map(|h| built.chains.get(h)) {
+            let brow = &build_rows[bi];
+            let computed = &built.computed[bi * stride..(bi + 1) * stride];
+            if !build_key
+                .values(build_env.view(brow, &[]), computed)
+                .eq(probe_key.values(view, &kv))
+            {
+                continue;
+            }
             let (lrow, rrow) = if build_is_left { (brow, prow) } else { (prow, brow) };
             if join_env.pair_passes(residual, lrow, rrow)? {
                 matched = true;
@@ -1034,36 +1034,27 @@ fn exec_hash_join(
     Ok(out)
 }
 
-/// Hash the build side of a join: index row positions by key values.
-/// Rows with any NULL key component are excluded from the index (they can
-/// never match under `=`) but remembered for NULL-aware anti joins.
-/// Charges the buffered rows against the query's memory budget; the caller
-/// owns the uncharge (or leaves it charged, for shared broadcast builds).
-fn build_table(
-    rows: Vec<Row>,
-    keys: &[&Expr],
-    env: &Env,
-    ctx: &ExecContext<'_>,
-) -> Result<BuildTable> {
+/// Hash the build side of a join: chain row positions by key hash, in
+/// build order. Rows with any NULL key component are left out of every
+/// chain (they can never match under `=`) but remembered for NULL-aware
+/// anti joins. Charges the buffered rows against the query's memory budget;
+/// the caller owns the uncharge (or leaves it charged, for shared broadcast
+/// builds).
+fn build_table(rows: Vec<Row>, key: &Key, env: &Env, ctx: &ExecContext<'_>) -> Result<BuildTable> {
     ctx.charge_mem(rows_bytes(&rows))?;
-    let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(rows.len());
+    let mut chains = Chains::with_capacity(rows.len());
+    let (mut computed, mut kv) = (Vec::new(), Vec::new());
     let mut has_null_key = false;
-    for (i, row) in rows.iter().enumerate() {
+    for row in &rows {
         ExecStats::bump(&ctx.stats.build_rows, 1);
-        let mut kv = Vec::with_capacity(keys.len());
-        let mut any_null = false;
-        for k in keys {
-            let v = env.eval(k, row)?;
-            any_null |= v.is_null();
-            kv.push(v);
-        }
-        if any_null {
-            has_null_key = true;
-            continue;
-        }
-        index.entry(kv).or_default().push(i);
+        let view = env.view(row, &[]);
+        key.eval(view, &mut kv)?;
+        let any_null = key.values(view, &kv).any(Value::is_null);
+        has_null_key |= any_null;
+        chains.push(if any_null { None } else { Some(chains.hash(key.values(view, &kv))) });
+        computed.append(&mut kv);
     }
-    Ok(BuildTable { rows, index, has_null_key })
+    Ok(BuildTable { rows, computed, chains, has_null_key })
 }
 
 pub(crate) fn exec_aggregate(
@@ -1101,60 +1092,59 @@ pub(crate) fn exec_aggregate(
         return Ok(vec![emit(Vec::new(), &accs)]);
     }
 
+    let key = env.key(group_by);
+    let mut kv = Vec::new();
+    // A group owns its key once, sized for the row it becomes.
+    let owned = |view, kv: &[Value]| -> Row {
+        let mut k = Vec::with_capacity(group_by.len() + aggs.len());
+        k.extend(key.values(view, kv).cloned());
+        k
+    };
+    let mut out = Vec::new();
     match strategy {
         AggStrategy::Hash => {
-            let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-            let mut order: Vec<Vec<Value>> = Vec::new();
+            // Groups in first-seen order, chained by key hash. NULL keys
+            // hash and compare equal to each other: they form one group.
+            let mut chains = Chains::with_capacity(rows.len());
+            let mut groups: Vec<(Row, Vec<Accumulator>)> = Vec::new();
             for row in rows {
-                let mut key = Vec::with_capacity(group_by.len());
-                for g in group_by {
-                    key.push(env.eval(g, row)?);
-                }
-                let accs = match groups.get_mut(&key) {
-                    Some(a) => a,
-                    None => {
-                        order.push(key.clone());
-                        groups.entry(key.clone()).or_insert_with(new_accs)
-                    }
-                };
-                feed(accs, row)?;
+                let view = env.view(row, &[]);
+                key.eval(view, &mut kv)?;
+                let hash = chains.hash(key.values(view, &kv));
+                let found = chains.get(hash).find(|&g| key.values(view, &kv).eq(&groups[g].0));
+                let g = found.unwrap_or_else(|| {
+                    chains.push(Some(hash));
+                    groups.push((owned(view, &kv), new_accs()));
+                    groups.len() - 1
+                });
+                feed(&mut groups[g].1, row)?;
             }
-            let mut out = Vec::with_capacity(order.len());
-            for key in order {
-                let accs = groups
-                    .get(&key)
-                    .ok_or_else(|| Error::internal("hash-aggregate group vanished"))?;
-                out.push(emit(key, accs));
-            }
-            Ok(out)
+            out.extend(groups.into_iter().map(|(k, accs)| emit(k, &accs)));
         }
         AggStrategy::Stream => {
             // Input must arrive grouped (sorted) on the keys.
-            let mut out = Vec::new();
-            let mut current: Option<(Vec<Value>, Vec<Accumulator>)> = None;
+            let mut current: Option<(Row, Vec<Accumulator>)> = None;
             for row in rows {
-                let mut key = Vec::with_capacity(group_by.len());
-                for g in group_by {
-                    key.push(env.eval(g, row)?);
-                }
+                let view = env.view(row, &[]);
+                key.eval(view, &mut kv)?;
                 match &mut current {
-                    Some((ck, accs)) if *ck == key => feed(accs, row)?,
+                    Some((ck, accs)) if key.values(view, &kv).eq(ck.iter()) => feed(accs, row)?,
                     _ => {
                         if let Some((ck, accs)) = current.take() {
                             out.push(emit(ck, &accs));
                         }
                         let mut accs = new_accs();
                         feed(&mut accs, row)?;
-                        current = Some((key, accs));
+                        current = Some((owned(view, &kv), accs));
                     }
                 }
             }
             if let Some((ck, accs)) = current.take() {
                 out.push(emit(ck, &accs));
             }
-            Ok(out)
         }
     }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 pub mod agg;
 pub mod exec;
 pub mod governor;
+mod keyhash;
 pub mod observe;
 pub mod ordering;
 pub mod parallel;

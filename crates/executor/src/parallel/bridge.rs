@@ -19,7 +19,7 @@
 //!    re-opens per outer row under a binding, where exchanges cannot help.
 
 use crate::parallel::morsel::DEFAULT_MORSEL_ROWS;
-use crate::plan::{AccessPath, ExchangeKind, Plan, SortKey};
+use crate::plan::{AccessPath, Est, ExchangeKind, Plan, SortKey};
 use taurus_catalog::Catalog;
 use taurus_common::{Expr, TableId};
 
@@ -96,56 +96,21 @@ fn place(plan: Plan, catalog: &Catalog, opts: &ParallelOpts) -> Plan {
             };
             Plan::Aggregate { input: Box::new(agg_input), group_by, aggs, strategy, est }
         }
-        // Rule 4: generic recursion.
-        Plan::Filter { input, predicate, est } => {
-            Plan::Filter { input: Box::new(place(*input, catalog, opts)), predicate, est }
-        }
-        Plan::Project { input, exprs, est } => {
-            Plan::Project { input: Box::new(place(*input, catalog, opts)), exprs, est }
-        }
-        Plan::Sort { input, keys, est } => {
-            Plan::Sort { input: Box::new(place(*input, catalog, opts)), keys, est }
-        }
-        Plan::Limit { input, n, est } => {
-            Plan::Limit { input: Box::new(place(*input, catalog, opts)), n, est }
-        }
-        Plan::Derived { input, qt, width, name, est } => {
-            Plan::Derived { input: Box::new(place(*input, catalog, opts)), qt, width, name, est }
-        }
-        Plan::Materialize { input, rebind, cache_slot, est } => Plan::Materialize {
-            input: Box::new(place(*input, catalog, opts)),
-            rebind,
-            cache_slot,
-            est,
-        },
-        Plan::Union { inputs, distinct, est } => Plan::Union {
-            inputs: inputs.into_iter().map(|p| place(p, catalog, opts)).collect(),
-            distinct,
-            est,
-        },
-        // Only the outer (driving) side of a nested loop is descended: the
-        // inner side re-opens per outer row under a binding.
-        Plan::NestedLoop { kind, left, right, on, null_aware, est } => Plan::NestedLoop {
-            kind,
-            left: Box::new(place(*left, catalog, opts)),
-            right,
-            on,
-            null_aware,
-            est,
-        },
-        Plan::HashJoin { kind, build_left, left, right, keys, residual, null_aware, est } => {
-            Plan::HashJoin {
-                kind,
-                build_left,
-                left: Box::new(place(*left, catalog, opts)),
-                right: Box::new(place(*right, catalog, opts)),
-                keys,
-                residual,
-                null_aware,
-                est,
+        // Rule 4: generic recursion, in place. Only the outer (driving) side
+        // of a nested loop is descended: the inner side re-opens per outer
+        // row under a binding. Leaves and exchanges stay as they are.
+        leaf @ (Plan::Scan { .. } | Plan::Exchange { .. }) => leaf,
+        mut other => {
+            let children = match &mut other {
+                Plan::NestedLoop { left, .. } => vec![left.as_mut()],
+                p => p.children_mut(),
+            };
+            for c in children {
+                let hole = Plan::Union { inputs: Vec::new(), distinct: false, est: Est::default() };
+                *c = place(std::mem::replace(c, hole), catalog, opts);
             }
+            other
         }
-        leaf => leaf,
     }
 }
 

@@ -9,13 +9,11 @@
 
 use crate::exec::{exec, exec_aggregate, Binding, Env, ExecContext, Rows};
 use crate::governor;
+use crate::keyhash::{self, Chains};
 use crate::parallel::bridge::find_driving_scan;
 use crate::parallel::{morsel, morsel::MorselSpec, pool};
 use crate::plan::{AggSpec, AggStrategy, ExchangeKind, Plan, SortKey};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use taurus_common::error::Result;
 use taurus_common::{Expr, Row, Value};
 
@@ -24,8 +22,12 @@ use taurus_common::{Expr, Row, Value};
 pub(crate) struct BuildTable {
     /// Build-side rows in their execution order.
     pub rows: Vec<Row>,
-    /// Row positions indexed by evaluated key values (NULL keys excluded).
-    pub index: HashMap<Vec<Value>, Vec<usize>>,
+    /// Each row's evaluated key parts (`Key::eval`), `Key::computed()` per
+    /// row; empty when every key part is a slot.
+    pub computed: Vec<Value>,
+    /// Row positions chained by key hash, in build order (NULL keys left
+    /// out).
+    pub chains: Chains,
     /// Whether any build row had a NULL key component (NULL-aware anti
     /// joins turn membership UNKNOWN on it).
     pub has_null_key: bool,
@@ -124,7 +126,8 @@ fn merge_sorted_runs(
                 None => Some(r),
                 // Strict `Less` keeps the lowest run index on ties.
                 Some(b) => {
-                    if cmp_keys(&run[pos[r]].0, &keyed[b][pos[b]].0, keys) == Ordering::Less {
+                    let (x, y) = (&run[pos[r]].0, &keyed[b][pos[b]].0);
+                    if crate::ordering::cmp_key_tuples(x, y, keys) == Ordering::Less {
                         Some(r)
                     } else {
                         Some(b)
@@ -137,10 +140,6 @@ fn merge_sorted_runs(
         pos[b] += 1;
     }
     Ok(out)
-}
-
-fn cmp_keys(a: &[Value], b: &[Value], keys: &[SortKey]) -> Ordering {
-    crate::ordering::cmp_key_tuples(a, b, keys)
 }
 
 /// Two-phase partitioned aggregation under a `Repartition` exchange.
@@ -193,13 +192,14 @@ pub(crate) fn exec_partitioned_agg(
         wctx.set_morsel(None);
         let rows = rows?.into_owned();
         let env = Env::new(binding, &space, wctx.num_tables);
+        let key = env.key(keys);
+        let mut kv = Vec::new();
         let mut parts: Vec<Vec<Row>> = (0..nparts).map(|_| Vec::new()).collect();
         for row in rows {
-            let mut kv = Vec::with_capacity(keys.len());
-            for k in keys {
-                kv.push(env.eval(k, &row)?);
-            }
-            parts[partition_of(&kv, nparts)].push(row);
+            let view = env.view(&row, &[]);
+            key.eval(view, &mut kv)?;
+            let p = partition_of(keyhash::hash(0, key.values(view, &kv)), nparts);
+            parts[p].push(row);
         }
         Ok(parts)
     })?;
@@ -244,13 +244,11 @@ fn sort_by_leading_keys(rows: &mut [Row], k: usize) {
     rows.sort_by(|a, b| crate::ordering::cmp_leading_cols(a, b, k));
 }
 
-/// Deterministic partition assignment. `DefaultHasher::new()` uses fixed
-/// keys, so the assignment is stable across runs; it only affects *which
-/// worker* owns a group, never the output order.
-fn partition_of(key: &[Value], nparts: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % nparts.max(1)
+/// Deterministic partition assignment from a key's hash (the key tables',
+/// unseeded, so every worker agrees). It only affects *which worker* owns a
+/// group, never the output order.
+fn partition_of(hash: u64, nparts: usize) -> usize {
+    (hash % nparts.max(1) as u64) as usize
 }
 
 #[cfg(test)]
@@ -261,10 +259,13 @@ mod tests {
     fn partition_assignment_is_deterministic_and_in_range() {
         let keys = [vec![Value::Int(7)], vec![Value::str("x")], vec![Value::Null]];
         for k in &keys {
-            let p = partition_of(k, 4);
+            let p = partition_of(keyhash::hash(0, k), 4);
             assert!(p < 4);
-            assert_eq!(p, partition_of(k, 4), "same key, same partition");
+            assert_eq!(p, partition_of(keyhash::hash(0, k), 4), "same key, same partition");
         }
+        // Keys that compare equal share a partition.
+        let two = |v: Value| partition_of(keyhash::hash(0, &[v]), 4);
+        assert_eq!(two(Value::Int(2)), two(Value::Double(2.0)));
     }
 
     #[test]

@@ -391,35 +391,18 @@ impl Plan {
     /// exchange. Call once after plan construction.
     pub fn assign_cache_slots(&mut self) -> usize {
         fn assign(plan: &mut Plan, next: &mut usize, next_bcast: &mut usize) {
-            if let Plan::Materialize { cache_slot, input, .. } = plan {
-                *cache_slot = *next;
-                *next += 1;
-                assign(input, next, next_bcast);
-                return;
-            }
-            if let Plan::Exchange { kind: ExchangeKind::Broadcast { slot }, input, .. } = plan {
-                *slot = *next_bcast;
-                *next_bcast += 1;
-                assign(input, next, next_bcast);
-                return;
-            }
             match plan {
-                Plan::NestedLoop { left, right, .. } | Plan::HashJoin { left, right, .. } => {
-                    assign(left, next, next_bcast);
-                    assign(right, next, next_bcast);
+                Plan::Materialize { cache_slot, .. } => {
+                    *cache_slot = *next;
+                    *next += 1;
                 }
-                Plan::Filter { input, .. }
-                | Plan::Derived { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Aggregate { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Limit { input, .. }
-                | Plan::Exchange { input, .. } => assign(input, next, next_bcast),
-                Plan::Union { inputs, .. } => {
-                    inputs.iter_mut().for_each(|p| assign(p, next, next_bcast))
+                Plan::Exchange { kind: ExchangeKind::Broadcast { slot }, .. } => {
+                    *slot = *next_bcast;
+                    *next_bcast += 1;
                 }
                 _ => {}
             }
+            plan.children_mut().into_iter().for_each(|c| assign(c, next, next_bcast));
         }
         let mut n = 0;
         let mut b = 0;

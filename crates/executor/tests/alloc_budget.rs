@@ -5,14 +5,18 @@
 //! scenarios below therefore allocate in proportion to the rows that go in
 //! and come out, not to the pairs compared — the budget (10 allocations per
 //! left row) sits two orders of magnitude under what per-pair concatenation
-//! or a per-open copy of the inner rows would spend.
+//! or a per-open copy of the inner rows would spend. Hash tables key on the
+//! row's own slots, so a hash join or aggregate allocates per output row and
+//! per group, never a key per input row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use taurus_catalog::Catalog;
-use taurus_common::{BinOp, Column, DataType, Expr, Row, Schema, TableId, Value};
-use taurus_executor::{execute, AccessPath, Est, ExecContext, JoinKind, Plan, TableRead};
+use taurus_common::{AggFunc, BinOp, Column, DataType, Expr, Row, Schema, TableId, Value};
+use taurus_executor::{
+    execute, AccessPath, AggSpec, AggStrategy, Est, ExecContext, JoinKind, Plan, TableRead,
+};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their own,
@@ -60,10 +64,15 @@ const BUDGET_PER_LEFT_ROW: u64 = 10;
 const PART: TableId = TableId(0);
 const LINEITEM: TableId = TableId(1);
 const BUCKET: TableId = TableId(2);
+const WIDE: TableId = TableId(3);
+const SHIFTED: TableId = TableId(4);
+const KEYED_ROWS: i64 = 4_000;
 
 /// part(p_partkey, p_container, p_size, p_bucket) × 200,
 /// lineitem(l_partkey, l_quantity, l_shipmode) × 4 000,
-/// bucket(b_key, b_val) × 400 with four distinct keys.
+/// bucket(b_key, b_val) × 400 with four distinct keys,
+/// wide(w_key, w_group) × 4 000 with distinct keys in ten groups,
+/// shifted(s_key) × 4 000 whose keys meet ten of wide's.
 fn catalog() -> Catalog {
     let mut cat = Catalog::new();
     let int = |name: &str| Column::new(name, DataType::Int);
@@ -114,6 +123,11 @@ fn catalog() -> Catalog {
     let bucket = cat.create_table("bucket", Schema::new(vec![int("b_key"), int("b_val")])).unwrap();
     let rows: Vec<Row> = (0..400i64).map(|i| vec![Value::Int(i % 4), Value::Int(i)]).collect();
     cat.insert(bucket, rows).unwrap();
+
+    let wide = cat.create_table("wide", Schema::new(vec![int("w_key"), int("w_group")])).unwrap();
+    cat.insert(wide, (0..KEYED_ROWS).map(|i| vec![Value::Int(i), Value::Int(i % 10)])).unwrap();
+    let shifted = cat.create_table("shifted", Schema::new(vec![int("s_key")])).unwrap();
+    cat.insert(shifted, (0..KEYED_ROWS).map(|i| vec![Value::Int(i + KEYED_ROWS - 10)])).unwrap();
     cat
 }
 
@@ -217,10 +231,10 @@ fn an_index_lookup_opening_copies_its_key_once() {
     let cat = catalog();
     // 200 correlated lookups of four lineitem rows each; the filter turns
     // every row down, so what is left per outer row is its own copy and its
-    // opening's fixed bill: the key values, their one copy as the index
-    // range's bound, and the filter's one layout (the binding's followed by
-    // the table's). A second copy of the key (the lookup's `take_while` once
-    // kept one) or a second layout makes it five.
+    // opening's fixed bill: the key values, which the index searches by
+    // reference, and the filter's one layout (the binding's followed by the
+    // table's). A copy of the key as a bound (the B-tree range once made
+    // one) or a second layout makes it four.
     let plan = Plan::NestedLoop {
         kind: JoinKind::Inner,
         left: Box::new(scan(PART, 0, 4)),
@@ -243,5 +257,66 @@ fn an_index_lookup_opening_copies_its_key_once() {
     assert!(rows.is_empty());
     assert_eq!(ctx.stats.index_lookups.get(), LEFT_ROWS as u64);
     assert_eq!(ctx.stats.rows_scanned.get(), (LEFT_ROWS * 5) as u64, "four rows per lookup");
-    assert!(allocations <= 4 * LEFT_ROWS as u64 + 16, "{allocations} allocations for 200 lookups");
+    assert!(allocations <= 3 * LEFT_ROWS as u64 + 16, "{allocations} allocations for 200 lookups");
+}
+
+/// Allocations a plan makes beyond the leaves that feed it: `plan`'s count
+/// minus each leaf's own count when executed alone (a scan copies every row
+/// it reads, which is the leaf's, not the operator's).
+fn allocations_above_leaves(cat: &Catalog, plan: &Plan, leaves: &[&Plan]) -> (Vec<Row>, u64) {
+    let run = |p: &Plan| {
+        let ctx = ExecContext::new(cat, 2, 0);
+        allocations_during(|| execute(p, &ctx).unwrap())
+    };
+    let leaf_allocations: u64 = leaves.iter().map(|l| run(l).1).sum();
+    let (rows, allocations) = run(plan);
+    (rows, allocations - leaf_allocations)
+}
+
+#[test]
+fn hash_join_and_hash_aggregate_allocate_per_output_row_and_group_not_per_input_row() {
+    let cat = catalog();
+    // 4 000 probe rows against 4 000 build rows; ten keys meet.
+    let (probe, build) = (scan(WIDE, 0, 2), scan(SHIFTED, 1, 1));
+    let join = Plan::HashJoin {
+        kind: JoinKind::Inner,
+        build_left: false,
+        left: Box::new(probe.clone()),
+        right: Box::new(build.clone()),
+        keys: vec![(Expr::col(0, 0), Expr::col(1, 0))],
+        residual: vec![],
+        null_aware: false,
+        est: Est::default(),
+    };
+    let (rows, allocations) = allocations_above_leaves(&cat, &join, &[&probe, &build]);
+    assert_eq!(rows.len(), 10);
+    assert!(
+        allocations <= rows.len() as u64 + 24,
+        "{allocations} allocations above the scans for {KEYED_ROWS} × {KEYED_ROWS} rows, {} out",
+        rows.len()
+    );
+
+    // 4 000 rows into ten groups, each with COUNT(*) and SUM(w_key).
+    let aggs = vec![
+        AggSpec { func: AggFunc::CountStar, arg: None, distinct: false },
+        AggSpec { func: AggFunc::Sum, arg: Some(Expr::col(0, 0)), distinct: false },
+    ];
+    let agg = Plan::Aggregate {
+        input: Box::new(probe.clone()),
+        group_by: vec![Expr::col(0, 1)],
+        aggs,
+        strategy: AggStrategy::Hash,
+        est: Est::default(),
+    };
+    let (rows, allocations) = allocations_above_leaves(&cat, &agg, &[&probe]);
+    assert_eq!(rows.len(), 10);
+    assert_eq!(
+        rows[3],
+        [Value::Int(3), Value::Int(400), Value::Int((0..400).map(|i| 10 * i + 3).sum())]
+    );
+    assert!(
+        allocations <= 3 * rows.len() as u64 + 16,
+        "{allocations} allocations above the scan for {KEYED_ROWS} rows into {} groups",
+        rows.len()
+    );
 }

@@ -769,9 +769,10 @@ impl<'a> Refiner<'a> {
             return plan;
         }
         // Tables outside this block (outer correlation) make it rebindable;
-        // the derived tables under the plan are its own.
+        // the derived tables under the plan, and the tables their blocks
+        // read, are its own.
         let mut allowed = rcov.clone();
-        derived_qts(&plan, &mut allowed);
+        derived_qts(&plan, false, &mut allowed);
         let mut outside = false;
         plan.for_each_expr_mut(&mut |_, e| {
             outside |= e.referenced_tables().iter().any(|t| !allowed.contains(t))
@@ -784,12 +785,20 @@ impl<'a> Refiner<'a> {
     }
 }
 
-/// Add the query table of every `Derived` node under `plan` to `out`.
-fn derived_qts(plan: &Plan, out: &mut BTreeSet<usize>) {
-    if let Plan::Derived { qt, .. } = plan {
-        out.insert(*qt);
+/// Add to `out` the query table of every `Derived` node under `plan`, and
+/// of every leaf under one (`inside`: `plan` is).
+fn derived_qts(plan: &Plan, inside: bool, out: &mut BTreeSet<usize>) {
+    match plan {
+        Plan::Derived { qt, .. } => {
+            out.insert(*qt);
+        }
+        Plan::Scan { read, .. } if inside => {
+            out.insert(read.qt);
+        }
+        _ => {}
     }
-    plan.children().into_iter().for_each(|c| derived_qts(c, out));
+    let inside = inside || matches!(plan, Plan::Derived { .. });
+    plan.children().into_iter().for_each(|c| derived_qts(c, inside, out));
 }
 
 /// Overwrite the estimates on a derived block's head — every node above its
